@@ -17,6 +17,7 @@ move with D, so the induced method is not a homogeneous divisor method.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -400,13 +401,21 @@ def expected_family_bias(dist: PopulationDistribution, divisor: float, f: int,
     return rhs - dist.cdf(mark * divisor)
 
 
+# Entries kept by one DistributionMarks object, least recently used dropped
+# first.  One 2020-census house-size call asks for about 5.4k (state mode) to
+# 8.5k (family mode) distinct (f, D) marks; the bound holds that working set
+# whole, with room for its reuse at a neighbouring house size.
+_MARK_CACHE_SIZE = 16384
+
+
 @dataclass
 class DistributionMarks:
     """Divisor-dependent marks r(f, D), by default the unbiased ones.
 
     Satisfies the same ``mark_at`` protocol as a signpost rule, so it
     plugs straight into the apportionment engine; results are cached
-    per (f, D) because mark solving costs a bisection.
+    per (f, D) because mark solving costs a bisection, in an LRU cache
+    of ``_MARK_CACHE_SIZE`` entries so a long-lived object stays bounded.
     """
 
     distribution: PopulationDistribution
@@ -415,17 +424,23 @@ class DistributionMarks:
     #: marks move with the divisor; the engine must root-find crossings
     divisor_dependent = True
 
-    _cache: dict[tuple[int, float], float] = field(default_factory=dict, repr=False)
+    _cache: OrderedDict[tuple[int, float], float] = field(default_factory=OrderedDict,
+                                                          repr=False)
 
     def mark_at(self, f: int, divisor: float) -> float:
         key = (f, divisor)
-        r = self._cache.get(key)
-        if r is None:
-            if self.marks is not None:
-                r = self.marks(f, divisor)
-            else:
-                r = unbiased_mark(self.distribution, f, divisor)
-            self._cache[key] = r
+        cache = self._cache
+        r = cache.get(key)
+        if r is not None:
+            cache.move_to_end(key)
+            return r
+        if self.marks is not None:
+            r = self.marks(f, divisor)
+        else:
+            r = unbiased_mark(self.distribution, f, divisor)
+        cache[key] = r
+        if len(cache) > _MARK_CACHE_SIZE:
+            cache.popitem(last=False)
         return r
 
     def __str__(self) -> str:

@@ -10,21 +10,22 @@ positionally: the ``M_f`` smallest members get ``f`` seats each and the
 
 Target-house-size allocation enumerates the exact critical divisors
 (family-boundary and mark crossings) inside a window that provably
-contains every divisor attaining the target, so methods that admit
-several apportionments at one house size report all of them instead of
-silently picking one.
+contains every divisor attaining the target, and sweeps them in
+ascending order, re-rounding only what crossed each one, so methods
+that admit several apportionments at one house size report all of them
+instead of silently picking one.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import (
     Apportionment,
     FamilyPartition,
-    QuotaTable,
     StateProfile,
     compute_quotas,
     partition_families,
@@ -40,6 +41,7 @@ __all__ = [
     "InfeasibleTarget",
     "TargetUnachievable",
     "round_quota",
+    "positional_split",
     "family_splits",
     "apportion_at_divisor",
     "apportion_for_house_size",
@@ -160,13 +162,25 @@ def round_quota(quota: float, rounding, divisor: float) -> int:
     return int(f)
 
 
+def positional_split(f: int, size: int, seats: int) -> tuple[int, int]:
+    """Split ``seats`` over a family of ``size`` members with quota integer part ``f``.
+
+    Returns ``(m_low, m_high)``: the ``m_low`` smallest members get ``f``
+    seats each and the ``m_high`` largest get ``f+1``.
+    """
+    m_high = seats - f * size
+    m_low = size - m_high
+    if m_low < 0 or m_high < 0:
+        raise ValueError(f"family {f}: seats {seats} outside [{f * size}, {(f + 1) * size}]")
+    return m_low, m_high
+
+
 def family_splits(partition: FamilyPartition, rounding, divisor: float) -> tuple[FamilySplit, ...]:
     """Round every family quota and split seats within each family."""
     splits = []
     for fam in partition:
         seats = round_quota(fam.quota, rounding, divisor)
-        m_high = seats - fam.index * fam.size
-        m_low = fam.size - m_high
+        m_low, m_high = positional_split(fam.index, fam.size, seats)
         splits.append(FamilySplit(fam.index, fam.size, fam.quota, seats, m_low, m_high))
     return tuple(splits)
 
@@ -190,11 +204,12 @@ def apportion_at_divisor(states: Iterable[StateProfile], divisor: float,
         seats = {e.state.name: round_quota(e.quota, method.rounding, divisor)
                  for e in quotas}
     else:
-        partition = partition_families(quotas)
         seats = {}
-        for fam, split in zip(partition, family_splits(partition, method.rounding, divisor)):
+        for fam in partition_families(quotas):
+            m_low, _ = positional_split(
+                fam.index, fam.size, round_quota(fam.quota, method.rounding, divisor))
             for i, entry in enumerate(fam.members):
-                seats[entry.state.name] = fam.index + (1 if i >= split.m_low else 0)
+                seats[entry.state.name] = fam.index + (i >= m_low)
         # restore input state order
         seats = {e.state.name: seats[e.state.name] for e in quotas}
     return Apportionment(divisor, _apply_floor(seats, method.min_seat_floor), quotas)
@@ -273,36 +288,197 @@ def _boundary_crossings(value: float, d_lo: float, d_hi: float) -> list[float]:
     return out
 
 
-def _candidate_divisors(states: tuple[StateProfile, ...], method: MethodSpec,
-                        d_lo: float, d_hi: float) -> list[float]:
-    """Every D in [d_lo, d_hi] where the apportionment could change."""
+def _crossing_events(states: tuple[StateProfile, ...], method: MethodSpec,
+                     d_lo: float, d_hi: float,
+                     ) -> list[tuple[float, tuple[list[int], list[int]]]]:
+    """Every D in [d_lo, d_hi] where the apportionment could change.
+
+    Returns ``(D, (state_ids, family_ids))`` in ascending D: the states
+    (by input index) whose boundary or mark produced D, and in family
+    mode the families (by index f) whose volume crossed an integer or a
+    mark there.  The window ends carry empty tags.
+    """
     divisor_dependent = bool(getattr(method.rounding, "divisor_dependent", False))
-    cands = {d_lo, d_hi}
-    boundaries = set()
-    for s in states:
-        boundaries.update(_boundary_crossings(s.population, d_lo, d_hi))
-    cands |= boundaries
+    tags: dict[float, tuple[list[int], list[int]]] = {d_lo: ([], []), d_hi: ([], [])}
+
+    def tag(ds: Iterable[float], kind: int, ident: int) -> None:
+        for d in ds:
+            tags.setdefault(d, ([], []))[kind].append(ident)
+
+    for i, s in enumerate(states):
+        tag(_boundary_crossings(s.population, d_lo, d_hi), 0, i)
     if method.mode == BY_STATE:
-        for s in states:
-            cands.update(_mark_crossings(s.population, method.rounding,
-                                         d_lo, d_hi, divisor_dependent))
+        for i, s in enumerate(states):
+            tag(_mark_crossings(s.population, method.rounding, d_lo, d_hi,
+                                divisor_dependent), 0, i)
     else:
         # family composition is constant between state-boundary crossings;
-        # within each stable span, family quotas V_f/D cross marks and integers
-        spans = sorted(boundaries | {d_lo, d_hi})
+        # within each stable span, family quotas V_f/D cross marks and integers.
+        # Those crossings depend only on V_f, so a family is enumerated once
+        # over each run of spans with an unchanged volume; a solved mark
+        # crossing depends on its bracket as well, so those stay per span.
+        def family_crossings(f: int, vol: float, edges: list[float]) -> None:
+            tag(_boundary_crossings(vol, edges[0], edges[-1]), 1, f)
+            if not divisor_dependent:
+                edges = [edges[0], edges[-1]]
+            for a, b in zip(edges, edges[1:]):
+                tag(_mark_crossings(vol, method.rounding, a, b, divisor_dependent), 1, f)
+
+        spans = sorted(tags)
+        runs: dict[int, tuple[float, list[float]]] = {}  # f -> (V_f, span edges)
         for a, b in zip(spans, spans[1:]):
-            if not (a < b):
-                continue
             mid = 0.5 * (a + b)
             volumes: dict[int, float] = {}
             for s in states:
                 f = math.floor(s.population / mid)
                 volumes[f] = volumes.get(f, 0.0) + s.population
-            for vol in volumes.values():
-                cands.update(_boundary_crossings(vol, a, b))
-                cands.update(_mark_crossings(vol, method.rounding, a, b,
-                                             divisor_dependent))
-    return sorted(cands)
+            for f, (vol, edges) in list(runs.items()):
+                if volumes.get(f) != vol:
+                    family_crossings(f, vol, edges)
+                    del runs[f]
+            for f, vol in volumes.items():
+                runs.setdefault(f, (vol, [a]))[1].append(b)
+        for f, (vol, edges) in runs.items():
+            family_crossings(f, vol, edges)
+    return sorted(tags.items())
+
+
+class _SeatTracker:
+    """Every state's seats at the sweep's current divisor, kept in place.
+
+    Only what a crossing event tags is re-rounded.  In family mode
+    families are contiguous runs of (population, name) order, because
+    floor(v/D) is monotone in v: ``family[p]`` is the family of the
+    state at rank p, so a family's members are found by bisection.
+    """
+
+    def __init__(self, states: tuple[StateProfile, ...], method: MethodSpec, divisor: float):
+        compute_quotas(states, divisor)  # validates the states
+        n = len(states)
+        self.rounding = method.rounding
+        self.floor = method.min_seat_floor or 0
+        self.pops = [s.population for s in states]
+        self.seats = [0] * n  # min_seat_floor applied
+        self.total = 0
+        self.by_family = method.mode == BY_FAMILY
+        if not self.by_family:
+            self.reround(divisor, range(n), ())
+            return
+        self.order = sorted(range(n), key=lambda i: (self.pops[i], states[i].name))
+        self.rank = [0] * n
+        for p, i in enumerate(self.order):
+            self.rank[i] = p
+        self.sorted_pops = [self.pops[i] for i in self.order]
+        self.family = [math.floor(v / divisor) for v in self.sorted_pops]
+        self.reround(divisor, (), set(self.family))
+
+    def _set(self, i: int, seats: int) -> bool:
+        seats = max(seats, self.floor)
+        old = self.seats[i]
+        if seats == old:
+            return False
+        self.seats[i] = seats
+        self.total += seats - old
+        return True
+
+    def reround(self, divisor: float, state_ids, family_ids) -> bool:
+        """Re-round the given states and families at ``divisor``.
+
+        Returns True if any seat moved.  In family mode a state is
+        re-rounded through its old and new family.
+        """
+        moved = False
+        if not self.by_family:
+            for i in state_ids:
+                q = self.pops[i] / divisor
+                moved |= self._set(i, round_quota(q, self.rounding, divisor))
+            return moved
+        families = set(family_ids)
+        for i in state_ids:
+            p = self.rank[i]
+            families.add(self.family[p])
+            self.family[p] = math.floor(self.sorted_pops[p] / divisor)
+            families.add(self.family[p])
+        for f in families:
+            lo = bisect_left(self.family, f)
+            hi = bisect_right(self.family, f, lo)
+            if lo == hi:
+                continue
+            # summed in member order, exactly as Family.quota does
+            quota = sum(v / divisor for v in self.sorted_pops[lo:hi])
+            m_low, _ = positional_split(f, hi - lo, round_quota(quota, self.rounding, divisor))
+            for k in range(hi - lo):
+                moved |= self._set(self.order[lo + k], f + (k >= m_low))
+        return moved
+
+
+class _Piece(NamedTuple):
+    lo: float
+    hi: float
+    divisor: float          # midpoint of the piece's first candidate interval
+    seats: tuple[int, ...]  # input state order, min_seat_floor applied
+    total: int
+
+
+# Float rounding of quotas, family sums and solved marks can put the divisor
+# where seats really change a few ulps (solved marks: about 1e-12) away from
+# the computed candidate, so an event is re-rounded at every evaluated
+# midpoint within this relative distance of it, and at the first one beyond.
+_EVENT_BAND = 1e-9
+
+
+def _sweep(states: tuple[StateProfile, ...], method: MethodSpec,
+           d_lo: float, d_hi: float) -> list[_Piece]:
+    """Constant-seat pieces over [d_lo, d_hi] by one ascending event sweep."""
+    if method.is_hamilton:
+        raise ApportionmentError("Hamilton's method has no divisor sweep")
+    if not (0 < d_lo < d_hi) or not math.isfinite(d_hi):
+        raise ValueError(f"need 0 < d_lo < d_hi, got [{d_lo!r}, {d_hi!r}]")
+    events = _crossing_events(states, method, d_lo, d_hi)
+    pieces: list[_Piece] = []
+    tracker: _SeatTracker | None = None
+    first = last = 0  # events[first:last] lie within the band of the midpoint
+    for (a, _), (b, _) in zip(events, events[1:]):
+        mid = 0.5 * (a + b)
+        if not (a < mid < b):
+            continue  # interval at float resolution; no interior
+        while last < len(events) and events[last][0] <= mid * (1 + _EVENT_BAND):
+            last += 1
+        if tracker is None:
+            tracker = _SeatTracker(states, method, mid)
+            moved = True
+        else:
+            near = [tags for _, tags in events[first:last]]
+            moved = tracker.reround(mid, [i for ids, _ in near for i in ids],
+                                  [f for _, fs in near for f in fs])
+        while first < last and events[first][0] * (1 + _EVENT_BAND) < mid:
+            first += 1
+        if moved:
+            pieces.append(_Piece(a, b, mid, tuple(tracker.seats), tracker.total))
+        else:
+            pieces[-1] = pieces[-1]._replace(hi=b)
+    if not pieces:
+        # window too narrow to contain any candidate interior: one piece
+        mid = 0.5 * (d_lo + d_hi)
+        tracker = _SeatTracker(states, method, mid)
+        pieces.append(_Piece(d_lo, d_hi, mid, tuple(tracker.seats), tracker.total))
+    return pieces
+
+
+def _apportionment(states: tuple[StateProfile, ...], method: MethodSpec,
+                   piece: _Piece) -> Apportionment:
+    """The piece's apportionment, evaluated directly at its divisor.
+
+    The sweep re-rounds only at candidate divisors, so a crossing the
+    enumeration failed to find (marks whose r(f, D)·D is not monotone in
+    D) would leave its seats stale: that is raised, never returned.
+    """
+    app = apportion_at_divisor(states, piece.divisor, method)
+    if tuple(app.seats.values()) != piece.seats:
+        raise ApportionmentError(
+            f"divisor sweep missed a crossing below D = {piece.divisor!r}: "
+            f"its seats differ from direct apportionment there")
+    return app
 
 
 def piecewise_apportionments(states: Iterable[StateProfile], method: MethodSpec,
@@ -310,34 +486,26 @@ def piecewise_apportionments(states: Iterable[StateProfile], method: MethodSpec,
                              ) -> list[tuple[float, float, Apportionment]]:
     """Constant-apportionment pieces (lo, hi] covering [d_lo, d_hi].
 
-    Pieces are returned in ascending divisor order; each carries the
-    apportionment evaluated at its midpoint, which by construction
+    Pieces are returned in ascending divisor order; adjacent pieces have
+    different seat vectors.  Each carries the apportionment at the
+    midpoint of its first candidate interval, which by construction
     equals the value everywhere on the piece including its upper
     endpoint (a quota exactly at a mark rounds the same way as a quota
-    just above it).  Adjacent pieces with equal seat vectors are merged.
+    just above it).
+
+    One sweep computes them.  It enumerates the candidate divisors, at
+    which a state's quota (or in family mode a family's) meets an
+    integer or a mark, each tagged with what crossed there: O(K log K)
+    for K candidates.  It apportions once in full, then walks the
+    candidates in ascending order and, at each candidate interval's
+    midpoint, re-rounds only what the passed candidates tag: O(size of
+    what crossed) per interval.  Each returned piece then costs one
+    direct apportionment at its divisor, O(n), which must agree with
+    the sweep's seats (``ApportionmentError`` otherwise).
     """
-    if method.is_hamilton:
-        raise ApportionmentError("Hamilton's method has no divisor sweep")
-    if not (0 < d_lo < d_hi) or not math.isfinite(d_hi):
-        raise ValueError(f"need 0 < d_lo < d_hi, got [{d_lo!r}, {d_hi!r}]")
     states = tuple(states)
-    cands = _candidate_divisors(states, method, d_lo, d_hi)
-    pieces: list[tuple[float, float, Apportionment]] = []
-    for a, b in zip(cands, cands[1:]):
-        mid = 0.5 * (a + b)
-        if not (a < mid < b):
-            continue  # interval at float resolution; no interior
-        app = apportion_at_divisor(states, mid, method)
-        if pieces and pieces[-1][2].seats == app.seats:
-            lo, _, prev = pieces[-1]
-            pieces[-1] = (lo, b, prev)
-        else:
-            pieces.append((a, b, app))
-    if not pieces:
-        # window too narrow to contain any candidate interior: one piece
-        app = apportion_at_divisor(states, 0.5 * (d_lo + d_hi), method)
-        pieces.append((d_lo, d_hi, app))
-    return pieces
+    return [(p.lo, p.hi, _apportionment(states, method, p))
+            for p in _sweep(states, method, d_lo, d_hi)]
 
 
 def breakpoints(states: Iterable[StateProfile], method: MethodSpec,
@@ -436,25 +604,21 @@ def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,
             f"{forced_min} seats across {n} states")
 
     d_lo, d_hi, frozen_above = _search_window(states, target_total, method)
-    pieces = piecewise_apportionments(states, method, d_lo, d_hi)
+    pieces = _sweep(states, method, d_lo, d_hi)
 
     solutions: list[Apportionment] = []
-    seen: dict[tuple[int, ...], int] = {}
-    names = [s.name for s in states]
-    totals_seen: set[int] = set()
-    for idx, (lo, hi, app) in enumerate(pieces):
-        totals_seen.add(app.total_seats)
-        if app.total_seats != target_total:
-            continue
-        vec = tuple(app.seats[name] for name in names)
-        if vec in seen:
+    seen: set[tuple[int, ...]] = set()
+    for idx, piece in enumerate(pieces):
+        if piece.total != target_total or piece.seats in seen:
             continue  # same seat vector on a lower disjoint run; keep the top one
-        upper = math.inf if (frozen_above and idx == len(pieces) - 1) else hi
-        seen[vec] = len(solutions)
-        solutions.append(replace(app, d_interval=(lo, upper)))
+        upper = math.inf if (frozen_above and idx == len(pieces) - 1) else piece.hi
+        seen.add(piece.seats)
+        solutions.append(replace(_apportionment(states, method, piece),
+                                 d_interval=(piece.lo, upper)))
     if not solutions:
-        below = max((t for t in totals_seen if t < target_total), default=None)
-        above = min((t for t in totals_seen if t > target_total), default=None)
+        totals = {p.total for p in pieces}
+        below = max((t for t in totals if t < target_total), default=None)
+        above = min((t for t in totals if t > target_total), default=None)
         raise TargetUnachievable(target_total, below, above)
     solutions.sort(key=lambda a: -a.d_interval[1])
     return solutions

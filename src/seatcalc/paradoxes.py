@@ -20,6 +20,7 @@ from .engine import (
     apportion_at_divisor,
     apportion_for_house_size,
     piecewise_apportionments,
+    positional_split,
     round_quota,
 )
 from .signposts import WEBSTER
@@ -186,19 +187,17 @@ def _family_of_families_apportion(states, divisor: float) -> Apportionment:
         members = sorted(groups[super_index], key=lambda fam: (fam.population, fam.index))
         super_quota = math.fsum(fam.quota for fam in members)
         super_seats = round_quota(super_quota, WEBSTER, divisor)
-        m_high = super_seats - super_index * len(members)
-        m_low = len(members) - m_high
-        if m_low < 0 or m_high < 0:
-            raise AssertionError("family-of-families split out of range")
+        try:
+            m_low, _ = positional_split(super_index, len(members), super_seats)
+        except ValueError as exc:
+            raise AssertionError("family-of-families split out of range") from exc
         for i, fam in enumerate(members):
-            family_seats[fam.index] = super_index + (1 if i >= m_low else 0)
+            family_seats[fam.index] = super_index + (i >= m_low)
     seats: dict[str, int] = {}
     for fam in partition:
-        s_f = family_seats[fam.index]
-        m_high = s_f - fam.index * fam.size
-        m_low = fam.size - m_high
+        m_low, _ = positional_split(fam.index, fam.size, family_seats[fam.index])
         for i, entry in enumerate(fam.members):
-            seats[entry.state.name] = fam.index + (1 if i >= m_low else 0)
+            seats[entry.state.name] = fam.index + (i >= m_low)
     seats = {e.state.name: seats[e.state.name] for e in quotas}
     return Apportionment(divisor, seats, quotas)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seatcalc import distributions
 from seatcalc.distributions import (
     DistributionMarks,
     LogNormal,
@@ -265,6 +266,22 @@ def test_power_law_rd_trivially_immune():
     marks = DistributionMarks(PowerLaw(2.0, 0.0, 1e6))
     report = verify_alabama_immunity(marks, 3, np.linspace(0.2, 5.0, 40))
     assert report.ok
+
+
+def test_mark_cache_drops_least_recently_used(monkeypatch):
+    monkeypatch.setattr(distributions, "_MARK_CACHE_SIZE", 4)
+    solved = []
+
+    def marks(f, d):
+        solved.append(f)
+        return f + 0.5
+
+    cached = DistributionMarks(LogNormal(0.0, 1.0), marks)
+    for f in (0, 1, 2, 3, 0, 4):  # f = 0 is used again, so f = 1 is dropped
+        cached.mark_at(f, 1.0)
+    assert len(cached._cache) == 4
+    assert cached.mark_at(0, 1.0) == 0.5 and cached.mark_at(1, 1.0) == 1.5
+    assert solved == [0, 1, 2, 3, 4, 1]
 
 
 def test_adversarial_marks_are_flagged():

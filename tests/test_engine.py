@@ -9,21 +9,25 @@ from hypothesis import strategies as st
 
 from seatcalc.census import bundled_census
 from seatcalc.core import StateProfile, compute_quotas, partition_families
+from seatcalc.distributions import DistributionMarks, LogNormal
 from seatcalc.engine import (
     BY_FAMILY,
     BY_STATE,
     HAMILTON,
+    ApportionmentError,
     InfeasibleTarget,
     MethodSpec,
     TargetUnachievable,
+    _crossing_events,
     apportion_at_divisor,
     apportion_for_house_size,
     breakpoints,
     family_splits,
     piecewise_apportionments,
+    positional_split,
     round_quota,
 )
-from seatcalc.signposts import ADAMS, HUNTINGTON_HILL, JEFFERSON, WEBSTER, power_law
+from seatcalc.signposts import ADAMS, DEAN, HUNTINGTON_HILL, JEFFERSON, WEBSTER, power_law
 
 
 def states_of(*pops):
@@ -390,3 +394,87 @@ def test_search_results_carry_disjoint_descending_intervals():
     for (lo1, hi1), (lo2, hi2) in zip(
             (s.d_interval for s in sols), (s.d_interval for s in sols[1:])):
         assert hi2 <= lo1 or hi1 <= lo2
+
+
+# --- the event sweep against the fixed-divisor oracle ---------------------
+
+CENSUS_YEARS = (1960, 1970, 1980, 1990, 2000, 2010, 2020)
+SWEEP_RULES = (ADAMS, DEAN, HUNTINGTON_HILL, WEBSTER, JEFFERSON, power_law(2.0))
+
+
+def assert_sweep_matches_oracle(states, method, d_lo, d_hi):
+    """Direct apportionment at the midpoint of every candidate interval
+    equals the seats of the piece holding it; adjacent pieces differ."""
+    states = tuple(states)
+    pieces = piecewise_apportionments(states, method, d_lo, d_hi)
+    for (_, _, below), (_, _, above) in zip(pieces, pieces[1:]):
+        assert below.seats != above.seats
+    cands = [d for d, _ in _crossing_events(states, method, d_lo, d_hi)]
+    k = 0
+    for a, b in zip(cands, cands[1:]):
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            continue
+        while pieces[k][1] < b:
+            k += 1
+        lo, hi, app = pieces[k]
+        assert lo <= a and b <= hi, (method, a, b)
+        assert apportion_at_divisor(states, mid, method).seats == app.seats, (method, mid)
+
+
+@pytest.mark.parametrize("mode", [BY_STATE, BY_FAMILY])
+@pytest.mark.parametrize("year", CENSUS_YEARS)
+def test_sweep_matches_oracle_on_census(year, mode):
+    states = bundled_census(year)
+    v_t = math.fsum(s.population for s in states)
+    for rule in SWEEP_RULES:
+        assert_sweep_matches_oracle(states, MethodSpec(rule, mode), v_t / 600, v_t / 300)
+
+
+def test_sweep_matches_oracle_with_seat_floor():
+    states = bundled_census(2020)
+    v_t = math.fsum(s.population for s in states)
+    for rule in (ADAMS, HUNTINGTON_HILL, WEBSTER, JEFFERSON):
+        for mode in (BY_STATE, BY_FAMILY):
+            assert_sweep_matches_oracle(states, MethodSpec(rule, mode, min_seat_floor=1),
+                                        v_t / 600, v_t / 300)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+def test_sweep_matches_oracle_with_lognormal_marks(sigma):
+    states = bundled_census(2020)
+    v_t = math.fsum(s.population for s in states)
+    marks = DistributionMarks(LogNormal(math.log(5.0 * v_t / 435), sigma))
+    for mode in (BY_STATE, BY_FAMILY):
+        assert_sweep_matches_oracle(states, MethodSpec(marks, mode), v_t / 445, v_t / 425)
+
+
+def test_sweep_raises_rather_than_return_stale_seats():
+    # r(1, D)·D drops inside [0.8, 0.86]: the enumeration cannot bracket
+    # that crossing, and the piece starting at D = 0.8 (a crossing of the
+    # second state) must not report the first state's seats from below it
+    def marks(f, d):
+        return f + (0.01 if f == 1 and 0.8 <= d <= 0.86 else 0.5)
+
+    method = MethodSpec(DistributionMarks(LogNormal(0.0, 1.0), marks), BY_STATE)
+    with pytest.raises(ApportionmentError, match="missed a crossing"):
+        piecewise_apportionments(states_of(1.0, 10.0), method, 0.5, 2.0)
+
+
+def test_positional_split():
+    assert positional_split(2, 3, 7) == (2, 1)
+    assert positional_split(0, 4, 0) == (4, 0)
+    for seats in (5, 10):
+        with pytest.raises(ValueError, match="outside"):
+            positional_split(2, 3, seats)
+
+
+def test_sweep_matches_oracle_on_random_instances():
+    # the criterion-8a shape: 1-20 states, log-uniform on [0.5, 30]
+    rng = random.Random(20220127)
+    for _ in range(40):
+        states = states_of(*(math.exp(rng.uniform(math.log(0.5), math.log(30.0)))
+                             for _ in range(rng.randint(1, 20))))
+        for rule in SWEEP_RULES:
+            for mode in (BY_STATE, BY_FAMILY):
+                assert_sweep_matches_oracle(states, MethodSpec(rule, mode), 0.8, 1.25)
