@@ -17,9 +17,9 @@ from seatcalc import (
     MethodSpec,
     StateProfile,
     apportion_at_divisor,
+    apportion_for_house_size,
     check_new_states,
     family_of_families_fixture,
-    find_multiple_solutions,
     scan_alabama,
 )
 
@@ -45,7 +45,7 @@ def main():
     print("\n2. multiple solutions at one house size")
     states = tuple(StateProfile(f"state{i+1}", p)
                    for i, p in enumerate((0.999, 1.43, 62.4375)))
-    for i, app in enumerate(find_multiple_solutions(states, hh_family, 65), 1):
+    for i, app in enumerate(apportion_for_house_size(states, 65, hh_family), 1):
         lo, hi = app.d_interval
         seats = ", ".join(f"{n}={s}" for n, s in app.seats.items())
         print(f"   solution {i}: {seats} on divisors ({lo:.5f}, {hi:.5f}]")

@@ -24,7 +24,6 @@ from .distributions import (
     PowerLaw,
     Uniform,
     monte_carlo_bias,
-    unbiased_mark,
 )
 from .engine import (
     BY_FAMILY,
@@ -42,7 +41,6 @@ from .paradoxes import (
     as_multiple_solution_report,
     check_new_states,
     family_of_families_fixture,
-    find_multiple_solutions,
     scan_alabama,
 )
 from .signposts import ADAMS, DEAN, HUNTINGTON_HILL, JEFFERSON, WEBSTER, power_law
@@ -79,6 +77,17 @@ def _parse_float(text: str, what: str) -> float:
     return value
 
 
+def _parse_lognormal(arg: str):
+    parts = [p.strip() for p in arg.split(",")] if arg else []
+    if len(parts) != 2:
+        raise _UsageError("lognormal needs two parameters, e.g. lognormal:5,1")
+    q_g = _parse_float(parts[0], "lognormal q_g")
+    sigma = _parse_float(parts[1], "lognormal sigma")
+    if q_g <= 0 or sigma <= 0:
+        raise _UsageError("lognormal q_g and sigma must be positive")
+    return ("lognormal", q_g, sigma)
+
+
 def _parse_method(text: str):
     """Method grammar -> ('signpost', rule) | ('hamilton',) | ('lognormal', qg, sigma)."""
     name, _, arg = text.partition(":")
@@ -103,14 +112,7 @@ def _parse_method(text: str):
             beta = _parse_float(arg, "powerlaw exponent")
         return ("signpost", power_law(beta))
     if name == "lognormal":
-        parts = [p.strip() for p in arg.split(",")] if arg else []
-        if len(parts) != 2:
-            raise _UsageError("lognormal needs two parameters, e.g. lognormal:5,1")
-        q_g = _parse_float(parts[0], "lognormal q_g")
-        sigma = _parse_float(parts[1], "lognormal sigma")
-        if q_g <= 0 or sigma <= 0:
-            raise _UsageError("lognormal q_g and sigma must be positive")
-        return ("lognormal", q_g, sigma)
+        return _parse_lognormal(arg)
     raise _UsageError(
         f"unknown method {text!r}; expected adams|dean|hill|webster|jefferson|"
         f"powerlaw:beta|hamilton|lognormal:qg,sigma"
@@ -120,15 +122,9 @@ def _parse_method(text: str):
 def _parse_distribution(text: str):
     name, _, arg = text.partition(":")
     name = name.strip().lower()
-    parts = [p.strip() for p in arg.split(",")] if arg else []
     if name == "lognormal":
-        if len(parts) != 2:
-            raise _UsageError("distribution lognormal needs qg,sigma")
-        q_g = _parse_float(parts[0], "q_g")
-        sigma = _parse_float(parts[1], "sigma")
-        if q_g <= 0 or sigma <= 0:
-            raise _UsageError("lognormal q_g and sigma must be positive")
-        return ("lognormal", q_g, sigma)
+        return _parse_lognormal(arg)
+    parts = [p.strip() for p in arg.split(",")] if arg else []
     if name == "powerlaw":
         if len(parts) != 3:
             raise _UsageError("distribution powerlaw needs beta,v_lo,v_hi")
@@ -152,6 +148,23 @@ def _build_distribution(parsed, divisor: float):
         return PowerLaw(beta, v_lo, v_hi)
     _, v_lo, v_hi = parsed
     return Uniform(v_lo, v_hi)
+
+
+def _rounding(parsed, anchor: float):
+    """The rounding a parsed method names: ``HAMILTON``, a signpost rule,
+    or lognormal marks whose q_g is measured in units of ``anchor``."""
+    if parsed[0] == "hamilton":
+        return HAMILTON
+    if parsed[0] == "signpost":
+        return parsed[1]
+    return DistributionMarks(_build_distribution(parsed, anchor))
+
+
+def _house_anchor(states, seats: int) -> float:
+    """v_T/N for a --seats N target, refusing N < 1 before dividing by it."""
+    if seats < 1:
+        raise InfeasibleTarget(f"target house size must be >= 1, got {seats}")
+    return math.fsum(s.population for s in states) / seats
 
 
 def _parse_divisor(text: str, states) -> float:
@@ -278,29 +291,16 @@ def _cmd_apportion(args) -> int:
     if (args.divisor is None) == (args.seats is None):
         raise _UsageError("give exactly one of --divisor or --seats", EXIT_CONFLICT)
     parsed = _parse_method(args.method)
-    mode = BY_FAMILY if args.mode == "family" else BY_STATE
-
-    if parsed[0] == "hamilton":
-        if args.divisor is not None:
+    if args.divisor is not None:
+        if parsed[0] == "hamilton":
             raise _UsageError("hamilton needs --seats, not --divisor", EXIT_CONFLICT)
-        method = MethodSpec(HAMILTON, mode)
-        solutions = apportion_for_house_size(states, args.seats, method)
+        divisor = _parse_divisor(args.divisor, states)
+        method = MethodSpec(_rounding(parsed, divisor), args.mode)
+        solutions = [apportion_at_divisor(states, divisor, method)]
     else:
-        if args.divisor is not None:
-            divisor = _parse_divisor(args.divisor, states)
-            anchor = divisor
-        else:
-            anchor = math.fsum(s.population for s in states) / args.seats
-        if parsed[0] == "lognormal":
-            _, q_g, sigma = parsed
-            rounding = DistributionMarks(LogNormal(math.log(q_g * anchor), sigma))
-        else:
-            rounding = parsed[1]
-        method = MethodSpec(rounding, mode)
-        if args.divisor is not None:
-            solutions = [apportion_at_divisor(states, divisor, method)]
-        else:
-            solutions = apportion_for_house_size(states, args.seats, method)
+        anchor = _house_anchor(states, args.seats)
+        method = MethodSpec(_rounding(parsed, anchor), args.mode)
+        solutions = apportion_for_house_size(states, args.seats, method)
 
     if args.format == "json":
         print(json.dumps(_apportion_json(solutions, args.method, args.mode), indent=2))
@@ -314,17 +314,15 @@ def _cmd_apportion(args) -> int:
 def _mark_column(parsed, f_max: int) -> list[float]:
     if parsed[0] == "hamilton":
         raise _UsageError("hamilton has no rounding marks")
-    if parsed[0] == "lognormal":
-        _, q_g, sigma = parsed
-        dist = LogNormal(math.log(q_g), sigma)  # divisor 1: q_g is the quota scale
-        return [unbiased_mark(dist, f, 1.0) for f in range(f_max + 1)]
-    rule = parsed[1]
-    return [rule.mark(f) for f in range(f_max + 1)]
+    rounding = _rounding(parsed, 1.0)  # divisor 1: q_g is the quota scale
+    return [rounding.mark_at(f, 1.0) for f in range(f_max + 1)]
 
 
 def _cmd_marks(args) -> int:
     if args.fmax < 0:
         raise _UsageError("--fmax must be >= 0")
+    if args.digits is not None and args.digits < 0:
+        raise _UsageError("--digits must be >= 0")
     methods = args.method
     parsed_list = [_parse_method(m) for m in methods]
     digits = args.digits
@@ -354,13 +352,7 @@ def _method_spec_from_args(args, anchor: float) -> MethodSpec:
     parsed = _parse_method(args.method)
     if parsed[0] == "hamilton":
         raise _UsageError("paradox scans need a divisor-based method", EXIT_CONFLICT)
-    if parsed[0] == "lognormal":
-        _, q_g, sigma = parsed
-        rounding = DistributionMarks(LogNormal(math.log(q_g * anchor), sigma))
-    else:
-        rounding = parsed[1]
-    mode = BY_FAMILY if args.mode == "family" else BY_STATE
-    return MethodSpec(rounding, mode)
+    return MethodSpec(_rounding(parsed, anchor), args.mode)
 
 
 def _report_json(report: ParadoxReport):
@@ -430,9 +422,8 @@ def _cmd_paradox_newstates(args) -> int:
 
 def _cmd_paradox_multisol(args) -> int:
     states = _load_states(args)
-    anchor = math.fsum(s.population for s in states) / args.seats
-    method = _method_spec_from_args(args, anchor=anchor)
-    solutions = find_multiple_solutions(states, method, args.seats)
+    method = _method_spec_from_args(args, anchor=_house_anchor(states, args.seats))
+    solutions = apportion_for_house_size(states, args.seats, method)
     if args.format == "json":
         print(json.dumps({
             "target": args.seats,
@@ -464,12 +455,9 @@ def _fof_json(report: ParadoxReport):
 
 
 def _cmd_paradox_fixtures(args) -> int:
-    from .signposts import HUNTINGTON_HILL as HH
-
-    out = []
     fixture_states = tuple(StateProfile(f"state{i+1}", p)
                            for i, p in enumerate((0.999, 1.43, 999.0)))
-    hh_family = MethodSpec(HH, BY_FAMILY)
+    hh_family = MethodSpec(HUNTINGTON_HILL, BY_FAMILY)
     webster_family = MethodSpec(WEBSTER, BY_FAMILY)
     d_lo, d_hi = 999.0 / 1001.0, 1.0
 
@@ -480,7 +468,7 @@ def _cmd_paradox_fixtures(args) -> int:
 
     multisol_states = tuple(StateProfile(f"state{i+1}", p)
                             for i, p in enumerate((0.999, 1.43, 62.4375)))
-    solutions = find_multiple_solutions(multisol_states, hh_family, 65)
+    solutions = apportion_for_house_size(multisol_states, 65, hh_family)
     multisol_report = as_multiple_solution_report(solutions)
 
     incumbents = (StateProfile("state1", 2.6), StateProfile("state2", 5.3))
@@ -573,7 +561,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_bias(args) -> int:
     parsed_dist = _parse_distribution(args.dist)
-    divisor = args.divisor
+    divisor = _parse_float(args.divisor, "--divisor")
     if divisor <= 0:
         raise _UsageError("--divisor must be positive")
     dist = _build_distribution(parsed_dist, divisor)
@@ -584,11 +572,7 @@ def _cmd_bias(args) -> int:
         parsed = _parse_method(marks_text)
         if parsed[0] == "hamilton":
             raise _UsageError("hamilton has no marks to test")
-        if parsed[0] == "lognormal":
-            _, q_g, sigma = parsed
-            marks = DistributionMarks(LogNormal(math.log(q_g * divisor), sigma))
-        else:
-            marks = parsed[1]
+        marks = _rounding(parsed, divisor)
     if args.replications < 1 or args.n_states < 1:
         raise _UsageError("--replications and --n-states must be >= 1")
     rows = monte_carlo_bias(dist, divisor, marks, args.replications,
@@ -702,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="lognormal:qg,sigma | powerlaw:beta,vlo,vhi | uniform:lo,hi")
     p_bias.add_argument("--marks", default="matched",
                         help="'matched' or a method (webster, powerlaw:2, ...)")
-    p_bias.add_argument("--divisor", type=float, default=1.0)
+    p_bias.add_argument("--divisor", default="1.0")
     p_bias.add_argument("--replications", type=int, default=10000)
     p_bias.add_argument("--n-states", type=int, default=50)
     p_bias.add_argument("--seed", type=int, default=_default_seed(),

@@ -3,8 +3,9 @@
 Detection is mechanical, not narrative: the Alabama scan walks the
 exact critical divisors of a method from high D to low and reports any
 state whose seats drop as D drops; the New States check replays an
-insertion at fixed D; the multiple-solution probe simply surfaces every
-apportionment a target house size admits.  Reports are plain value
+insertion at fixed D; a multiple solution is two or more of the
+apportionments ``engine.apportion_for_house_size`` returns for one target,
+which ``as_multiple_solution_report`` wraps.  Reports are plain value
 objects whose before/after apportionments re-evaluate to themselves.
 """
 
@@ -15,10 +16,8 @@ from dataclasses import dataclass, replace
 
 from .core import Apportionment, StateProfile, compute_quotas, partition_families
 from .engine import (
-    BY_FAMILY,
     MethodSpec,
     apportion_at_divisor,
-    apportion_for_house_size,
     piecewise_apportionments,
     positional_split,
     round_quota,
@@ -32,7 +31,6 @@ __all__ = [
     "ParadoxReport",
     "scan_alabama",
     "check_new_states",
-    "find_multiple_solutions",
     "as_multiple_solution_report",
     "family_of_families_fixture",
 ]
@@ -133,12 +131,6 @@ def check_new_states(states, method: MethodSpec, divisor: float,
         after=after,
         affected_states=affected,
     )
-
-
-def find_multiple_solutions(states, method: MethodSpec, target_total: int,
-                            ) -> list[Apportionment]:
-    """All distinct apportionments at the target; length 1 means no paradox."""
-    return apportion_for_house_size(states, target_total, method)
 
 
 def as_multiple_solution_report(solutions: list[Apportionment],

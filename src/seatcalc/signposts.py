@@ -19,7 +19,6 @@ __all__ = [
     "SignpostRule",
     "power_law",
     "power_law_mark",
-    "signpost",
     "signpost_table",
     "ADAMS",
     "DEAN",
@@ -58,6 +57,14 @@ def power_law_mark(beta: float, f: int) -> float:
     """
     if f < 0:
         raise ValueError(f"family index must be >= 0, got {f}")
+    # exact member formulas first: Webster, Huntington-Hill and the rms-like
+    # beta = 2 are the hot named rules
+    if beta == 1.0:
+        return f + 0.5
+    if beta == -2.0:
+        return math.sqrt(f * (f + 1.0))
+    if beta == 2.0:
+        return math.sqrt(f * (f + 1.0) + 1.0 / 3.0)
     if beta <= -_BETA_INF_CUTOFF:
         return float(f)
     if beta >= _BETA_INF_CUTOFF:
@@ -66,13 +73,6 @@ def power_law_mark(beta: float, f: int) -> float:
         return _mark_beta_zero(f)
     if abs(beta + 1.0) < _BETA_NEG1_BAND:
         return _mark_beta_neg1(f)
-    # exact member formulas (geometric mean, arithmetic mean, rms-like)
-    if beta == -2.0:
-        return math.sqrt(f * (f + 1.0))
-    if beta == 1.0:
-        return f + 0.5
-    if beta == 2.0:
-        return math.sqrt(f * (f + 1.0) + 1.0 / 3.0)
     if f == 0:
         if beta <= -1.0:
             return 0.0
@@ -86,14 +86,8 @@ def power_law_mark(beta: float, f: int) -> float:
     return math.exp(log_expr / beta)
 
 
-def _mark_dean(f: int) -> float:
-    # harmonic mean of f and f+1
-    return f * (f + 1) / (f + 0.5)
-
-
-def _mark_hill(f: int) -> float:
-    # geometric mean of f and f+1
-    return math.sqrt(f * (f + 1.0))
+# beta of each named power-law member; Dean is the one named rule outside the family
+_NAMED_BETA = {"adams": -math.inf, "hill": -2.0, "webster": 1.0, "jefferson": math.inf}
 
 
 @dataclass(frozen=True)
@@ -101,9 +95,12 @@ class SignpostRule:
     """A rounding regime defined purely by its marks ``r(f)``.
 
     ``kind`` is one of ``adams``, ``dean``, ``hill``, ``webster``,
-    ``jefferson`` or ``powerlaw`` (the latter carries ``beta``).
-    Marks depend only on the family index, never on the divisor, which is
-    what makes these rules homogeneous divisor methods.
+    ``jefferson`` or ``powerlaw`` (the latter carries ``beta``).  The
+    named kinds other than Dean are power-law members, so their ``beta``
+    is filled in from the name and their marks come from
+    :func:`power_law_mark`.  Marks depend only on the family index, never
+    on the divisor, which is what makes these rules homogeneous divisor
+    methods.
     """
 
     kind: str
@@ -113,26 +110,21 @@ class SignpostRule:
     divisor_dependent = False
 
     def __post_init__(self) -> None:
-        if self.kind not in ("adams", "dean", "hill", "webster", "jefferson", "powerlaw"):
+        if self.kind in _NAMED_BETA:
+            object.__setattr__(self, "beta", _NAMED_BETA[self.kind])
+        elif self.kind == "powerlaw":
+            if self.beta is None:
+                raise ValueError("powerlaw rule requires beta")
+        elif self.kind != "dean":
             raise ValueError(f"unknown signpost kind {self.kind!r}")
-        if self.kind == "powerlaw" and self.beta is None:
-            raise ValueError("powerlaw rule requires beta")
 
     def mark(self, f: int) -> float:
         """Mark r(f) in [f, f+1]."""
+        if self.kind != "dean":
+            return power_law_mark(self.beta, f)
         if f < 0:
             raise ValueError(f"family index must be >= 0, got {f}")
-        if self.kind == "adams":
-            return float(f)
-        if self.kind == "dean":
-            return _mark_dean(f)
-        if self.kind == "hill":
-            return _mark_hill(f)
-        if self.kind == "webster":
-            return f + 0.5
-        if self.kind == "jefferson":
-            return float(f + 1)
-        return power_law_mark(self.beta, f)
+        return f * (f + 1) / (f + 0.5)  # harmonic mean of f and f+1
 
     def mark_at(self, f: int, divisor: float) -> float:
         """Mark r(f, D); the divisor is ignored for signpost rules."""
@@ -154,11 +146,6 @@ JEFFERSON = SignpostRule("jefferson")
 def power_law(beta: float) -> SignpostRule:
     """Power-law rule with exponent ``beta`` (any extended real)."""
     return SignpostRule("powerlaw", float(beta))
-
-
-def signpost(rule: SignpostRule, f: int) -> float:
-    """Evaluate ``rule``'s mark at family index ``f``."""
-    return rule.mark(f)
 
 
 def signpost_table(rule: SignpostRule, f_max: int) -> list[tuple[int, float]]:

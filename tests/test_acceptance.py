@@ -30,7 +30,7 @@ from seatcalc.engine import (
     apportion_at_divisor,
     apportion_for_house_size,
 )
-from seatcalc.paradoxes import check_new_states, find_multiple_solutions, scan_alabama
+from seatcalc.paradoxes import check_new_states, scan_alabama
 from seatcalc.signposts import HUNTINGTON_HILL, WEBSTER, power_law_mark
 
 HH_FAMILY = MethodSpec(HUNTINGTON_HILL, BY_FAMILY)
@@ -194,7 +194,7 @@ def test_criterion_6_multiple_solution_fixture():
     with criterion(6, "exactly the seat vectors (1,2,62) and (1,1,63) at 65"):
         states = tuple(StateProfile(f"state{i+1}", p)
                        for i, p in enumerate((0.999, 1.43, 62.4375)))
-        solutions = find_multiple_solutions(states, HH_FAMILY, 65)
+        solutions = apportion_for_house_size(states, 65, HH_FAMILY)
         assert len(solutions) == 2
         vectors = {tuple(app.seats[f"state{i+1}"] for i in range(3))
                    for app in solutions}
@@ -227,7 +227,7 @@ def test_criterion_8a_webster_family_immunity_bulk():
             assert scan_alabama(states, WEBSTER_FAMILY, 0.8, 1.25) == []
             target = apportion_at_divisor(states, 1.0, WEBSTER_FAMILY).total_seats
             assert target >= 1
-            solutions = find_multiple_solutions(states, WEBSTER_FAMILY, target)
+            solutions = apportion_for_house_size(states, target, WEBSTER_FAMILY)
             assert len(solutions) == 1
 
 

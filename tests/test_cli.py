@@ -172,6 +172,25 @@ def test_infeasible_target(capsys):
     assert code == 3 and err
 
 
+SEATS_BELOW_ONE = [
+    pytest.param(cmd, method, seats, id=f"{cmd[-1]}-{method}-{seats}")
+    for cmd in (("apportion",), ("paradox", "multisol"))
+    for method in ("adams", "dean", "hill", "webster", "jefferson", "powerlaw:2",
+                   "lognormal:5,1")
+    for seats in ("0", "-3")
+]
+
+
+@pytest.mark.parametrize("cmd,method,seats", SEATS_BELOW_ONE)
+def test_infeasible_target_below_one_seat(capsys, cmd, method, seats):
+    # refused before v_T/N is formed, for every method, with Hamilton's message
+    code, out, err = run(capsys, *cmd, "--populations", "1,2,3",
+                         "--method", method, "--seats", seats)
+    assert code == 3
+    assert out == ""
+    assert err == f"seatcalc: target house size must be >= 1, got {seats}\n"
+
+
 def test_unachievable_target(capsys):
     code, _, err = run(capsys, "apportion", "--populations", "1,1,1",
                        "--method", "adams", "--seats", "5")
@@ -256,6 +275,13 @@ def test_named_rule_marks(capsys):
 def test_marks_reject_hamilton(capsys):
     code, _, _ = run(capsys, "marks", "--method", "hamilton", "--fmax", "2")
     assert code == 2
+
+
+def test_marks_reject_negative_digits(capsys):
+    code, out, err = run(capsys, "marks", "--method", "webster", "--digits", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--digits" in err
 
 
 def test_marks_json(capsys):
@@ -415,6 +441,17 @@ def test_bias_rejects_hamilton_marks(capsys):
                      "--marks", "hamilton", "--replications", "10",
                      "--n-states", "5")
     assert code == 2
+
+
+@pytest.mark.parametrize("divisor,problem", [("nan", "finite"), ("inf", "finite"),
+                                             ("-inf", "finite"), ("abc", "a number")])
+def test_bias_rejects_bad_divisor(capsys, divisor, problem):
+    code, out, err = run(capsys, "bias", "--dist", "lognormal:5,1",
+                         f"--divisor={divisor}", "--replications", "10",
+                         "--n-states", "5")
+    assert code == 2
+    assert out == ""
+    assert err == f"seatcalc: --divisor must be {problem}, got {divisor!r}\n"
 
 
 def test_bias_webster_marks_accepted(capsys):

@@ -276,7 +276,8 @@ def test_mark_cache_drops_least_recently_used(monkeypatch):
         solved.append(f)
         return f + 0.5
 
-    cached = DistributionMarks(LogNormal(0.0, 1.0), marks)
+    standard = LogNormal(0.0, 1.0)
+    cached = DistributionMarks(standard, marks)
     for f in (0, 1, 2, 3, 0, 4):  # f = 0 is used again, so f = 1 is dropped
         cached.mark_at(f, 1.0)
     assert len(cached._cache) == 4

@@ -444,7 +444,8 @@ def test_sweep_matches_oracle_with_seat_floor():
 def test_sweep_matches_oracle_with_lognormal_marks(sigma):
     states = bundled_census(2020)
     v_t = math.fsum(s.population for s in states)
-    marks = DistributionMarks(LogNormal(math.log(5.0 * v_t / 435), sigma))
+    dist = LogNormal(math.log(5.0 * v_t / 435), sigma)
+    marks = DistributionMarks(dist)
     for mode in (BY_STATE, BY_FAMILY):
         assert_sweep_matches_oracle(states, MethodSpec(marks, mode), v_t / 445, v_t / 425)
 
@@ -456,7 +457,8 @@ def test_sweep_raises_rather_than_return_stale_seats():
     def marks(f, d):
         return f + (0.01 if f == 1 and 0.8 <= d <= 0.86 else 0.5)
 
-    method = MethodSpec(DistributionMarks(LogNormal(0.0, 1.0), marks), BY_STATE)
+    standard = LogNormal(0.0, 1.0)
+    method = MethodSpec(DistributionMarks(standard, marks), BY_STATE)
     with pytest.raises(ApportionmentError, match="missed a crossing"):
         piecewise_apportionments(states_of(1.0, 10.0), method, 0.5, 2.0)
 

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seatcalc.core import StateProfile
-from seatcalc.engine import BY_FAMILY, BY_STATE, MethodSpec, apportion_at_divisor
+from seatcalc.engine import (
+    BY_FAMILY,
+    BY_STATE,
+    MethodSpec,
+    apportion_at_divisor,
+    apportion_for_house_size,
+)
 from seatcalc.paradoxes import (
     ALABAMA,
     MULTIPLE_SOLUTION,
@@ -16,7 +22,6 @@ from seatcalc.paradoxes import (
     as_multiple_solution_report,
     check_new_states,
     family_of_families_fixture,
-    find_multiple_solutions,
     scan_alabama,
 )
 from seatcalc.signposts import ADAMS, HUNTINGTON_HILL, JEFFERSON, WEBSTER
@@ -142,7 +147,7 @@ def test_new_state_report_reevaluates():
 
 def test_two_seat_vectors_reach_the_same_total():
     states = make_states((0.999, 1.43, 62.4375))
-    solutions = find_multiple_solutions(states, HH_FAMILY, 65)
+    solutions = apportion_for_house_size(states, 65, HH_FAMILY)
     assert len(solutions) == 2
     assert all(app.total_seats == 65 for app in solutions)
     vectors = {tuple(app.seats[s.name] for s in states) for app in solutions}
@@ -158,22 +163,22 @@ def test_two_seat_vectors_reach_the_same_total():
 
 def test_multiple_solution_report_reevaluates():
     states = make_states((0.999, 1.43, 62.4375))
-    for app in find_multiple_solutions(states, HH_FAMILY, 65):
+    for app in apportion_for_house_size(states, 65, HH_FAMILY):
         lo, hi = app.d_interval
         probe = apportion_at_divisor(states, 0.5 * (lo + hi), HH_FAMILY)
         assert probe.seats == app.seats
 
 
 def test_single_state_target_is_unique():
-    solutions = find_multiple_solutions(
-        (StateProfile("only", 3.7),), MethodSpec(WEBSTER, BY_STATE), 7)
+    solutions = apportion_for_house_size(
+        (StateProfile("only", 3.7),), 7, MethodSpec(WEBSTER, BY_STATE))
     assert len(solutions) == 1
     assert solutions[0].seats == {"only": 7}
 
 
 def test_unique_solution_yields_no_report():
-    solutions = find_multiple_solutions(
-        (StateProfile("only", 3.7),), MethodSpec(WEBSTER, BY_STATE), 7)
+    solutions = apportion_for_house_size(
+        (StateProfile("only", 3.7),), 7, MethodSpec(WEBSTER, BY_STATE))
     assert as_multiple_solution_report(solutions) is None
 
 
@@ -189,7 +194,7 @@ def test_webster_families_never_misbehave(pops, d_probe):
     assert scan_alabama(states, WEBSTER_FAMILY, 0.5, 2.0) == []
     target = apportion_at_divisor(states, d_probe, WEBSTER_FAMILY).total_seats
     if target >= 1:
-        solutions = find_multiple_solutions(states, WEBSTER_FAMILY, target)
+        solutions = apportion_for_house_size(states, target, WEBSTER_FAMILY)
         assert len(solutions) == 1
 
 
@@ -225,6 +230,6 @@ def test_describe_names_the_losers():
     rep = check_new_states(states, WEBSTER_FAMILY, 1.0, StateProfile("added", 2.7))
     assert "added" in rep.describe()
 
-    solutions = find_multiple_solutions(
-        make_states((0.999, 1.43, 62.4375)), HH_FAMILY, 65)
+    solutions = apportion_for_house_size(
+        make_states((0.999, 1.43, 62.4375)), 65, HH_FAMILY)
     assert "65" in as_multiple_solution_report(solutions).describe()

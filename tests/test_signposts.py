@@ -12,9 +12,9 @@ from seatcalc.signposts import (
     HUNTINGTON_HILL,
     JEFFERSON,
     WEBSTER,
+    SignpostRule,
     power_law,
     power_law_mark,
-    signpost,
     signpost_table,
 )
 
@@ -26,6 +26,24 @@ def test_named_rules_match_their_definitions():
         assert WEBSTER.mark(f) == f + 0.5
         assert HUNTINGTON_HILL.mark(f) == pytest.approx(math.sqrt(f * (f + 1)), abs=1e-12)
         assert DEAN.mark(f) == pytest.approx(f * (f + 1) / (f + 0.5), abs=1e-12)
+
+
+def test_named_rules_are_power_law_members():
+    # the name fixes beta; Dean is outside the family and ignores a stray beta
+    assert [r.beta for r in (ADAMS, HUNTINGTON_HILL, WEBSTER, JEFFERSON)] == [
+        -math.inf, -2.0, 1.0, math.inf]
+    assert repr(HUNTINGTON_HILL) == "SignpostRule(kind='hill', beta=-2.0)"
+    assert SignpostRule("webster", 7.0) == WEBSTER
+    assert DEAN.beta is None
+    assert [SignpostRule("dean", 2.0).mark(f) for f in range(10)] == [
+        DEAN.mark(f) for f in range(10)]
+    for rule in (ADAMS, DEAN, HUNTINGTON_HILL, WEBSTER, JEFFERSON):
+        with pytest.raises(ValueError):
+            rule.mark(-1)
+    with pytest.raises(ValueError):
+        SignpostRule("powerlaw")
+    with pytest.raises(ValueError):
+        SignpostRule("banzhaf")
 
 
 def test_power_law_identifications_exact():
@@ -119,8 +137,12 @@ def test_signpost_table_shapes():
 
 
 def test_signpost_helper_dispatch():
-    assert signpost(WEBSTER, 3) == 3.5
-    assert signpost(power_law(-2.0), 2) == pytest.approx(math.sqrt(6), rel=1e-12)
+    # a rule's mark dispatches on its kind: named members and explicit
+    # power-law rules go through power_law_mark, Dean through its own formula
+    assert WEBSTER.mark(3) == 3.5
+    assert power_law(-2.0).mark(2) == pytest.approx(math.sqrt(6), rel=1e-12)
+    assert power_law(1.0).mark(3) == WEBSTER.mark(3)
+    assert DEAN.mark(1) == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
 def test_mark_at_ignores_divisor():
