@@ -403,7 +403,7 @@ def expected_family_bias(dist: PopulationDistribution, divisor: float, f: int,
 
 # Entries kept by one DistributionMarks object, least recently used dropped
 # first.  One 2020-census house-size call asks for about 5.4k (state mode) to
-# 8.5k (family mode) distinct (f, D) marks; the bound holds that working set
+# 6.2k (family mode) distinct (f, D) marks; the bound holds that working set
 # whole, with room for its reuse at a neighbouring house size.
 _MARK_CACHE_SIZE = 16384
 

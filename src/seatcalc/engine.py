@@ -9,11 +9,12 @@ positionally: the ``M_f`` smallest members get ``f`` seats each and the
 ``M_{f+1} = S_f − f·N_f``.
 
 Target-house-size allocation enumerates the exact critical divisors
-(family-boundary and mark crossings) inside a window that provably
-contains every divisor attaining the target, and sweeps them in
-ascending order, re-rounding only what crossed each one, so methods
-that admit several apportionments at one house size report all of them
-instead of silently picking one.
+(family-boundary and mark crossings; a family's volume ``V_f`` is constant
+between the divisors where some state's quota crosses f or f+1) inside a
+window that provably contains every divisor attaining the target, and
+sweeps them in ascending order, re-rounding only what crossed each one,
+so methods that admit several apportionments at one house size report
+all of them instead of silently picking one.
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ class MethodSpec:
     ``rounding`` is anything with ``mark_at(f, divisor)`` (a signpost
     rule or distribution-derived marks), or the ``HAMILTON`` sentinel.
     ``min_seat_floor``, when set, raises every state to at least that
-    many seats after rounding.
+    many seats after rounding.  Hamilton has no family mode: it ignores
+    ``mode`` and always apportions by state.
     """
 
     rounding: object
@@ -297,6 +299,10 @@ def _crossing_events(states: tuple[StateProfile, ...], method: MethodSpec,
     (by input index) whose boundary or mark produced D, and in family
     mode the families (by index f) whose volume crossed an integer or a
     mark there.  The window ends carry empty tags.
+
+    Family f is cut at the window ends and at v/f and v/(f+1) of each
+    state whose floor(v/D) reaches f in the window; between two cuts its
+    members and volume are fixed, so the volume's crossings are listed once.
     """
     divisor_dependent = bool(getattr(method.rounding, "divisor_dependent", False))
     tags: dict[float, tuple[list[int], list[int]]] = {d_lo: ([], []), d_hi: ([], [])}
@@ -312,34 +318,23 @@ def _crossing_events(states: tuple[StateProfile, ...], method: MethodSpec,
             tag(_mark_crossings(s.population, method.rounding, d_lo, d_hi,
                                 divisor_dependent), 0, i)
     else:
-        # family composition is constant between state-boundary crossings;
-        # within each stable span, family quotas V_f/D cross marks and integers.
-        # Those crossings depend only on V_f, so a family is enumerated once
-        # over each run of spans with an unchanged volume; a solved mark
-        # crossing depends on its bracket as well, so those stay per span.
-        def family_crossings(f: int, vol: float, edges: list[float]) -> None:
-            tag(_boundary_crossings(vol, edges[0], edges[-1]), 1, f)
-            if not divisor_dependent:
-                edges = [edges[0], edges[-1]]
-            for a, b in zip(edges, edges[1:]):
-                tag(_mark_crossings(vol, method.rounding, a, b, divisor_dependent), 1, f)
-
-        spans = sorted(tags)
-        runs: dict[int, tuple[float, list[float]]] = {}  # f -> (V_f, span edges)
-        for a, b in zip(spans, spans[1:]):
-            mid = 0.5 * (a + b)
-            volumes: dict[int, float] = {}
-            for s in states:
-                f = math.floor(s.population / mid)
-                volumes[f] = volumes.get(f, 0.0) + s.population
-            for f, (vol, edges) in list(runs.items()):
-                if volumes.get(f) != vol:
-                    family_crossings(f, vol, edges)
-                    del runs[f]
-            for f, vol in volumes.items():
-                runs.setdefault(f, (vol, [a]))[1].append(b)
-        for f, (vol, edges) in runs.items():
-            family_crossings(f, vol, edges)
+        candidates: dict[int, list[float]] = {}  # f -> populations, input order
+        for s in states:
+            v = s.population
+            for f in range(math.floor(v / d_hi), math.floor(v / d_lo) + 1):
+                candidates.setdefault(f, []).append(v)
+        for f, pops in candidates.items():
+            bounds = [v / k for v in pops for k in (f, f + 1) if k]
+            cuts = sorted({d_lo, d_hi, *(d for d in bounds if d_lo < d < d_hi)})
+            for a, b in zip(cuts, cuts[1:]):
+                mid = 0.5 * (a + b)
+                vol = 0.0  # added in input order; sum() compensates on Python 3.12+
+                for v in pops:
+                    if math.floor(v / mid) == f:
+                        vol += v
+                if vol:  # populations are positive, so the family has members
+                    tag(_boundary_crossings(vol, a, b), 1, f)
+                    tag(_mark_crossings(vol, method.rounding, a, b, divisor_dependent), 1, f)
     return sorted(tags.items())
 
 

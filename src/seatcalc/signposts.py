@@ -115,6 +115,8 @@ class SignpostRule:
         elif self.kind == "powerlaw":
             if self.beta is None:
                 raise ValueError("powerlaw rule requires beta")
+            if math.isnan(self.beta):
+                raise ValueError("powerlaw beta must not be NaN")
         elif self.kind != "dean":
             raise ValueError(f"unknown signpost kind {self.kind!r}")
 

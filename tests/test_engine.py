@@ -18,7 +18,10 @@ from seatcalc.engine import (
     InfeasibleTarget,
     MethodSpec,
     TargetUnachievable,
+    _EVENT_BAND,
+    _boundary_crossings,
     _crossing_events,
+    _mark_crossings,
     apportion_at_divisor,
     apportion_for_house_size,
     breakpoints,
@@ -169,6 +172,14 @@ def test_hamilton_matches_largest_remainder():
             floors[f"s{i}"] += 1
         assert app.seats == floors
         assert app.total_seats == target
+
+
+def test_hamilton_ignores_mode():
+    # Hamilton has no family mode: BY_FAMILY gives the BY_STATE result
+    for states, target in ((bundled_census(2020), 435), (states_of(1.4, 1.4, 1.2, 7.3), 9)):
+        by_state = apportion_for_house_size(states, target, MethodSpec(HAMILTON, BY_STATE))
+        by_family = apportion_for_house_size(states, target, MethodSpec(HAMILTON, BY_FAMILY))
+        assert by_family == by_state
 
 
 def test_infeasible_under_one_seat_rules():
@@ -480,3 +491,77 @@ def test_sweep_matches_oracle_on_random_instances():
         for rule in SWEEP_RULES:
             for mode in (BY_STATE, BY_FAMILY):
                 assert_sweep_matches_oracle(states, MethodSpec(rule, mode), 0.8, 1.25)
+
+
+# --- family candidates against the per-span rule -------------------------
+
+def per_span_family_events(states, method, d_lo, d_hi):
+    """Family-mode candidates by the plain rule: at every span between
+    state-boundary crossings, floor every state at the midpoint, sum the
+    family volumes in input order and enumerate each family's crossings
+    within that span.  Returns {D: (state ids, family ids)}."""
+    divisor_dependent = bool(getattr(method.rounding, "divisor_dependent", False))
+    tags = {d_lo: (set(), set()), d_hi: (set(), set())}
+    for i, s in enumerate(states):
+        for d in _boundary_crossings(s.population, d_lo, d_hi):
+            tags.setdefault(d, (set(), set()))[0].add(i)
+    spans = sorted(tags)
+    for a, b in zip(spans, spans[1:]):
+        mid = 0.5 * (a + b)
+        volumes = {}
+        for s in states:
+            f = math.floor(s.population / mid)
+            volumes[f] = volumes.get(f, 0.0) + s.population
+        for f, vol in volumes.items():
+            for d in (_boundary_crossings(vol, a, b)
+                      + _mark_crossings(vol, method.rounding, a, b, divisor_dependent)):
+                tags.setdefault(d, (set(), set()))[1].add(f)
+    return tags
+
+
+def family_events(states, method, d_lo, d_hi):
+    events = _crossing_events(states, method, d_lo, d_hi)
+    return {d: (set(ids), set(fs)) for d, (ids, fs) in events}
+
+
+@pytest.mark.parametrize("year", CENSUS_YEARS)
+def test_family_events_match_per_span_rule_on_census(year):
+    states = tuple(bundled_census(year))
+    v_t = math.fsum(s.population for s in states)
+    for rule in SWEEP_RULES:
+        method = MethodSpec(rule, BY_FAMILY)
+        window = (v_t / 600, v_t / 300)
+        assert family_events(states, method, *window) == per_span_family_events(
+            states, method, *window), rule
+
+
+def test_family_events_match_per_span_rule_on_small_instances():
+    # 3.0 is exactly 3·d_lo and 8.0 exactly 4·d_hi: their floors at the
+    # window ends reach families they join at no interior divisor
+    cases = [(states_of(3.0, 4.5, 6.25, 8.0), 1.0, 2.0)]
+    rng = random.Random(20221018)
+    for _ in range(40):
+        states = states_of(*(math.exp(rng.uniform(math.log(0.5), math.log(30.0)))
+                             for _ in range(rng.randint(1, 20))))
+        cases.append((states, 0.8, 1.25))
+    for states, d_lo, d_hi in cases:
+        for rule in SWEEP_RULES:
+            method = MethodSpec(rule, BY_FAMILY)
+            assert family_events(states, method, d_lo, d_hi) == per_span_family_events(
+                states, method, d_lo, d_hi), (rule, states)
+
+
+def test_family_events_match_per_span_rule_with_lognormal_marks():
+    # solved marks are bisected over a family's whole run, not per span,
+    # so candidates agree to within the sweep's event band
+    states = tuple(bundled_census(2020))
+    v_t = math.fsum(s.population for s in states)
+    dist = LogNormal(math.log(5.0 * v_t / 435), 1.0)
+    method = MethodSpec(DistributionMarks(dist), BY_FAMILY)
+    window = (v_t / 445, v_t / 425)
+    got = sorted(family_events(states, method, *window).items())
+    want = sorted(per_span_family_events(states, method, *window).items())
+    assert len(got) == len(want)
+    for (d, tags), (d_ref, tags_ref) in zip(got, want):
+        assert abs(d - d_ref) <= _EVENT_BAND * d_ref
+        assert tags == tags_ref

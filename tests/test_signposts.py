@@ -46,6 +46,13 @@ def test_named_rules_are_power_law_members():
         SignpostRule("banzhaf")
 
 
+def test_nan_beta_is_rejected():
+    with pytest.raises(ValueError, match="NaN"):
+        power_law(float("nan"))
+    with pytest.raises(ValueError, match="NaN"):
+        SignpostRule("powerlaw", math.nan)
+
+
 def test_power_law_identifications_exact():
     # the beta = -inf, -2, 1, +inf members are Adams, HH, Webster, Jefferson
     for f in range(0, 25):
