@@ -7,8 +7,10 @@ divisor, the condition for family f is
 
     I(r·D) = (1/D) * integral of I(v) dv over [f·D, (f+1)·D]
 
-whose right side lies between I(fD) and I((f+1)D), so the mark is found
-by bisection on r in [f, f+1].  Power-law densities p(v) ~ v^(beta-1)
+whose right side lies between I(fD) and I((f+1)D).  So v/D rounds up
+past f exactly when I(v) reaches the mean of I over that interval: no mark
+is solved (or cached) to round, and a lognormal tests it in CDF form below
+its median, in survival form above.  Power-law densities p(v) ~ v^(beta-1)
 give the divisor-independent closed-form marks of the signposts module;
 every other distribution (lognormal in particular) yields marks that
 move with D, so the induced method is not a homogeneous divisor method.
@@ -17,14 +19,14 @@ move with D, so the induced method is not a homogeneous divisor method.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 from .core import StateProfile
 from .signposts import power_law_mark
+
+if TYPE_CHECKING:  # imported where used, to keep numpy off the import path
+    import numpy as np
 
 __all__ = [
     "PopulationDistribution",
@@ -179,6 +181,7 @@ class PowerLaw(PopulationDistribution):
         return total
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        import numpy as np
         u = rng.random(n)
         if self.beta == 0:
             return self.v_lo * np.exp(u * math.log(self.v_hi / self.v_lo))
@@ -229,8 +232,11 @@ class LogNormal(PopulationDistribution):
         return _phi_diff(self._z(a), self._z(b))
 
     def cdf_integral(self, a: float, b: float) -> float:
-        # antiderivative of Phi((ln v - mu)/sigma) is
-        # v*Phi(z(v)) - v_g*exp(sigma^2/2)*Phi(z(v) - sigma)
+        return self._tail_integral(a, b, 1.0)
+
+    def _tail_integral(self, a: float, b: float, s: float) -> float:
+        # integral of I (s = 1) or of S = 1 - I (s = -1) over [a, b]; the
+        # antiderivative of Phi(s*z(v)) is v*Phi(s*z) - v_g*exp(sigma^2/2)*Phi(s*(z - sigma))
         if b <= a:
             return 0.0
         a = max(a, 0.0)
@@ -238,13 +244,21 @@ class LogNormal(PopulationDistribution):
 
         def anti(v: float) -> float:
             if v <= 0:
-                return 0.0
+                return -shift if s < 0 else 0.0
             z = self._z(v)
-            return v * _phi(z) - shift * _phi(z - self.sigma)
+            return v * _phi(s * z) - shift * _phi(s * (z - self.sigma))
 
         return anti(b) - anti(a)
 
+    def _excess(self, f: int, divisor: float) -> Callable[[float], float]:
+        """v -> I(v) − mean of I over [fD, (f+1)D], >= 0 iff v/D rounds up past f; taken
+        in CDF form if the interval's middle is below the median, else in survival form."""
+        s = 1.0 if (f + 0.5) * divisor <= math.exp(self.log_vg) else -1.0
+        mean = self._tail_integral(f * divisor, (f + 1) * divisor, s) / divisor
+        return lambda v: s * (_phi(s * self._z(v)) - mean)
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        import numpy as np
         return np.exp(rng.normal(self.log_vg, self.sigma, size=n))
 
 
@@ -342,11 +356,12 @@ def unbiased_mark(dist: PopulationDistribution, f: int, divisor: float,
                   *, generic: bool = False) -> float:
     """Mark r in [f, f+1] solving I(rD) = (1/D) ∫_{fD}^{(f+1)D} I(v) dv.
 
-    Power laws take the divisor-independent closed form; other
-    distributions evaluate the right side exactly (closed-form integral
-    of the CDF) and bisect.  ``generic=True`` forces the distribution-
-    agnostic path (adaptive Simpson quadrature plus bisection) for any
-    distribution, which is how the closed forms are cross-checked.
+    Power laws take the divisor-independent closed form; a lognormal
+    bisects on its tail-safe mean test; other distributions evaluate the
+    right side exactly (closed-form integral of the CDF) and bisect.
+    ``generic=True`` forces the distribution-agnostic path (adaptive
+    Simpson quadrature plus bisection) for any distribution, which is
+    how the closed forms are cross-checked.
     """
     if f < 0 or f != int(f):
         raise ValueError(f"family index must be a non-negative integer, got {f}")
@@ -361,17 +376,20 @@ def unbiased_mark(dist: PopulationDistribution, f: int, divisor: float,
     if delta <= 0.0:
         return _degenerate_mark(dist, f, a, b)
 
-    # work with the interval-normalized CDF J(v) = (I(v) - I(a)) / delta,
-    # which satisfies the same fixed-point condition and keeps the
-    # bisection well conditioned deep in either tail
-    def j_of(v: float) -> float:
-        return dist.cdf_diff(a, v) / delta
-
-    if generic:
-        rhs = _adaptive_simpson(j_of, a, b, 1e-12 * divisor) / divisor
+    if not generic and isinstance(dist, LogNormal):
+        j_of, rhs = dist._excess(f, divisor), 0.0  # the tail-safe mean test
     else:
-        rhs = (dist.cdf_integral(a, b) - divisor * dist.cdf(a)) / (divisor * delta)
-    rhs = min(max(rhs, 0.0), 1.0)
+        # work with the interval-normalized CDF J(v) = (I(v) - I(a)) / delta,
+        # which satisfies the same fixed-point condition and keeps the
+        # bisection well conditioned deep in either tail
+        def j_of(v: float) -> float:
+            return dist.cdf_diff(a, v) / delta
+
+        if generic:
+            rhs = _adaptive_simpson(j_of, a, b, 1e-12 * divisor) / divisor
+        else:
+            rhs = (dist.cdf_integral(a, b) - divisor * dist.cdf(a)) / (divisor * delta)
+        rhs = min(max(rhs, 0.0), 1.0)
 
     lo, hi = float(f), float(f + 1)
     for _ in range(_MARK_MAX_ITERS):
@@ -396,26 +414,21 @@ def expected_family_bias(dist: PopulationDistribution, divisor: float, f: int,
         raise ValueError(f"mark {mark} outside [{f}, {f + 1}]")
     if not (divisor > 0) or not math.isfinite(divisor):
         raise ValueError(f"divisor must be positive and finite, got {divisor!r}")
+    if isinstance(dist, LogNormal):
+        return -dist._excess(f, divisor)(mark * divisor)
     a, b = f * divisor, (f + 1) * divisor
     rhs = dist.cdf_integral(a, b) / divisor
     return rhs - dist.cdf(mark * divisor)
-
-
-# Entries kept by one DistributionMarks object, least recently used dropped
-# first.  One 2020-census house-size call asks for about 5.4k (state mode) to
-# 6.2k (family mode) distinct (f, D) marks; the bound holds that working set
-# whole, with room for its reuse at a neighbouring house size.
-_MARK_CACHE_SIZE = 16384
 
 
 @dataclass
 class DistributionMarks:
     """Divisor-dependent marks r(f, D), by default the unbiased ones.
 
-    Satisfies the same ``mark_at`` protocol as a signpost rule, so it
-    plugs straight into the apportionment engine; results are cached
-    per (f, D) because mark solving costs a bisection, in an LRU cache
-    of ``_MARK_CACHE_SIZE`` entries so a long-lived object stays bounded.
+    Satisfies the same rounding protocol as a signpost rule, so it plugs
+    straight into the apportionment engine.  Over a lognormal with the
+    default marks ``rounds_up`` is the tail-safe mean test and solves no
+    mark; otherwise it compares with ``mark_at``.  Nothing is cached.
     """
 
     distribution: PopulationDistribution
@@ -424,24 +437,15 @@ class DistributionMarks:
     #: marks move with the divisor; the engine must root-find crossings
     divisor_dependent = True
 
-    _cache: OrderedDict[tuple[int, float], float] = field(default_factory=OrderedDict,
-                                                          repr=False)
-
     def mark_at(self, f: int, divisor: float) -> float:
-        key = (f, divisor)
-        cache = self._cache
-        r = cache.get(key)
-        if r is not None:
-            cache.move_to_end(key)
-            return r
         if self.marks is not None:
-            r = self.marks(f, divisor)
-        else:
-            r = unbiased_mark(self.distribution, f, divisor)
-        cache[key] = r
-        if len(cache) > _MARK_CACHE_SIZE:
-            cache.popitem(last=False)
-        return r
+            return self.marks(f, divisor)
+        return unbiased_mark(self.distribution, f, divisor)
+
+    def rounds_up(self, quota: float, f: int, divisor: float) -> bool:
+        if self.marks is None and isinstance(self.distribution, LogNormal):
+            return self.distribution._excess(f, divisor)(quota * divisor) >= 0.0
+        return quota >= self.mark_at(f, divisor)
 
     def __str__(self) -> str:
         return f"marks({self.distribution.kind})"
@@ -502,6 +506,7 @@ def sample_states(dist: PopulationDistribution, n: int, seed: int) -> tuple[Stat
     """n i.i.d. populations from the distribution, deterministic per seed."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    import numpy as np
     rng = np.random.default_rng(seed)
     values = dist.sample(rng, n)
     width = len(str(n))
@@ -539,6 +544,7 @@ def monte_carlo_bias(dist: PopulationDistribution, divisor: float, marks,
         raise ValueError("need at least one state per replication")
     if not (divisor > 0) or not math.isfinite(divisor):
         raise ValueError(f"divisor must be positive and finite, got {divisor!r}")
+    import numpy as np
     if isinstance(marks, PopulationDistribution):
         marks = DistributionMarks(marks)
 

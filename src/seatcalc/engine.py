@@ -97,8 +97,8 @@ class TargetUnachievable(ApportionmentError):
 class MethodSpec:
     """Rounding regime plus mode.
 
-    ``rounding`` is anything with ``mark_at(f, divisor)`` (a signpost
-    rule or distribution-derived marks), or the ``HAMILTON`` sentinel.
+    ``rounding`` is ``HAMILTON``, or a signpost rule or marks object with
+    ``rounds_up(quota, f, divisor)`` (is quota >= r(f, D)?) and ``mark_at(f, divisor)``.
     ``min_seat_floor``, when set, raises every state to at least that
     many seats after rounding.  Hamilton has no family mode: it ignores
     ``mode`` and always apportions by state.
@@ -111,8 +111,9 @@ class MethodSpec:
     def __post_init__(self) -> None:
         if self.mode not in (BY_STATE, BY_FAMILY):
             raise ValueError(f"mode must be {BY_STATE!r} or {BY_FAMILY!r}, got {self.mode!r}")
-        if not isinstance(self.rounding, _Hamilton) and not hasattr(self.rounding, "mark_at"):
-            raise TypeError("rounding must be HAMILTON or provide mark_at(f, divisor)")
+        if not isinstance(self.rounding, _Hamilton) and not all(
+                hasattr(self.rounding, m) for m in ("rounds_up", "mark_at")):
+            raise TypeError("rounding must be HAMILTON or provide rounds_up and mark_at")
         if self.min_seat_floor is not None and self.min_seat_floor < 0:
             raise ValueError("min_seat_floor must be non-negative")
 
@@ -151,15 +152,15 @@ def round_quota(quota: float, rounding, divisor: float) -> int:
     """Round one quota against the marks at the given divisor.
 
     Half-open convention: with f = floor(q), the result is f+1 iff
-    q >= r(f), else f (a quota exactly at the mark rounds up).  An
-    exactly integral quota needs no rounding and is returned as is,
-    which keeps integer quotas stable even when the mark sits on the
-    interval's left edge (beta <= -1 rules).
+    ``rounding.rounds_up(q, f, divisor)``, i.e. q >= r(f) (a quota
+    exactly at the mark rounds up).  An exactly integral quota needs no
+    rounding and is returned as is, which keeps integer quotas stable
+    even when the mark sits on the interval's left edge (beta <= -1 rules).
     """
     f = math.floor(quota)
     if quota == f:
         return int(f)
-    if quota >= rounding.mark_at(f, divisor):
+    if rounding.rounds_up(quota, f, divisor):
         return int(f) + 1
     return int(f)
 
@@ -236,22 +237,21 @@ _MARK_BISECT_ITERS = 120
 
 
 def _mark_times_d_crossing(value: float, f: int, rounding, d_lo: float, d_hi: float) -> float | None:
-    """D in (d_lo, d_hi) where r(f, D)·D crosses ``value``, if any.
+    """D in (d_lo, d_hi) where v/D (v = ``value``) stops reaching r(f, D), if any.
 
-    r(f, D)·D is non-decreasing in D for every rounding regime we
-    accept (constant marks trivially; distribution marks by the
-    d(rD)/dD >= 0 condition), so the crossing is unique when bracketed.
+    One bisection in D on the rounding decision ``rounds_up(v/D, f, D)``, no
+    mark solved.  It is monotone in D for every regime we accept (constant
+    marks trivially, distribution marks by d(rD)/dD >= 0, a lognormal's mean
+    test as the interval mean of S falls with D): one crossing if bracketed.
     """
-    g_lo = value - rounding.mark_at(f, d_lo) * d_lo
-    g_hi = value - rounding.mark_at(f, d_hi) * d_hi
-    if g_lo < 0 or g_hi > 0:
+    if not rounding.rounds_up(value / d_lo, f, d_lo) or rounding.rounds_up(value / d_hi, f, d_hi):
         return None
     lo, hi = d_lo, d_hi
     for _ in range(_MARK_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if value - rounding.mark_at(f, mid) * mid >= 0:
+        if rounding.rounds_up(value / mid, f, mid):
             lo = mid
         else:
             hi = mid
@@ -415,9 +415,9 @@ class _Piece(NamedTuple):
     total: int
 
 
-# Float rounding of quotas, family sums and solved marks can put the divisor
-# where seats really change a few ulps (solved marks: about 1e-12) away from
-# the computed candidate, so an event is re-rounded at every evaluated
+# Float rounding of quotas, family sums and divisor-dependent rounding tests
+# can put the divisor where seats really change a few ulps away from the
+# computed candidate, so an event is re-rounded at every evaluated
 # midpoint within this relative distance of it, and at the first one beyond.
 _EVENT_BAND = 1e-9
 

@@ -132,6 +132,10 @@ class SignpostRule:
         """Mark r(f, D); the divisor is ignored for signpost rules."""
         return self.mark(f)
 
+    def rounds_up(self, quota: float, f: int, divisor: float) -> bool:
+        """Whether quota >= r(f); the divisor is ignored."""
+        return quota >= self.mark(f)
+
     def __str__(self) -> str:
         if self.kind == "powerlaw":
             return f"powerlaw:{self.beta:g}"

@@ -471,3 +471,10 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["f,webster", "0,0.50", "1,1.50"]
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy is imported where sampling needs it, so start-up does not pay for it
+    code = "import sys, seatcalc, seatcalc.cli; sys.exit('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seatcalc import distributions
 from seatcalc.distributions import (
     DistributionMarks,
     LogNormal,
@@ -132,6 +131,18 @@ def test_lognormal_closed_form_agrees_with_quadrature():
             assert fast == pytest.approx(slow, abs=1e-9), (q_g, f)
 
 
+@pytest.mark.parametrize("q_g,f,want", [
+    # 40-digit mpmath marks of LogNormal(ln q_g, 0.3) at D = 1
+    (5.0, 20, 20.46627087192018),
+    (5.0, 30, 30.471288029048857),
+    (5.0, 40, 40.475125231050654),
+    (20.0, 0, 0.9012796057297533),
+    (20.0, 3, 3.6735758073585028),
+])
+def test_lognormal_marks_in_both_tails(q_g, f, want):
+    assert abs(unbiased_mark(lognormal_qg(q_g, 0.3), f, 1.0) - want) <= 1e-11
+
+
 def test_mark_fraction_trend_along_qg5():
     fracs = [unbiased_mark(lognormal_qg(5.0), f, 1.0) - f for f in range(21)]
     assert fracs[0] > 0.5
@@ -235,6 +246,16 @@ def test_bias_zero_at_unbiased_mark():
             assert abs(expected_family_bias(dist, 1.0, f, r)) <= 1e-9
 
 
+@pytest.mark.parametrize("f,mark,want", [
+    # 40-digit mpmath values of S(mark) - ∫_f^{f+1} S for LogNormal(ln 5, 0.3)
+    (30, 30.5, -1.6308332318874972e-11),
+    (40, 40.5, -2.2772033888145204e-14),
+])
+def test_bias_in_the_upper_tail(f, mark, want):
+    got = expected_family_bias(lognormal_qg(5.0, 0.3), 1.0, f, mark)
+    assert abs(got - want) <= 1e-9 * abs(want)
+
+
 def test_bias_sign_webster_under_lognormal():
     # unbiased mark 1.506 > 1.5, so Webster rounds too many up
     dist = lognormal_qg(5.0)
@@ -266,23 +287,6 @@ def test_power_law_rd_trivially_immune():
     marks = DistributionMarks(PowerLaw(2.0, 0.0, 1e6))
     report = verify_alabama_immunity(marks, 3, np.linspace(0.2, 5.0, 40))
     assert report.ok
-
-
-def test_mark_cache_drops_least_recently_used(monkeypatch):
-    monkeypatch.setattr(distributions, "_MARK_CACHE_SIZE", 4)
-    solved = []
-
-    def marks(f, d):
-        solved.append(f)
-        return f + 0.5
-
-    standard = LogNormal(0.0, 1.0)
-    cached = DistributionMarks(standard, marks)
-    for f in (0, 1, 2, 3, 0, 4):  # f = 0 is used again, so f = 1 is dropped
-        cached.mark_at(f, 1.0)
-    assert len(cached._cache) == 4
-    assert cached.mark_at(0, 1.0) == 0.5 and cached.mark_at(1, 1.0) == 1.5
-    assert solved == [0, 1, 2, 3, 4, 1]
 
 
 def test_adversarial_marks_are_flagged():

@@ -182,6 +182,15 @@ def test_hamilton_ignores_mode():
         assert by_family == by_state
 
 
+def test_rounding_needs_both_decision_and_mark():
+    class MarksOnly:
+        def mark_at(self, f, divisor):
+            return f + 0.5
+
+    with pytest.raises(TypeError, match="rounds_up and mark_at"):
+        MethodSpec(MarksOnly())
+
+
 def test_infeasible_under_one_seat_rules():
     with pytest.raises(InfeasibleTarget):
         apportion_for_house_size(states_of(1.0, 2.0, 3.0), 2,
@@ -451,14 +460,15 @@ def test_sweep_matches_oracle_with_seat_floor():
                                         v_t / 600, v_t / 300)
 
 
-@pytest.mark.parametrize("sigma", [1.0, 2.0])
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 2.0])
 def test_sweep_matches_oracle_with_lognormal_marks(sigma):
-    states = bundled_census(2020)
-    v_t = math.fsum(s.population for s in states)
-    dist = LogNormal(math.log(5.0 * v_t / 435), sigma)
-    marks = DistributionMarks(dist)
-    for mode in (BY_STATE, BY_FAMILY):
-        assert_sweep_matches_oracle(states, MethodSpec(marks, mode), v_t / 445, v_t / 425)
+    for year in (2000, 2020):
+        states = bundled_census(year)
+        v_t = math.fsum(s.population for s in states)
+        dist = LogNormal(math.log(5.0 * v_t / 435), sigma)
+        marks = DistributionMarks(dist)
+        for mode in (BY_STATE, BY_FAMILY):
+            assert_sweep_matches_oracle(states, MethodSpec(marks, mode), v_t / 445, v_t / 425)
 
 
 def test_sweep_raises_rather_than_return_stale_seats():
