@@ -352,6 +352,30 @@ def _degenerate_mark(dist: PopulationDistribution, f: int, a: float, b: float) -
     return f + 0.5
 
 
+def _mean_test(dist: PopulationDistribution, f: int, divisor: float,
+               generic: bool = False) -> tuple[Callable[[float], float], float] | None:
+    """``(J, rhs)`` with v/D rounding up past f iff J(v) >= rhs, or None when
+    [fD, (f+1)D] carries no probability mass."""
+    a, b = f * divisor, (f + 1) * divisor
+    delta = dist.cdf_diff(a, b)
+    if delta <= 0.0:
+        return None
+    if not generic and isinstance(dist, LogNormal):
+        return dist._excess(f, divisor), 0.0  # the tail-safe mean test
+
+    # work with the interval-normalized CDF J(v) = (I(v) - I(a)) / delta,
+    # which satisfies the same fixed-point condition and keeps the
+    # bisection well conditioned deep in either tail
+    def j_of(v: float) -> float:
+        return dist.cdf_diff(a, v) / delta
+
+    if generic:
+        rhs = _adaptive_simpson(j_of, a, b, 1e-12 * divisor) / divisor
+    else:
+        rhs = (dist.cdf_integral(a, b) - divisor * dist.cdf(a)) / (divisor * delta)
+    return j_of, min(max(rhs, 0.0), 1.0)
+
+
 def unbiased_mark(dist: PopulationDistribution, f: int, divisor: float,
                   *, generic: bool = False) -> float:
     """Mark r in [f, f+1] solving I(rD) = (1/D) ∫_{fD}^{(f+1)D} I(v) dv.
@@ -371,26 +395,10 @@ def unbiased_mark(dist: PopulationDistribution, f: int, divisor: float,
     if not generic and isinstance(dist, PowerLaw):
         return power_law_mark(dist.beta, f)
 
-    a, b = f * divisor, (f + 1) * divisor
-    delta = dist.cdf_diff(a, b)
-    if delta <= 0.0:
-        return _degenerate_mark(dist, f, a, b)
-
-    if not generic and isinstance(dist, LogNormal):
-        j_of, rhs = dist._excess(f, divisor), 0.0  # the tail-safe mean test
-    else:
-        # work with the interval-normalized CDF J(v) = (I(v) - I(a)) / delta,
-        # which satisfies the same fixed-point condition and keeps the
-        # bisection well conditioned deep in either tail
-        def j_of(v: float) -> float:
-            return dist.cdf_diff(a, v) / delta
-
-        if generic:
-            rhs = _adaptive_simpson(j_of, a, b, 1e-12 * divisor) / divisor
-        else:
-            rhs = (dist.cdf_integral(a, b) - divisor * dist.cdf(a)) / (divisor * delta)
-        rhs = min(max(rhs, 0.0), 1.0)
-
+    test = _mean_test(dist, f, divisor, generic)
+    if test is None:
+        return _degenerate_mark(dist, f, f * divisor, (f + 1) * divisor)
+    j_of, rhs = test
     lo, hi = float(f), float(f + 1)
     for _ in range(_MARK_MAX_ITERS):
         if hi - lo <= _MARK_TOL:
@@ -426,9 +434,11 @@ class DistributionMarks:
     """Divisor-dependent marks r(f, D), by default the unbiased ones.
 
     Satisfies the same rounding protocol as a signpost rule, so it plugs
-    straight into the apportionment engine.  Over a lognormal with the
-    default marks ``rounds_up`` is the tail-safe mean test and solves no
-    mark; otherwise it compares with ``mark_at``.  Nothing is cached.
+    straight into the apportionment engine.  With the default marks
+    ``rounds_up`` evaluates the mean test behind ``unbiased_mark`` at the
+    quota and solves no mark (in tail-safe form over a lognormal); over a
+    power law, or with custom ``marks``, it compares with ``mark_at``.
+    Nothing is cached.
     """
 
     distribution: PopulationDistribution
@@ -443,9 +453,16 @@ class DistributionMarks:
         return unbiased_mark(self.distribution, f, divisor)
 
     def rounds_up(self, quota: float, f: int, divisor: float) -> bool:
-        if self.marks is None and isinstance(self.distribution, LogNormal):
-            return self.distribution._excess(f, divisor)(quota * divisor) >= 0.0
-        return quota >= self.mark_at(f, divisor)
+        dist = self.distribution
+        if self.marks is not None or isinstance(dist, PowerLaw):
+            return quota >= self.mark_at(f, divisor)
+        if isinstance(dist, LogNormal):
+            return dist._excess(f, divisor)(quota * divisor) >= 0.0
+        test = _mean_test(dist, f, divisor)
+        if test is None:
+            return quota >= _degenerate_mark(dist, f, f * divisor, (f + 1) * divisor)
+        j_of, rhs = test
+        return j_of(quota * divisor) >= rhs
 
     def __str__(self) -> str:
         return f"marks({self.distribution.kind})"

@@ -78,8 +78,11 @@ class InfeasibleTarget(ApportionmentError):
 class TargetUnachievable(ApportionmentError):
     """No divisor yields exactly the requested total.
 
-    Carries the nearest achievable totals on both sides (``None`` when a
-    side has none in the search window).
+    Carries the nearest achievable totals on both sides, measured over
+    the pieces of the fixed-slack window v_T/(target ± (n·(1 + floor) + 1)),
+    floor being ``min_seat_floor``, which for small targets runs up to the
+    divisor beyond which no crossing is possible (``None`` when a side has
+    none there).
     """
 
     def __init__(self, target: int, below: int | None, above: int | None):
@@ -526,31 +529,34 @@ def _forces_one_seat_each(method: MethodSpec) -> bool:
         return False
 
 
-def _search_window(states: tuple[StateProfile, ...], target: int,
-                   method: MethodSpec) -> tuple[float, float, bool]:
-    """Divisor window provably containing every D with total == target.
+def _seat_bounds(pops: list[float], method: MethodSpec):
+    """``(L, U)``: seat totals with L(D) <= total(D) <= U(D), both non-increasing in D."""
+    floor_seats = method.min_seat_floor or 0
+    if method.mode == BY_STATE and not getattr(method.rounding, "divisor_dependent", False):
+        rounding = method.rounding
 
-    Bound: every state or family rounds within (its quota − 1, quota + 1]
-    and the floor adds at most min_seat_floor per state, so
-    |total − v_T/D| < n·(1 + floor).  Returns (lo, hi, frozen_above)
-    where frozen_above means the apportionment is constant for all
-    D > hi, so a solution touching hi extends to infinity.
-    """
-    n = len(states)
+        def exact(d: float) -> int:
+            return sum(max(round_quota(v / d, rounding, d), floor_seats) for v in pops)
+        return exact, exact
+
+    def lower(d: float) -> int:
+        return sum(max(math.floor(v / d), floor_seats) for v in pops)
+
+    def upper(d: float) -> int:
+        return sum(max(math.floor(v / d) + 1, floor_seats) for v in pops)
+    return lower, upper
+
+
+def _freeze_divisor(states: tuple[StateProfile, ...], target: int, method: MethodSpec,
+                    d_lo: float) -> float:
+    """A divisor beyond which no further crossing is possible (small targets)."""
     v_t = math.fsum(s.population for s in states)
     v_max = max(s.population for s in states)
-    slack = n * (1 + (method.min_seat_floor or 0)) + 1
-    lo = v_t / (target + slack)
-    if target - slack >= 1:
-        return lo, v_t / (target - slack), False
-    # small targets: no finite bound from the quota argument; use the freeze
-    # divisor beyond which no further crossing is possible
-    divisor_dependent = bool(getattr(method.rounding, "divisor_dependent", False))
-    if not divisor_dependent:
+    if not getattr(method.rounding, "divisor_dependent", False):
         r0 = method.rounding.mark_at(0, 1.0)
         base = v_max if method.mode == BY_STATE else v_t
         hi = (base / r0 if r0 > 0 else base) * (1 + 1e-9)
-        return lo, max(hi, lo * 2), True
+        return max(hi, d_lo * 2)
     # divisor-dependent marks: expand until the total settles at or below target
     hi = max(v_t, 2 * v_max)
     prev_total = None
@@ -560,7 +566,95 @@ def _search_window(states: tuple[StateProfile, ...], target: int,
             break
         prev_total = total
         hi *= 2
-    return lo, hi, True
+    return hi
+
+
+def _search_window(states: tuple[StateProfile, ...], target: int,
+                   method: MethodSpec) -> tuple[list[_Piece], bool]:
+    """Sweep of a divisor window provably holding every D with total == target.
+
+    Returns ``(pieces, frozen_above)``, where frozen_above means the
+    apportionment is constant for all D above the last piece, so a
+    solution on it extends to infinity.
+
+    *Bounds.*  Two seat totals L(D) <= total(D) <= U(D), both
+    non-increasing in D also in float arithmetic, with m = min_seat_floor:
+
+    - state mode with constant marks: L = U = the exact total
+      sum max(round_quota(v/D), m).  fl(v/D) is monotone in D, and floor
+      and the test q >= r(f) are monotone in q, so the total is too;
+    - every other case (family mode, divisor-dependent marks):
+      L = sum max(floor(v/D), m) and U = sum max(floor(v/D) + 1, m).
+      Every rounding gives a state floor(q) or floor(q) + 1 of its float
+      quota, and these sums use only float division and floor.
+
+    So if L(d_lo) > target, no D <= d_lo reaches the target, and if
+    U(d_hi) < target, no D >= d_hi does.  (The family-quota bound
+    sum floor(Q_f) .. sum ceil(Q_f) would be tighter, but a float
+    membership flip can move it by one seat, so it is not monotone in
+    floats.)
+
+    *Probing.*  From D_0 = v_T/target each end takes secant steps on v_T/D:
+    the lower end probes v_T/(2·target − L(D_0) + 1 + margin) until L
+    there exceeds the target, the upper end v_T/(2·target − U(D_0) − 1 −
+    margin) until U there falls below it, doubling the margin (from one
+    seat) after each failed probe.  Each end is capped at the fixed-slack
+    bound v_T/(target ± (n·(1 + m) + 1)): every state or family rounds
+    within (its quota − 1, quota + 1] and the floor adds at most m per
+    state.  For small targets the upper cap is instead the freeze divisor
+    beyond which no crossing is possible, and only there is frozen_above
+    set.
+
+    *Edge checks.*  A probe is a float, not a candidate divisor, so a
+    solution piece touching it would end at the probe instead of at its
+    true breakpoint.  If the first piece has the target total, or the last
+    one does short of a frozen cap, that end is widened and the window
+    swept again.  So every solution's ``d_interval`` ends at candidate
+    divisors, or at a cap exactly as in the fixed-slack window.  When no
+    piece reaches the target, both ends go to their caps and the window is
+    swept again, so the nearest totals are those over the fixed-slack
+    window.
+    """
+    pops = [s.population for s in states]
+    v_t = math.fsum(pops)
+    slack = len(states) * (1 + (method.min_seat_floor or 0)) + 1
+    cap_lo = v_t / (target + slack)
+    if target - slack >= 1:
+        cap_hi, frozen_above = v_t / (target - slack), False
+    else:
+        cap_hi, frozen_above = _freeze_divisor(states, target, method, cap_lo), True
+    lower, upper = _seat_bounds(pops, method)
+    l_0, u_0 = lower(v_t / target), upper(v_t / target)
+
+    # each end returns (divisor, margin), the margin None once at the cap
+    def lower_end(margin: int) -> tuple[float, int | None]:
+        while (k := 2 * target - l_0 + 1 + margin) < target + slack:
+            if k > 0 and lower(v_t / k) > target:
+                return v_t / k, margin
+            margin *= 2
+        return cap_lo, None
+
+    def upper_end(margin: int) -> tuple[float, int | None]:
+        while (k := 2 * target - u_0 - 1 - margin) > 0 and v_t / k < cap_hi:
+            if upper(v_t / k) < target:
+                return v_t / k, margin
+            margin *= 2
+        return cap_hi, None
+
+    (d_lo, m_lo), (d_hi, m_hi) = lower_end(1), upper_end(1)
+    while True:
+        pieces = _sweep(states, method, d_lo, d_hi)
+        if all(p.total != target for p in pieces):
+            if m_lo is None and m_hi is None:
+                break
+            (d_lo, m_lo), (d_hi, m_hi) = (cap_lo, None), (cap_hi, None)
+        elif pieces[0].total == target and m_lo is not None:
+            d_lo, m_lo = lower_end(2 * m_lo)
+        elif pieces[-1].total == target and m_hi is not None:
+            d_hi, m_hi = upper_end(2 * m_hi)
+        else:
+            break
+    return pieces, frozen_above and m_hi is None
 
 
 def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,
@@ -598,8 +692,7 @@ def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,
             f"target {target_total} infeasible: method forces at least "
             f"{forced_min} seats across {n} states")
 
-    d_lo, d_hi, frozen_above = _search_window(states, target_total, method)
-    pieces = _sweep(states, method, d_lo, d_hi)
+    pieces, frozen_above = _search_window(states, target_total, method)
 
     solutions: list[Apportionment] = []
     seen: set[tuple[int, ...]] = set()

@@ -236,6 +236,21 @@ def test_degenerate_interval_conventions():
     # for these distributions, so only the two one-sided cases apply
 
 
+def test_uniform_rounding_decision_agrees_with_its_mark():
+    # rounds_up evaluates the mean test at the quota instead of solving the
+    # mark; away from the mark it decides as quota >= mark_at does, also on
+    # intervals that straddle a support edge or carry no mass
+    for dist in (Uniform(0.0, 7.3), Uniform(2.2, 9.0)):
+        marks = DistributionMarks(dist)
+        for divisor in (0.7, 1.0, 2.5):
+            for f in range(12):
+                mark = marks.mark_at(f, divisor)
+                for k in range(1, 200):
+                    q = f + k / 200
+                    if abs(q - mark) > 1e-9:
+                        assert marks.rounds_up(q, f, divisor) == (q >= mark), (dist, divisor, q)
+
+
 # --- expected family bias ---------------------------------------------------
 
 def test_bias_zero_at_unbiased_mark():

@@ -22,6 +22,7 @@ from seatcalc.engine import (
     _boundary_crossings,
     _crossing_events,
     _mark_crossings,
+    _sweep,
     apportion_at_divisor,
     apportion_for_house_size,
     breakpoints,
@@ -205,6 +206,25 @@ def test_unachievable_target_reports_neighbors():
                                  MethodSpec(ADAMS, BY_STATE))
     assert err.value.nearest_below == 3
     assert err.value.nearest_above == 6
+
+
+@pytest.mark.parametrize("pops, target, method, below, above", [
+    # the probes v_T/15 and v_T/10 are the candidates 3/3 and 3/2, and
+    # 10 seats are only reached beyond them
+    ((3.0,) * 5, 14, MethodSpec(ADAMS, BY_STATE), 10, 15),
+    # Jefferson rounds down, so the total above the target is only reached
+    # below the lower probe; so too in family mode and with a seat floor
+    ((1.0, 3.0, 3.0, 2.0), 6, MethodSpec(JEFFERSON, BY_STATE), 5, 9),
+    ((3.0, 1.0, 2.0, 6.0, 4.0), 12, MethodSpec(JEFFERSON, BY_FAMILY), 11, 16),
+    ((5.0, 3.0, 5.0, 3.0, 6.0), 11, MethodSpec(WEBSTER, BY_STATE, min_seat_floor=1), 9, 13),
+])
+def test_unachievable_nearest_totals_beyond_the_probed_window(pops, target, method,
+                                                             below, above):
+    # the nearest totals are those over the fixed-slack window
+    with pytest.raises(TargetUnachievable) as err:
+        apportion_for_house_size(states_of(*pops), target, method)
+    assert err.value.nearest_below == below
+    assert err.value.nearest_above == above
 
 
 def test_target_validation():
@@ -547,8 +567,11 @@ def test_family_events_match_per_span_rule_on_census(year):
 
 def test_family_events_match_per_span_rule_on_small_instances():
     # 3.0 is exactly 3·d_lo and 8.0 exactly 4·d_hi: their floors at the
-    # window ends reach families they join at no interior divisor
-    cases = [(states_of(3.0, 4.5, 6.25, 8.0), 1.0, 2.0)]
+    # window ends reach families they join at no interior divisor.
+    # 25/8 and 28.12499999999999/9 are three ulps apart: on the run between
+    # these two cuts, membership must come from floor(v/D) itself
+    cases = [(states_of(3.0, 4.5, 6.25, 8.0), 1.0, 2.0),
+             (states_of(25.0, 28.12499999999999), 2.5, 3.91)]
     rng = random.Random(20221018)
     for _ in range(40):
         states = states_of(*(math.exp(rng.uniform(math.log(0.5), math.log(30.0)))
@@ -575,3 +598,147 @@ def test_family_events_match_per_span_rule_with_lognormal_marks():
     for (d, tags), (d_ref, tags_ref) in zip(got, want):
         assert abs(d - d_ref) <= _EVENT_BAND * d_ref
         assert tags == tags_ref
+
+
+# --- the probed house-size window against the fixed-slack one -------------
+
+def fixed_slack_solutions(states, target, method):
+    """House-size search over the fixed-slack window, written out plainly.
+
+    Every state or family rounds within (quota − 1, quota + 1] and the
+    floor adds at most min_seat_floor per state, so the window is
+    v_T/(target ± (n·(1 + floor) + 1)).  For small targets it runs to the
+    divisor beyond which no crossing is possible (constant marks only),
+    and a solution on its last piece extends to infinity.  Returns
+    ``[(seats, d_interval)]`` by descending upper end, or raises
+    ``TargetUnachievable`` with the nearest totals over the window.
+    """
+    v_t = math.fsum(s.population for s in states)
+    slack = len(states) * (1 + (method.min_seat_floor or 0)) + 1
+    lo = v_t / (target + slack)
+    frozen = target - slack < 1
+    if frozen:
+        assert not getattr(method.rounding, "divisor_dependent", False)
+        r0 = method.rounding.mark_at(0, 1.0)
+        base = max(s.population for s in states) if method.mode == BY_STATE else v_t
+        hi = max((base / r0 if r0 > 0 else base) * (1 + 1e-9), 2 * lo)
+    else:
+        hi = v_t / (target - slack)
+    pieces = _sweep(states, method, lo, hi)
+    solutions, seen = [], set()
+    for idx, p in enumerate(pieces):
+        if p.total == target and p.seats not in seen:
+            seen.add(p.seats)
+            top = math.inf if frozen and idx == len(pieces) - 1 else p.hi
+            solutions.append((p.seats, (p.lo, top)))
+    if not solutions:
+        totals = {p.total for p in pieces}
+        raise TargetUnachievable(target, max((t for t in totals if t < target), default=None),
+                                 min((t for t in totals if t > target), default=None))
+    return sorted(solutions, key=lambda s: -s[1][1])
+
+
+def outcome(search, states, target, method):
+    try:
+        return search(states, target, method)
+    except TargetUnachievable as err:
+        return err.nearest_below, err.nearest_above
+
+
+def probed_solutions(states, target, method):
+    return [(tuple(a.seats.values()), a.d_interval)
+            for a in apportion_for_house_size(states, target, method)]
+
+
+def assert_same_as_fixed_slack(states, method, targets, band=0.0):
+    """Same solutions (seats, d_interval floats, order) and the same
+    nearest totals as the fixed-slack window, at every feasible target.
+
+    A bisected mark crossing depends on the window it is bracketed in, so
+    with ``band`` the d_interval ends need only agree to that relative distance.
+    """
+    for target in targets:
+        try:
+            got = outcome(probed_solutions, states, target, method)
+        except InfeasibleTarget:
+            continue
+        want = outcome(fixed_slack_solutions, states, target, method)
+        if band and isinstance(want, list) and len(got) == len(want):
+            assert [seats for seats, _ in got] == [seats for seats, _ in want], (method, target)
+            for (_, ends), (_, ends_want) in zip(got, want):
+                assert ends == pytest.approx(ends_want, rel=band, abs=0), (method, target)
+        else:
+            assert got == want, (method, target)
+
+
+# every HOUSE_STRIDE-th house size in 385…485, the offset moving with the
+# year and the rule; a stride of 1 is the full differential run
+HOUSE_STRIDE = 13
+
+
+@pytest.mark.parametrize("mode", [BY_STATE, BY_FAMILY])
+def test_house_window_matches_fixed_slack_on_census(mode):
+    for y, year in enumerate(CENSUS_YEARS):
+        states = tuple(bundled_census(year))
+        for r, rule in enumerate(SWEEP_RULES):
+            start = 385 + (y * len(SWEEP_RULES) + r) % HOUSE_STRIDE
+            assert_same_as_fixed_slack(states, MethodSpec(rule, mode),
+                                       range(start, 486, HOUSE_STRIDE))
+
+
+def test_house_window_matches_fixed_slack_with_lognormal_marks():
+    states = tuple(bundled_census(2020))
+    v_t = math.fsum(s.population for s in states)
+    marks = DistributionMarks(LogNormal(math.log(5.0 * v_t / 435), 1.0))
+    for mode in (BY_STATE, BY_FAMILY):
+        assert_same_as_fixed_slack(states, MethodSpec(marks, mode), (430, 435), _EVENT_BAND)
+
+
+HOUSE_METHODS = [(rule, mode, floor) for rule in SWEEP_RULES
+                 for mode in (BY_STATE, BY_FAMILY) for floor in (None, 1)]
+
+
+def random_house_instances(seed, count):
+    """1–6 states: real populations, integer ones, and ties."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(1, 6)
+        if i % 2:
+            pops = [float(rng.randint(1, 9)) for _ in range(n)]
+        else:
+            pops = [round(rng.uniform(0.2, 8.0), 3) for _ in range(n)]
+        if i % 3 == 0:
+            pops[-1] = pops[0]
+        yield states_of(*pops)
+
+
+def test_house_window_matches_fixed_slack_on_random_instances():
+    # every house size from 1 to floor(v_T) + n + 2; each instance takes
+    # three of the rule, mode and floor combinations in turn
+    for i, states in enumerate(random_house_instances(20261018, 48)):
+        top = math.floor(math.fsum(s.population for s in states)) + len(states) + 2
+        for j in range(3):
+            rule, mode, floor = HOUSE_METHODS[(3 * i + j) % len(HOUSE_METHODS)]
+            assert_same_as_fixed_slack(states, MethodSpec(rule, mode, min_seat_floor=floor),
+                                       range(1, top + 1))
+
+
+@pytest.mark.parametrize("pops, target, method, ends", [
+    # v_T/26 is one ulp below 7.539/5, yet the first quota there is exactly
+    # 5: the upper probe's total is below the target while the piece
+    # ending at it reaches the target
+    ((7.539, 2.833799999999993, 7.84, 6.33, 8.5, 6.16), 30,
+     MethodSpec(ADAMS, BY_STATE), (1.4168999999999965, 7.539 / 5)),
+    # v_T/28 is one ulp above 7.766/5, where family 4 loses its member:
+    # the lower probe's bound is above the target while the piece starting
+    # at it reaches the target
+    ((7.766, 27.7036, 2.83, 4.630000000000001, 0.56), 24,
+     MethodSpec(JEFFERSON, BY_FAMILY), (7.766 / 5, 1.6296235294117647)),
+])
+def test_house_window_widens_an_end_a_solution_touches(pops, target, method, ends):
+    # the solution runs to the candidate divisor beyond the probe, as over
+    # the fixed-slack window, and not to the probe itself
+    states = states_of(*pops)
+    [solution] = apportion_for_house_size(states, target, method)
+    assert solution.d_interval == ends
+    assert_same_as_fixed_slack(states, method, [target])
