@@ -60,10 +60,32 @@ class QuotaEntry:
 
 @dataclass(frozen=True)
 class QuotaTable:
-    """All states' quotas at one divisor, in the input state order."""
+    """All states' quotas at one divisor, in the input state order.
+
+    A table from ``compute_quotas`` holds its states and computes
+    ``entries`` on first read, so a table nobody reads costs no
+    ``QuotaEntry``; once read, it equals and prints as one built eagerly.
+    """
 
     divisor: float
     entries: tuple[QuotaEntry, ...]
+
+    @classmethod
+    def _lazy(cls, states: tuple[StateProfile, ...], divisor: float) -> QuotaTable:
+        """A table of ``states`` at ``divisor``, neither of them checked."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "divisor", divisor)
+        object.__setattr__(table, "_states", states)
+        return table
+
+    def __getattr__(self, name: str):
+        # reached only for attributes the instance lacks: a lazy table's entries
+        states = self.__dict__.get("_states")
+        if name != "entries" or states is None:
+            raise AttributeError(name)
+        entries = tuple(QuotaEntry(s, s.population / self.divisor) for s in states)
+        object.__setattr__(self, "entries", entries)
+        return entries
 
     @property
     def total_population(self) -> float:
@@ -156,7 +178,11 @@ class Apportionment:
 
 def compute_quotas(states: list[StateProfile] | tuple[StateProfile, ...],
                    divisor: float) -> QuotaTable:
-    """Quota table ``q_c = v_c / D`` for every state at divisor ``D``."""
+    """Quota table ``q_c = v_c / D`` for every state at divisor ``D``.
+
+    The states and divisor are checked now; the entries are computed
+    when first read.
+    """
     if not (divisor > 0) or not math.isfinite(divisor):
         raise ValueError(f"divisor must be positive and finite, got {divisor!r}")
     if not states:
@@ -165,8 +191,7 @@ def compute_quotas(states: list[StateProfile] | tuple[StateProfile, ...],
     if len(set(names)) != len(names):
         dup = sorted({n for n in names if names.count(n) > 1})
         raise ValueError(f"duplicate state names: {', '.join(dup)}")
-    entries = tuple(QuotaEntry(s, s.population / divisor) for s in states)
-    return QuotaTable(divisor, entries)
+    return QuotaTable._lazy(tuple(states), divisor)
 
 
 def partition_families(quotas: QuotaTable) -> FamilyPartition:

@@ -27,9 +27,9 @@ from typing import Iterable, NamedTuple
 from .core import (
     Apportionment,
     FamilyPartition,
+    QuotaTable,
     StateProfile,
     compute_quotas,
-    partition_families,
 )
 
 __all__ = [
@@ -191,34 +191,85 @@ def family_splits(partition: FamilyPartition, rounding, divisor: float) -> tuple
     return tuple(splits)
 
 
-def _apply_floor(seats: dict[str, int], floor: int | None) -> dict[str, int]:
-    if floor is None or floor == 0:
-        return seats
-    return {name: max(s, floor) for name, s in seats.items()}
+class _Direct:
+    """Direct apportionment of fixed states under one method, on plain lists.
+
+    Set up once (names, populations and in family mode the (population,
+    name) order); ``seats_at(D)`` then rounds with the float operations of
+    ``compute_quotas`` and ``partition_families``: q = v/D per state, a
+    family as a run of equal floor(q) in (population, name) order with its
+    quota summed by ``sum()`` in that order, ``round_quota``,
+    ``positional_split`` and the seat floor.  The states must already be
+    checked (``compute_quotas`` checks them).
+    """
+
+    def __init__(self, states: tuple[StateProfile, ...], method: MethodSpec):
+        self.states = states
+        self.names = [s.name for s in states]
+        self.pops = [s.population for s in states]
+        self.rounding = method.rounding
+        self.floor = method.min_seat_floor or 0
+        self.by_family = method.mode == BY_FAMILY
+        if self.by_family:
+            self.order = sorted(range(len(states)), key=lambda i: (self.pops[i], self.names[i]))
+            self.sorted_pops = [self.pops[i] for i in self.order]
+
+    def seats_at(self, divisor: float) -> tuple[int, ...]:
+        """Every state's seats at ``divisor``, in input order, floor applied."""
+        rounding = self.rounding
+        if not self.by_family:
+            seats = [round_quota(v / divisor, rounding, divisor) for v in self.pops]
+        else:
+            seats = [0] * len(self.pops)
+            quotas = [v / divisor for v in self.sorted_pops]
+            families = [math.floor(q) for q in quotas]
+            lo = 0
+            while lo < len(quotas):
+                f = families[lo]
+                hi = bisect_right(families, f, lo)
+                m_low, _ = positional_split(
+                    f, hi - lo, round_quota(sum(quotas[lo:hi]), rounding, divisor))
+                for k in range(lo, hi):
+                    seats[self.order[k]] = f + (k - lo >= m_low)
+                lo = hi
+        if self.floor:
+            return tuple(max(s, self.floor) for s in seats)
+        return tuple(seats)
+
+    def check(self, piece: _Piece) -> None:
+        """Raise unless the piece's seats are the direct ones at its divisor.
+
+        The sweep re-rounds only at candidate divisors, so a crossing the
+        enumeration failed to find (marks whose r(f, D)·D is not monotone
+        in D) would leave its seats stale: that is raised, never returned.
+        """
+        if self.seats_at(piece.divisor) != piece.seats:
+            raise ApportionmentError(
+                f"divisor sweep missed a crossing below D = {piece.divisor!r}: "
+                f"its seats differ from direct apportionment there")
+
+    def apportionment(self, piece: _Piece,
+                      d_interval: tuple[float, float] | None = None) -> Apportionment:
+        """The checked piece as an ``Apportionment``; its quota table is built when read."""
+        return Apportionment(piece.divisor, dict(zip(self.names, piece.seats)),
+                             QuotaTable._lazy(self.states, piece.divisor), d_interval)
 
 
 def apportion_at_divisor(states: Iterable[StateProfile], divisor: float,
                          method: MethodSpec) -> Apportionment:
-    """Apportion at a fixed divisor (Hamilton is not divisor-based)."""
+    """Apportion at a fixed divisor (Hamilton is not divisor-based).
+
+    The seats come from the same plain-list evaluator that checks every
+    piece of a divisor sweep; the quota table is computed when first read.
+    """
     if method.is_hamilton:
         raise ApportionmentError(
             "Hamilton's method needs a target house size, not a divisor"
         )
     states = tuple(states)
     quotas = compute_quotas(states, divisor)
-    if method.mode == BY_STATE:
-        seats = {e.state.name: round_quota(e.quota, method.rounding, divisor)
-                 for e in quotas}
-    else:
-        seats = {}
-        for fam in partition_families(quotas):
-            m_low, _ = positional_split(
-                fam.index, fam.size, round_quota(fam.quota, method.rounding, divisor))
-            for i, entry in enumerate(fam.members):
-                seats[entry.state.name] = fam.index + (i >= m_low)
-        # restore input state order
-        seats = {e.state.name: seats[e.state.name] for e in quotas}
-    return Apportionment(divisor, _apply_floor(seats, method.min_seat_floor), quotas)
+    direct = _Direct(states, method)
+    return Apportionment(divisor, dict(zip(direct.names, direct.seats_at(divisor))), quotas)
 
 
 def _hamilton(states: tuple[StateProfile, ...], target: int) -> Apportionment:
@@ -341,34 +392,25 @@ def _crossing_events(states: tuple[StateProfile, ...], method: MethodSpec,
     return sorted(tags.items())
 
 
-class _SeatTracker:
+class _SeatTracker(_Direct):
     """Every state's seats at the sweep's current divisor, kept in place.
 
-    Only what a crossing event tags is re-rounded.  In family mode
-    families are contiguous runs of (population, name) order, because
-    floor(v/D) is monotone in v: ``family[p]`` is the family of the
-    state at rank p, so a family's members are found by bisection.
+    It starts from one direct apportionment; after that only what a
+    crossing event tags is re-rounded.  In family mode families are
+    contiguous runs of (population, name) order, because floor(v/D) is
+    monotone in v: ``family[p]`` is the family of the state at rank p, so
+    a family's members are found by bisection.
     """
 
     def __init__(self, states: tuple[StateProfile, ...], method: MethodSpec, divisor: float):
-        compute_quotas(states, divisor)  # validates the states
-        n = len(states)
-        self.rounding = method.rounding
-        self.floor = method.min_seat_floor or 0
-        self.pops = [s.population for s in states]
-        self.seats = [0] * n  # min_seat_floor applied
-        self.total = 0
-        self.by_family = method.mode == BY_FAMILY
-        if not self.by_family:
-            self.reround(divisor, range(n), ())
-            return
-        self.order = sorted(range(n), key=lambda i: (self.pops[i], states[i].name))
-        self.rank = [0] * n
-        for p, i in enumerate(self.order):
-            self.rank[i] = p
-        self.sorted_pops = [self.pops[i] for i in self.order]
-        self.family = [math.floor(v / divisor) for v in self.sorted_pops]
-        self.reround(divisor, (), set(self.family))
+        super().__init__(states, method)
+        self.seats = list(self.seats_at(divisor))  # min_seat_floor applied
+        self.total = sum(self.seats)
+        if self.by_family:
+            self.rank = [0] * len(states)
+            for p, i in enumerate(self.order):
+                self.rank[i] = p
+            self.family = [math.floor(v / divisor) for v in self.sorted_pops]
 
     def _set(self, i: int, seats: int) -> bool:
         seats = max(seats, self.floor)
@@ -432,6 +474,7 @@ def _sweep(states: tuple[StateProfile, ...], method: MethodSpec,
         raise ApportionmentError("Hamilton's method has no divisor sweep")
     if not (0 < d_lo < d_hi) or not math.isfinite(d_hi):
         raise ValueError(f"need 0 < d_lo < d_hi, got [{d_lo!r}, {d_hi!r}]")
+    compute_quotas(states, d_lo)  # checks the states
     events = _crossing_events(states, method, d_lo, d_hi)
     pieces: list[_Piece] = []
     tracker: _SeatTracker | None = None
@@ -463,20 +506,16 @@ def _sweep(states: tuple[StateProfile, ...], method: MethodSpec,
     return pieces
 
 
-def _apportionment(states: tuple[StateProfile, ...], method: MethodSpec,
-                   piece: _Piece) -> Apportionment:
-    """The piece's apportionment, evaluated directly at its divisor.
-
-    The sweep re-rounds only at candidate divisors, so a crossing the
-    enumeration failed to find (marks whose r(f, D)·D is not monotone in
-    D) would leave its seats stale: that is raised, never returned.
-    """
-    app = apportion_at_divisor(states, piece.divisor, method)
-    if tuple(app.seats.values()) != piece.seats:
-        raise ApportionmentError(
-            f"divisor sweep missed a crossing below D = {piece.divisor!r}: "
-            f"its seats differ from direct apportionment there")
-    return app
+def _checked_sweep(states: Iterable[StateProfile], method: MethodSpec,
+                   d_lo: float, d_hi: float) -> tuple[_Direct, list[_Piece]]:
+    """The sweep's pieces over [d_lo, d_hi], each checked by direct apportionment
+    at its divisor, and the evaluator that checked them."""
+    states = tuple(states)
+    pieces = _sweep(states, method, d_lo, d_hi)
+    direct = _Direct(states, method)
+    for piece in pieces:
+        direct.check(piece)
+    return direct, pieces
 
 
 def piecewise_apportionments(states: Iterable[StateProfile], method: MethodSpec,
@@ -486,10 +525,13 @@ def piecewise_apportionments(states: Iterable[StateProfile], method: MethodSpec,
 
     Pieces are returned in ascending divisor order; adjacent pieces have
     different seat vectors.  Each carries the apportionment at the
-    midpoint of its first candidate interval, which by construction
-    equals the value everywhere on the piece including its upper
-    endpoint (a quota exactly at a mark rounds the same way as a quota
-    just above it).
+    midpoint of its first candidate interval, which holds throughout the
+    piece's interior.  At the upper endpoint it is meant to hold as well
+    (a quota exactly at a mark rounds the same way as a quota just above
+    it), but the endpoint is a float near the exact crossing, not the
+    crossing itself: checked in exact arithmetic, the seats fail at many
+    endpoints, on either side of the true breakpoint (fault (b), ROADMAP
+    item 2).
 
     One sweep computes them.  It enumerates the candidate divisors, at
     which a state's quota (or in family mode a family's) meets an
@@ -497,26 +539,30 @@ def piecewise_apportionments(states: Iterable[StateProfile], method: MethodSpec,
     for K candidates.  It apportions once in full, then walks the
     candidates in ascending order and, at each candidate interval's
     midpoint, re-rounds only what the passed candidates tag: O(size of
-    what crossed) per interval.  Each returned piece then costs one
-    direct apportionment at its divisor, O(n), which must agree with
-    the sweep's seats (``ApportionmentError`` otherwise).
+    what crossed) per interval.  Each piece keeps the sweep's seats; one
+    plain-list direct evaluation at its divisor, O(n), must agree with
+    them (``ApportionmentError`` otherwise).  The returned apportionments
+    are built from those seats, and their quota tables only when read.
     """
-    states = tuple(states)
-    return [(p.lo, p.hi, _apportionment(states, method, p))
-            for p in _sweep(states, method, d_lo, d_hi)]
+    direct, pieces = _checked_sweep(states, method, d_lo, d_hi)
+    return [(p.lo, p.hi, direct.apportionment(p)) for p in pieces]
 
 
 def breakpoints(states: Iterable[StateProfile], method: MethodSpec,
                 d_lo: float, d_hi: float) -> list[float]:
     """Critical divisors in [d_lo, d_hi]: the D at which seats change.
 
-    Between consecutive returned values the apportionment is constant;
-    the apportionment AT a returned divisor equals the one on the piece
-    below it (a quota exactly at a mark rounds up, so the change is
-    already in effect at the crossing divisor itself).
+    These are the upper ends of every piece but the last, each piece's
+    seats checked as in ``piecewise_apportionments``.  Between
+    consecutive returned values the apportionment is constant.  The
+    apportionment AT a returned divisor is meant to equal the one on the
+    piece below it (a quota exactly at a mark rounds up, so the change is
+    in effect at the crossing divisor itself), but a returned divisor is
+    a float near the exact crossing, and in exact arithmetic it often
+    lies on the other side (fault (b), ROADMAP item 2).
     """
-    pieces = piecewise_apportionments(states, method, d_lo, d_hi)
-    return [hi for (_, hi, _), (_, _, _) in zip(pieces, pieces[1:])]
+    _, pieces = _checked_sweep(states, method, d_lo, d_hi)
+    return [p.hi for p in pieces[:-1]]
 
 
 def _forces_one_seat_each(method: MethodSpec) -> bool:
@@ -680,7 +726,7 @@ def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,
                 f"target {target_total} below the {n * floor_seats}-seat floor")
         app = _hamilton(states, target_total)
         if floor_seats:
-            app = replace(app, seats=_apply_floor(app.seats, floor_seats))
+            app = replace(app, seats={name: max(s, floor_seats) for name, s in app})
             if app.total_seats != target_total:
                 raise InfeasibleTarget(
                     "min_seat_floor is incompatible with Hamilton's fixed total")
@@ -694,6 +740,7 @@ def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,
 
     pieces, frozen_above = _search_window(states, target_total, method)
 
+    direct = _Direct(states, method)
     solutions: list[Apportionment] = []
     seen: set[tuple[int, ...]] = set()
     for idx, piece in enumerate(pieces):
@@ -701,8 +748,8 @@ def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,
             continue  # same seat vector on a lower disjoint run; keep the top one
         upper = math.inf if (frozen_above and idx == len(pieces) - 1) else piece.hi
         seen.add(piece.seats)
-        solutions.append(replace(_apportionment(states, method, piece),
-                                 d_interval=(piece.lo, upper)))
+        direct.check(piece)
+        solutions.append(direct.apportionment(piece, (piece.lo, upper)))
     if not solutions:
         totals = {p.total for p in pieces}
         below = max((t for t in totals if t < target_total), default=None)

@@ -12,13 +12,13 @@ objects whose before/after apportionments re-evaluate to themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import Apportionment, StateProfile, compute_quotas, partition_families
 from .engine import (
     MethodSpec,
+    _checked_sweep,
     apportion_at_divisor,
-    piecewise_apportionments,
     positional_split,
     round_quota,
 )
@@ -88,22 +88,24 @@ def scan_alabama(states, method: MethodSpec, d_lo: float, d_hi: float,
     A report means some state's count decreased while D decreased (the
     house was growing or holding), which a divisor method can never do.
     An empty list certifies the method clean on this instance and range.
+    Every piece's seats are checked as in ``piecewise_apportionments``;
+    apportionments are built only for the pieces a report names.
     """
-    pieces = piecewise_apportionments(states, method, d_lo, d_hi)
+    direct, pieces = _checked_sweep(states, method, d_lo, d_hi)
     reports = []
     # pieces ascend in D; walk adjacent pairs from the top down
-    for (lo_b, hi_b, after), (lo_a, hi_a, before) in zip(pieces, pieces[1:]):
+    for after, before in zip(pieces, pieces[1:]):
         affected = tuple(
-            (name, before.seats[name], after.seats[name])
-            for name in before.seats
-            if after.seats[name] < before.seats[name]
+            (name, b, a)
+            for name, b, a in zip(direct.names, before.seats, after.seats)
+            if a < b
         )
         if affected:
             reports.append(ParadoxReport(
                 kind=ALABAMA,
-                witness=hi_b,  # the divisor at which the lower piece's seats take over
-                before=replace(before, d_interval=(lo_a, hi_a)),
-                after=replace(after, d_interval=(lo_b, hi_b)),
+                witness=after.hi,  # the divisor at which the lower piece's seats take over
+                before=direct.apportionment(before, (before.lo, before.hi)),
+                after=direct.apportionment(after, (after.lo, after.hi)),
                 affected_states=affected,
             ))
     return reports
