@@ -434,10 +434,13 @@ class DistributionMarks:
     """Divisor-dependent marks r(f, D), by default the unbiased ones.
 
     Satisfies the same rounding protocol as a signpost rule, so it plugs
-    straight into the apportionment engine.  With the default marks
-    ``rounds_up`` evaluates the mean test behind ``unbiased_mark`` at the
-    quota and solves no mark (in tail-safe form over a lognormal); over a
-    power law, or with custom ``marks``, it compares with ``mark_at``.
+    straight into the apportionment engine.  As its marks move with D it
+    also provides ``margin(quota, f, divisor)``, a signed float that is
+    >= 0 exactly when quota >= r(f, D); ``rounds_up`` is that sign, and
+    the engine root-finds a crossing in D on its value.  With the default
+    marks the margin is the mean test behind ``unbiased_mark`` at the
+    quota, with no mark solved (in tail-safe form over a lognormal); over
+    a power law, or with custom ``marks``, it is quota − ``mark_at``.
     Nothing is cached.
     """
 
@@ -452,17 +455,21 @@ class DistributionMarks:
             return self.marks(f, divisor)
         return unbiased_mark(self.distribution, f, divisor)
 
-    def rounds_up(self, quota: float, f: int, divisor: float) -> bool:
+    def margin(self, quota: float, f: int, divisor: float) -> float:
+        """Signed rounding margin, >= 0 exactly when quota >= r(f, D)."""
         dist = self.distribution
         if self.marks is not None or isinstance(dist, PowerLaw):
-            return quota >= self.mark_at(f, divisor)
+            return quota - self.mark_at(f, divisor)
         if isinstance(dist, LogNormal):
-            return dist._excess(f, divisor)(quota * divisor) >= 0.0
+            return dist._excess(f, divisor)(quota * divisor)
         test = _mean_test(dist, f, divisor)
         if test is None:
-            return quota >= _degenerate_mark(dist, f, f * divisor, (f + 1) * divisor)
+            return quota - _degenerate_mark(dist, f, f * divisor, (f + 1) * divisor)
         j_of, rhs = test
-        return j_of(quota * divisor) >= rhs
+        return j_of(quota * divisor) - rhs
+
+    def rounds_up(self, quota: float, f: int, divisor: float) -> bool:
+        return self.margin(quota, f, divisor) >= 0.0
 
     def __str__(self) -> str:
         return f"marks({self.distribution.kind})"

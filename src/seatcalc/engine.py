@@ -102,6 +102,9 @@ class MethodSpec:
 
     ``rounding`` is ``HAMILTON``, or a signpost rule or marks object with
     ``rounds_up(quota, f, divisor)`` (is quota >= r(f, D)?) and ``mark_at(f, divisor)``.
+    One whose marks move with D declares ``divisor_dependent = True`` and
+    must also provide ``margin(quota, f, divisor)``: a float that is >= 0
+    exactly when ``rounds_up`` is true, on which mark crossings are root-found.
     ``min_seat_floor``, when set, raises every state to at least that
     many seats after rounding.  Hamilton has no family mode: it ignores
     ``mode`` and always apportions by state.
@@ -117,6 +120,8 @@ class MethodSpec:
         if not isinstance(self.rounding, _Hamilton) and not all(
                 hasattr(self.rounding, m) for m in ("rounds_up", "mark_at")):
             raise TypeError("rounding must be HAMILTON or provide rounds_up and mark_at")
+        if getattr(self.rounding, "divisor_dependent", False) and not hasattr(self.rounding, "margin"):
+            raise TypeError("a divisor-dependent rounding must provide margin")
         if self.min_seat_floor is not None and self.min_seat_floor < 0:
             raise ValueError("min_seat_floor must be non-negative")
 
@@ -287,29 +292,53 @@ def _hamilton(states: tuple[StateProfile, ...], target: int) -> Apportionment:
 
 # --- critical-divisor enumeration -------------------------------------------
 
-_MARK_BISECT_ITERS = 120
+# Steps the crossing root finder may trail bisection by, so that its first
+# false-position steps on a wide bracket may shrink it by less than half.
+_ILLINOIS_SLACK = 4
 
 
 def _mark_times_d_crossing(value: float, f: int, rounding, d_lo: float, d_hi: float) -> float | None:
     """D in (d_lo, d_hi) where v/D (v = ``value``) stops reaching r(f, D), if any.
 
-    One bisection in D on the rounding decision ``rounds_up(v/D, f, D)``, no
-    mark solved.  It is monotone in D for every regime we accept (constant
-    marks trivially, distribution marks by d(rD)/dD >= 0, a lognormal's mean
-    test as the interval mean of S falls with D): one crossing if bracketed.
+    The decision ``rounds_up(v/D, f, D)`` is monotone in D for every regime we
+    accept (constant marks trivially, distribution marks by d(rD)/dD >= 0, a
+    lognormal's mean test as the interval mean of S falls with D): one crossing
+    if bracketed.  It is root-found, with no mark solved, by the Illinois
+    method on the signed ``margin(v/D, f, D)``: false position, halving the
+    margin of an end kept twice in a row, each probe pulled toward the
+    midpoint so that after k steps the bracket is at most 2^(slack − k) of its
+    first width.  So it takes at most ``_ILLINOIS_SLACK`` + 1 steps more than
+    bisection; like bisection, it keeps the decision true at ``lo`` and false
+    at ``hi`` and returns their midpoint once they are adjacent floats.
     """
-    if not rounding.rounds_up(value / d_lo, f, d_lo) or rounding.rounds_up(value / d_hi, f, d_hi):
+    def margin(d: float) -> float:
+        return rounding.margin(value / d, f, d)
+
+    if not (m_lo := margin(d_lo)) >= 0.0 or (m_hi := margin(d_hi)) >= 0.0:
         return None
     lo, hi = d_lo, d_hi
-    for _ in range(_MARK_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if rounding.rounds_up(value / mid, f, mid):
-            lo = mid
+    width = math.ldexp(hi - lo, _ILLINOIS_SLACK)  # bound on the bracket, halved each step
+    kept = 0  # +1 if the last step moved lo, -1 if it moved hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        width *= 0.5
+        reach = max(width - 0.5 * (hi - lo), 0.0)
+        # m_lo >= 0 > m_hi, so span > 0 unless a margin is NaN or halved to zero
+        d = lo + (hi - lo) * (m_lo / span) if (span := m_lo - m_hi) > 0.0 else mid
+        d = min(max(d, math.nextafter(lo, hi), mid - reach), math.nextafter(hi, lo), mid + reach)
+        if not lo < d < hi:  # NaN, from infinite margins
+            d = mid
+        m = margin(d)
+        if m >= 0.0:
+            lo, m_lo = d, m
+            if kept > 0:
+                m_hi *= 0.5
+            kept = 1
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi, m_hi = d, m
+            if kept < 0:
+                m_lo *= 0.5
+            kept = -1
+    return mid
 
 
 def _mark_crossings(value: float, rounding, d_lo: float, d_hi: float,

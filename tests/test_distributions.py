@@ -251,6 +251,34 @@ def test_uniform_rounding_decision_agrees_with_its_mark():
                         assert marks.rounds_up(q, f, divisor) == (q >= mark), (dist, divisor, q)
 
 
+def test_margin_sign_is_the_rounding_decision():
+    # margin >= 0 is rounds_up on every branch, and away from the mark it is
+    # quota >= mark_at; a lognormal at q_g = 5 takes CDF form for f <= 4
+    custom = DistributionMarks(LogNormal(0.0, 1.0), lambda f, d: f + 0.25)
+    empty = DistributionMarks(Uniform(5.0, 6.0))  # no mass on [1, 2] or [20, 21]
+    cases = [
+        (DistributionMarks(lognormal_qg(5.0)), range(0, 5)),
+        (DistributionMarks(lognormal_qg(5.0)), range(5, 12)),
+        (DistributionMarks(Uniform(0.0, 7.3)), range(9)),
+        (DistributionMarks(PowerLaw(2.0, 1.0, 50.0)), range(1, 10)),
+        (custom, range(5)),
+        (empty, (1, 20)),
+    ]
+    for marks, fs in cases:
+        for f in fs:
+            mark = marks.mark_at(f, 1.0)
+            for k in range(1, 64):
+                q = f + k / 64
+                up = marks.margin(q, f, 1.0) >= 0.0
+                assert up == marks.rounds_up(q, f, 1.0), (marks, f, q)
+                if abs(q - mark) > 1e-9:
+                    assert up == (q >= mark), (marks, f, q)
+    assert empty.margin(1.5, 1, 1.0) == 0.5 and empty.margin(20.5, 20, 1.0) == -0.5
+    # a quota exactly at a custom mark has margin 0 and rounds up
+    assert custom.margin(1.25, 1, 1.0) == 0.0
+    assert custom.rounds_up(1.25, 1, 1.0)
+
+
 # --- expected family bias ---------------------------------------------------
 
 def test_bias_zero_at_unbiased_mark():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from seatcalc import engine
 from seatcalc.census import bundled_census
 from seatcalc.core import (
     Apportionment,
@@ -17,11 +18,12 @@ from seatcalc.core import (
     compute_quotas,
     partition_families,
 )
-from seatcalc.distributions import DistributionMarks, LogNormal
+from seatcalc.distributions import DistributionMarks, LogNormal, Uniform
 from seatcalc.engine import (
     BY_FAMILY,
     BY_STATE,
     HAMILTON,
+    _ILLINOIS_SLACK,
     ApportionmentError,
     InfeasibleTarget,
     MethodSpec,
@@ -30,6 +32,7 @@ from seatcalc.engine import (
     _boundary_crossings,
     _crossing_events,
     _mark_crossings,
+    _mark_times_d_crossing,
     _sweep,
     apportion_at_divisor,
     apportion_for_house_size,
@@ -199,6 +202,22 @@ def test_rounding_needs_both_decision_and_mark():
 
     with pytest.raises(TypeError, match="rounds_up and mark_at"):
         MethodSpec(MarksOnly())
+
+
+def test_divisor_dependent_rounding_needs_a_margin():
+    class NoMargin:
+        divisor_dependent = True
+
+        def mark_at(self, f, divisor):
+            return f + 0.5
+
+        def rounds_up(self, quota, f, divisor):
+            return quota >= f + 0.5
+
+    with pytest.raises(TypeError, match="must provide margin"):
+        MethodSpec(NoMargin())
+    NoMargin.divisor_dependent = False
+    MethodSpec(NoMargin())  # constant marks are crossed in closed form
 
 
 def test_infeasible_under_one_seat_rules():
@@ -531,6 +550,143 @@ def test_every_entry_point_raises_rather_than_return_stale_seats():
                 run()
 
 
+# --- mark crossings in D ----------------------------------------------------
+
+def step_marks(f, d):
+    # the marks of the two tests above: r(1, D)·D drops inside [0.8, 0.86]
+    return f + (0.01 if f == 1 and 0.8 <= d <= 0.86 else 0.5)
+
+
+def is_decision_flip(value, f, rounding, d):
+    """The decision ``rounds_up(v/D, f, D)`` is true and false on the two
+    adjacent floats of which ``d`` is one."""
+    def decides(x):
+        return rounding.rounds_up(value / x, f, x)
+    below, above = ((d, math.nextafter(d, math.inf)) if decides(d)
+                    else (math.nextafter(d, 0.0), d))
+    return decides(below) and not decides(above)
+
+
+def bisection_steps(value, f, rounding, d_lo, d_hi):
+    """Interior decisions of plain bisection in D down to adjacent floats."""
+    lo, hi, steps = d_lo, d_hi, 0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        steps += 1
+        if rounding.rounds_up(value / mid, f, mid):
+            lo = mid
+        else:
+            hi = mid
+    return steps
+
+
+class CountingMarks(DistributionMarks):
+    """Distribution marks that count their margin evaluations."""
+
+    margins = 0
+
+    def margin(self, quota, f, divisor):
+        self.margins += 1
+        return super().margin(quota, f, divisor)
+
+
+def test_mark_crossing_on_a_wide_bracket_is_the_decision_flip():
+    # 120 halvings leave [1e-3, 1e40] about 7,500 wide, with a midpoint
+    # (3761.58) where the decision is false on both sides: the root finder
+    # must run to adjacent floats however many steps that takes
+    marks = DistributionMarks(LogNormal(0.0, 1.0))
+    for d_hi in (1e30, 1e40):
+        d = _mark_times_d_crossing(5.0, 2, marks, 1e-3, d_hi)
+        assert d == 2.035736937462085
+        assert is_decision_flip(5.0, 2, marks, d)
+
+
+class MarginOf:
+    """A rounding whose margin is a given function of D alone."""
+
+    divisor_dependent = True
+    margins = 0
+
+    def __init__(self, margin_of):
+        self.margin_of = margin_of
+
+    def margin(self, quota, f, divisor):
+        self.margins += 1
+        return self.margin_of(divisor)
+
+    def rounds_up(self, quota, f, divisor):
+        return self.margin_of(divisor) >= 0.0
+
+
+def test_mark_crossing_with_degenerate_margins_is_the_decision_flip():
+    # margins that are zero, subnormal, infinite or NaN give false position
+    # nothing to interpolate; the probe falls back to the midpoint
+    for margin_of in (lambda d: 0.0 if d < 1.3 else -5e-324,
+                      lambda d: math.inf if d < 1.3 else -math.inf,
+                      lambda d: 1.0 if d < 1.0 else math.nan if d < 1.3 else -1.0):
+        rounding = MarginOf(margin_of)
+        d = _mark_times_d_crossing(1.0, 0, rounding, 0.5, 2.0)
+        assert is_decision_flip(1.0, 0, rounding, d)
+
+
+def test_mark_crossings_take_at_most_bisection_steps_plus_slack():
+    # the step-function marks above, and margins so lopsided that unguarded
+    # false position creeps toward the root an ulp or so at a time
+    cases = [(value, f, CountingMarks(LogNormal(0.0, 1.0), step_marks))
+             for value in (1.0, 10.0) for f in range(25)]
+    cases += [(1.0, 0, MarginOf(margin_of))
+              for margin_of in (lambda d: 1.0 if d < 1.3 else -1e-300,
+                                lambda d: 1e-300 if d < 1.3 else -1.0,
+                                lambda d: (1.3 - d) ** 9 if d < 1.3 else -(d - 1.3) ** 0.1)]
+    bracketed = 0
+    for d_lo, d_hi in [(0.5, 2.0), (0.5, 0.81), (0.79, 0.87), (1e-3, 1e30)]:
+        for value, f, rounding in cases:
+            rounding.margins = 0
+            d = _mark_times_d_crossing(value, f, rounding, d_lo, d_hi)
+            if d is None:
+                continue
+            bracketed += 1
+            steps = rounding.margins - 2  # both ends are decided first
+            assert steps <= bisection_steps(value, f, rounding, d_lo, d_hi) + _ILLINOIS_SLACK + 1
+            assert is_decision_flip(value, f, rounding, d), (value, f, d_lo, d_hi)
+    assert bracketed >= 80
+
+
+def test_every_mark_crossing_is_a_decision_flip(monkeypatch):
+    # every crossing the root finder returns on the lognormal-house windows
+    # (and on a uniform law's), checked at float resolution; bisection takes
+    # about 48 interior decisions per lognormal crossing, the solver about 12
+    calls, steps = [], []
+    solve = engine._mark_times_d_crossing
+
+    def recording(value, f, rounding, d_lo, d_hi):
+        before = getattr(rounding, "margins", 0)
+        d = solve(value, f, rounding, d_lo, d_hi)
+        if d is not None:
+            calls.append((value, f, rounding, d))
+            if isinstance(rounding, CountingMarks):
+                steps.append(rounding.margins - before - 2)
+        return d
+
+    monkeypatch.setattr(engine, "_mark_times_d_crossing", recording)
+    for year in (2000, 2020):
+        states = bundled_census(year)
+        v_t = math.fsum(s.population for s in states)
+        for sigma in (0.3, 1.0, 2.0):
+            marks = CountingMarks(LogNormal(math.log(5.0 * v_t / 435), sigma))
+            for mode in (BY_STATE, BY_FAMILY):
+                for target in (435, 430, 440):
+                    apportion_for_house_size(states, target, MethodSpec(marks, mode))
+    states = bundled_census(2020)
+    uniform = DistributionMarks(Uniform(0.0, 1.2 * max(s.population for s in states)))
+    for mode in (BY_STATE, BY_FAMILY):
+        apportion_for_house_size(states, 435, MethodSpec(uniform, mode))
+    assert len(calls) > 2000 and len(steps) > 1900
+    assert sum(steps) / len(steps) < 15
+    assert {type(r.distribution) for _, _, r, _ in calls} == {LogNormal, Uniform}
+    for value, f, rounding, d in calls:
+        assert is_decision_flip(value, f, rounding, d), (value, f, rounding, d)
+
+
 # --- lazy quota tables against eagerly built ones --------------------------
 
 def eager_apportionment(states, divisor, method):
@@ -578,6 +734,46 @@ def test_lazy_quota_tables_change_nothing_visible():
     for app in apportion_for_house_size(states, 435, floored):
         assert_same_as_eager(app, states, floored)
     assert_same_as_eager(apportion_at_divisor(states, v_t / 435, floored), states, floored)
+
+
+# Family 0 at D = 1.0 is the first three states (four in the second instance):
+# its quota by sum() and by math.fsum lies on opposite sides of Webster's mark
+# 0.5, under sum() left to right (Python < 3.12) in the first instance and
+# compensated (3.12 on) in the second.  The family's volume crosses the mark
+# one ulp below 1.0 and the last state's boundary lies one ulp above, so the
+# sweep evaluates a piece at exactly D = 1.0; in the second instance, whose
+# sum() rounds up there, the fifth state's mark crossing at the same candidate
+# is what moves that piece's seats.
+FAMILY_SUM_STRADDLES = [
+    (0.1408580827076024, 0.17398317264125152, 0.18515874465114607, 2.0000000000000004),
+    (1.3877787807814454e-17, 0.24450428398615617, 0.012017280131425098, 0.2434784358824187,
+     3.4999999999999996, 2.0000000000000004),
+]
+
+
+def family_sum_straddle():
+    """The first instance of ``FAMILY_SUM_STRADDLES`` that straddles on this Python."""
+    for pops in FAMILY_SUM_STRADDLES:
+        states = states_of(*pops)
+        quotas = [e.quota for e in partition_families(compute_quotas(states, 1.0)).family(0).members]
+        if (sum(quotas) >= 0.5) != (math.fsum(quotas) >= 0.5):
+            return states
+    pytest.fail("no instance puts sum() and math.fsum of family 0 on opposite sides of 0.5")
+
+
+def test_family_quota_is_rounded_as_partition_families_sums_it():
+    states = family_sum_straddle()
+    method = MethodSpec(WEBSTER, BY_FAMILY)
+    want = eager_apportionment(states, 1.0, method)
+    assert apportion_at_divisor(states, 1.0, method) == want
+    pieces = piecewise_apportionments(states, method, 0.9, 1.1)
+    assert [app for _, _, app in pieces if app.divisor == 1.0] == [want]
+    for _, _, app in pieces:
+        assert_same_as_eager(app, states, method)
+    solutions = apportion_for_house_size(states, want.total_seats, method)
+    assert [app.seats for app in solutions if app.divisor == 1.0] == [want.seats]
+    for app in solutions:
+        assert_same_as_eager(app, states, method)
 
 
 # --- piece seats against exact rounding (fault (b)) ------------------------
