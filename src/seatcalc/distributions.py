@@ -8,12 +8,15 @@ divisor, the condition for family f is
     I(r·D) = (1/D) * integral of I(v) dv over [f·D, (f+1)·D]
 
 whose right side lies between I(fD) and I((f+1)D).  So v/D rounds up
-past f exactly when I(v) reaches the mean of I over that interval: no mark
-is solved (or cached) to round, and a lognormal tests it in CDF form below
-its median, in survival form above.  Power-law densities p(v) ~ v^(beta-1)
-give the divisor-independent closed-form marks of the signposts module;
-every other distribution (lognormal in particular) yields marks that
-move with D, so the induced method is not a homogeneous divisor method.
+past f exactly when I(v) reaches the mean of I over that interval.  Each
+distribution implements that one mean test, ``_excess``, and decides
+there alone whether the interval carries any mass (a lognormal tests in
+CDF form below its median, in survival form above); the rounding margin,
+the reported mark and the expected family bias all read it.  Power-law
+densities p(v) ~ v^(beta-1) give the divisor-independent closed-form
+marks of the signposts module on intervals inside their support; every
+other distribution (lognormal in particular) yields marks that move
+with D, so the induced method is not a homogeneous divisor method.
 """
 
 from __future__ import annotations
@@ -87,6 +90,15 @@ class PopulationDistribution:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
+
+    def _excess(self, f: int, divisor: float) -> Callable[[float], float] | None:
+        """v -> I(v) − (1/D)∫_{fD}^{(f+1)D} I, >= 0 iff v/D rounds up past f, or None
+        when the interval carries no mass; both sides are taken relative to I(fD)."""
+        a, b = f * divisor, (f + 1) * divisor
+        if self.cdf_diff(a, b) <= 0.0:
+            return None
+        mean = self.cdf_integral(a, b) / divisor - self.cdf(a)
+        return lambda v: self.cdf_diff(a, v) - mean
 
 
 @dataclass(frozen=True)
@@ -232,29 +244,35 @@ class LogNormal(PopulationDistribution):
         return _phi_diff(self._z(a), self._z(b))
 
     def cdf_integral(self, a: float, b: float) -> float:
-        return self._tail_integral(a, b, 1.0)
+        return self._tail_integral(a, b, 1.0)[0]
 
-    def _tail_integral(self, a: float, b: float, s: float) -> float:
-        # integral of I (s = 1) or of S = 1 - I (s = -1) over [a, b]; the
-        # antiderivative of Phi(s*z(v)) is v*Phi(s*z) - v_g*exp(sigma^2/2)*Phi(s*(z - sigma))
+    def _tail_integral(self, a: float, b: float, s: float) -> tuple[float, float]:
+        # integral of I (s = 1) or of S = 1 - I (s = -1) over [a, b], and the mass
+        # on [a, b]; the antiderivative of Phi(s*z(v)) is
+        # v*Phi(s*z) - v_g*exp(sigma^2/2)*Phi(s*(z - sigma))
         if b <= a:
-            return 0.0
+            return 0.0, 0.0
         a = max(a, 0.0)
         shift = math.exp(self.log_vg + 0.5 * self.sigma ** 2)
 
-        def anti(v: float) -> float:
+        def anti(v: float) -> tuple[float, float]:
             if v <= 0:
-                return -shift if s < 0 else 0.0
+                return (-shift, 1.0) if s < 0 else (0.0, 0.0)
             z = self._z(v)
-            return v * _phi(s * z) - shift * _phi(s * (z - self.sigma))
+            p = _phi(s * z)
+            return v * p - shift * _phi(s * (z - self.sigma)), p
 
-        return anti(b) - anti(a)
+        (int_b, p_b), (int_a, p_a) = anti(b), anti(a)
+        return int_b - int_a, s * (p_b - p_a)
 
-    def _excess(self, f: int, divisor: float) -> Callable[[float], float]:
-        """v -> I(v) − mean of I over [fD, (f+1)D], >= 0 iff v/D rounds up past f; taken
-        in CDF form if the interval's middle is below the median, else in survival form."""
+    def _excess(self, f: int, divisor: float) -> Callable[[float], float] | None:
+        # tail-safe: in CDF form if the interval's middle is below the median,
+        # else in survival form; the integral's Phi values also give the mass
         s = 1.0 if (f + 0.5) * divisor <= math.exp(self.log_vg) else -1.0
-        mean = self._tail_integral(f * divisor, (f + 1) * divisor, s) / divisor
+        integral, mass = self._tail_integral(f * divisor, (f + 1) * divisor, s)
+        if mass <= 0.0:
+            return None
+        mean = integral / divisor
         return lambda v: s * (_phi(s * self._z(v)) - mean)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -352,59 +370,43 @@ def _degenerate_mark(dist: PopulationDistribution, f: int, a: float, b: float) -
     return f + 0.5
 
 
-def _mean_test(dist: PopulationDistribution, f: int, divisor: float,
-               generic: bool = False) -> tuple[Callable[[float], float], float] | None:
-    """``(J, rhs)`` with v/D rounding up past f iff J(v) >= rhs, or None when
-    [fD, (f+1)D] carries no probability mass."""
-    a, b = f * divisor, (f + 1) * divisor
-    delta = dist.cdf_diff(a, b)
-    if delta <= 0.0:
-        return None
-    if not generic and isinstance(dist, LogNormal):
-        return dist._excess(f, divisor), 0.0  # the tail-safe mean test
-
-    # work with the interval-normalized CDF J(v) = (I(v) - I(a)) / delta,
-    # which satisfies the same fixed-point condition and keeps the
-    # bisection well conditioned deep in either tail
-    def j_of(v: float) -> float:
-        return dist.cdf_diff(a, v) / delta
-
-    if generic:
-        rhs = _adaptive_simpson(j_of, a, b, 1e-12 * divisor) / divisor
-    else:
-        rhs = (dist.cdf_integral(a, b) - divisor * dist.cdf(a)) / (divisor * delta)
-    return j_of, min(max(rhs, 0.0), 1.0)
-
-
 def unbiased_mark(dist: PopulationDistribution, f: int, divisor: float,
                   *, generic: bool = False) -> float:
     """Mark r in [f, f+1] solving I(rD) = (1/D) ∫_{fD}^{(f+1)D} I(v) dv.
 
-    Power laws take the divisor-independent closed form; a lognormal
-    bisects on its tail-safe mean test; other distributions evaluate the
-    right side exactly (closed-form integral of the CDF) and bisect.
-    ``generic=True`` forces the distribution-agnostic path (adaptive
-    Simpson quadrature plus bisection) for any distribution, which is
-    how the closed forms are cross-checked.
+    A power law takes the divisor-independent closed form when
+    [fD, (f+1)D] lies inside its support.  Otherwise the mark is bisected
+    on the distribution's mean test, the one the rounding decides by.
+    ``generic=True`` instead bisects on the interval-normalized CDF
+    J(v) = (I(v) − I(fD)) / (I((f+1)D) − I(fD)) against its mean by
+    adaptive Simpson quadrature, for any distribution; that is the
+    reference the closed forms are cross-checked against.  An interval
+    with no mass parks the mark at f + 1 (all mass below it), f (all
+    mass above it) or f + 1/2.
     """
     if f < 0 or f != int(f):
         raise ValueError(f"family index must be a non-negative integer, got {f}")
     f = int(f)
     if not (divisor > 0) or not math.isfinite(divisor):
         raise ValueError(f"divisor must be positive and finite, got {divisor!r}")
-    if not generic and isinstance(dist, PowerLaw):
+    a, b = f * divisor, (f + 1) * divisor
+    if not generic and isinstance(dist, PowerLaw) and dist.v_lo <= a and b <= dist.v_hi:
         return power_law_mark(dist.beta, f)
 
-    test = _mean_test(dist, f, divisor, generic)
-    if test is None:
-        return _degenerate_mark(dist, f, f * divisor, (f + 1) * divisor)
-    j_of, rhs = test
+    excess = dist._excess(f, divisor)
+    if excess is None:
+        return _degenerate_mark(dist, f, a, b)
+    if generic:
+        delta = dist.cdf_diff(a, b)
+        rhs = _adaptive_simpson(lambda v: dist.cdf_diff(a, v) / delta, a, b,
+                                1e-12 * divisor) / divisor
+        excess = lambda v: dist.cdf_diff(a, v) / delta - rhs
     lo, hi = float(f), float(f + 1)
     for _ in range(_MARK_MAX_ITERS):
         if hi - lo <= _MARK_TOL:
             break
         mid = 0.5 * (lo + hi)
-        if j_of(mid * divisor) >= rhs:
+        if excess(mid * divisor) >= 0.0:
             hi = mid
         else:
             lo = mid
@@ -415,18 +417,17 @@ def expected_family_bias(dist: PopulationDistribution, divisor: float, f: int,
                          mark: float) -> float:
     """Per-draw expected seats minus expected quota for family f.
 
-    Evaluates (1/D) ∫_{fD}^{(f+1)D} I(v) dv − I(mark·D); positive means
-    the mark sits low enough that expected seats exceed expected quota.
+    Evaluates (1/D) ∫_{fD}^{(f+1)D} I(v) dv − I(mark·D), the mean test the
+    rounding decides by with its sign flipped; positive means the mark
+    sits low enough that expected seats exceed expected quota.  It is 0.0
+    on an interval with no mass.
     """
     if not (f <= mark <= f + 1):
         raise ValueError(f"mark {mark} outside [{f}, {f + 1}]")
     if not (divisor > 0) or not math.isfinite(divisor):
         raise ValueError(f"divisor must be positive and finite, got {divisor!r}")
-    if isinstance(dist, LogNormal):
-        return -dist._excess(f, divisor)(mark * divisor)
-    a, b = f * divisor, (f + 1) * divisor
-    rhs = dist.cdf_integral(a, b) / divisor
-    return rhs - dist.cdf(mark * divisor)
+    excess = dist._excess(f, divisor)
+    return 0.0 if excess is None else -excess(mark * divisor)
 
 
 @dataclass
@@ -438,10 +439,10 @@ class DistributionMarks:
     also provides ``margin(quota, f, divisor)``, a signed float that is
     >= 0 exactly when quota >= r(f, D); ``rounds_up`` is that sign, and
     the engine root-finds a crossing in D on its value.  With the default
-    marks the margin is the mean test behind ``unbiased_mark`` at the
-    quota, with no mark solved (in tail-safe form over a lognormal); over
-    a power law, or with custom ``marks``, it is quota − ``mark_at``.
-    Nothing is cached.
+    marks the margin is the distribution's mean test at the quota, the
+    one ``unbiased_mark`` bisects on, with no mark solved; on an interval
+    with no mass it is quota − the parked mark.  Over a power law, or
+    with custom ``marks``, it is quota − ``mark_at``.  Nothing is cached.
     """
 
     distribution: PopulationDistribution
@@ -460,13 +461,10 @@ class DistributionMarks:
         dist = self.distribution
         if self.marks is not None or isinstance(dist, PowerLaw):
             return quota - self.mark_at(f, divisor)
-        if isinstance(dist, LogNormal):
-            return dist._excess(f, divisor)(quota * divisor)
-        test = _mean_test(dist, f, divisor)
-        if test is None:
+        excess = dist._excess(f, divisor)
+        if excess is None:
             return quota - _degenerate_mark(dist, f, f * divisor, (f + 1) * divisor)
-        j_of, rhs = test
-        return j_of(quota * divisor) - rhs
+        return excess(quota * divisor)
 
     def rounds_up(self, quota: float, f: int, divisor: float) -> bool:
         return self.margin(quota, f, divisor) >= 0.0

@@ -343,11 +343,13 @@ def _mark_times_d_crossing(value: float, f: int, rounding, d_lo: float, d_hi: fl
 
 def _mark_crossings(value: float, rounding, d_lo: float, d_hi: float,
                     divisor_dependent: bool) -> list[float]:
-    """All D in [d_lo, d_hi] where v/D (v = ``value``) meets a mark."""
+    """All D in [d_lo, d_hi] where v/D (v = ``value``) meets a mark.
+
+    Only the marks of families floor(v/d_hi) .. floor(v/d_lo) are tested:
+    fl(v/D) is monotone in D, so no rounding in the window reads another.
+    """
     out = []
-    f_lo = max(0, int(math.floor(value / d_hi)) - 1)
-    f_hi = int(math.floor(value / d_lo)) + 1
-    for f in range(f_lo, f_hi + 1):
+    for f in range(math.floor(value / d_hi), math.floor(value / d_lo) + 1):
         if divisor_dependent:
             d = _mark_times_d_crossing(value, f, rounding, d_lo, d_hi)
             if d is not None and d_lo <= d <= d_hi:
@@ -682,13 +684,12 @@ def _search_window(states: tuple[StateProfile, ...], target: int,
 
     *Edge checks.*  A probe is a float, not a candidate divisor, so a
     solution piece touching it would end at the probe instead of at its
-    true breakpoint.  If the first piece has the target total, or the last
-    one does short of a frozen cap, that end is widened and the window
-    swept again.  So every solution's ``d_interval`` ends at candidate
-    divisors, or at a cap exactly as in the fixed-slack window.  When no
-    piece reaches the target, both ends go to their caps and the window is
-    swept again, so the nearest totals are those over the fixed-slack
-    window.
+    true breakpoint.  If the first piece touches a probe and has the target
+    total, or the last one does, or no piece reaches the target, the
+    fixed-slack window [cap_lo, cap_hi] is swept once instead.  So every
+    solution's ``d_interval`` ends at candidate divisors, or at a cap
+    exactly as in the fixed-slack window, and when the target is not
+    reached the nearest totals are those over the fixed-slack window.
     """
     pops = [s.population for s in states]
     v_t = math.fsum(pops)
@@ -701,35 +702,30 @@ def _search_window(states: tuple[StateProfile, ...], target: int,
     lower, upper = _seat_bounds(pops, method)
     l_0, u_0 = lower(v_t / target), upper(v_t / target)
 
-    # each end returns (divisor, margin), the margin None once at the cap
-    def lower_end(margin: int) -> tuple[float, int | None]:
+    def lower_end() -> float:
+        margin = 1
         while (k := 2 * target - l_0 + 1 + margin) < target + slack:
             if k > 0 and lower(v_t / k) > target:
-                return v_t / k, margin
+                return v_t / k
             margin *= 2
-        return cap_lo, None
+        return cap_lo
 
-    def upper_end(margin: int) -> tuple[float, int | None]:
+    def upper_end() -> float:
+        margin = 1
         while (k := 2 * target - u_0 - 1 - margin) > 0 and v_t / k < cap_hi:
             if upper(v_t / k) < target:
-                return v_t / k, margin
+                return v_t / k
             margin *= 2
-        return cap_hi, None
+        return cap_hi
 
-    (d_lo, m_lo), (d_hi, m_hi) = lower_end(1), upper_end(1)
-    while True:
+    d_lo, d_hi = lower_end(), upper_end()
+    pieces = _sweep(states, method, d_lo, d_hi)
+    hit = [p.total == target for p in pieces]
+    if ((hit[0] and d_lo != cap_lo) or (hit[-1] and d_hi != cap_hi)
+            or (not any(hit) and (d_lo, d_hi) != (cap_lo, cap_hi))):
+        d_lo, d_hi = cap_lo, cap_hi
         pieces = _sweep(states, method, d_lo, d_hi)
-        if all(p.total != target for p in pieces):
-            if m_lo is None and m_hi is None:
-                break
-            (d_lo, m_lo), (d_hi, m_hi) = (cap_lo, None), (cap_hi, None)
-        elif pieces[0].total == target and m_lo is not None:
-            d_lo, m_lo = lower_end(2 * m_lo)
-        elif pieces[-1].total == target and m_hi is not None:
-            d_hi, m_hi = upper_end(2 * m_hi)
-        else:
-            break
-    return pieces, frozen_above and m_hi is None
+    return pieces, frozen_above and d_hi == cap_hi
 
 
 def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seatcalc.core import StateProfile
 from seatcalc.distributions import (
     DistributionMarks,
     LogNormal,
@@ -18,6 +19,7 @@ from seatcalc.distributions import (
     unbiased_mark,
     verify_alabama_immunity,
 )
+from seatcalc.engine import MethodSpec, apportion_at_divisor
 from seatcalc.signposts import WEBSTER, power_law_mark
 
 TABLE_MARKS = {
@@ -187,6 +189,27 @@ def test_power_law_generic_equals_closed_form():
                     (beta, f, d)
 
 
+def test_power_law_marks_outside_the_support_solve_the_mean_test():
+    # the closed form holds only for intervals inside [v_lo, v_hi]; on one
+    # that straddles an edge the mark is bisected, agrees with quadrature and
+    # leaves no expected bias
+    assert unbiased_mark(PowerLaw(-2.0, 0.5, math.inf), 0, 1.0) == pytest.approx(
+        1 / math.sqrt(3), abs=1e-12)
+    assert unbiased_mark(PowerLaw(2.0, 1.0, 50.0), 1, 0.7) == pytest.approx(1.6030, abs=1e-4)
+    straddled = 0
+    for beta in (-2.0, 0.0, 2.0):
+        dist = PowerLaw(beta, 1.3, 9.6)
+        for d in (0.7, 1.0, 2.5):
+            for f in range(int(9.6 / d) + 1):
+                if not (f * d < 1.3 < (f + 1) * d or f * d < 9.6 < (f + 1) * d):
+                    continue
+                straddled += 1
+                r = unbiased_mark(dist, f, d)
+                assert r == pytest.approx(unbiased_mark(dist, f, d, generic=True), abs=1e-8)
+                assert abs(expected_family_bias(dist, d, f, r)) <= 1e-9, (beta, d, f)
+    assert straddled == 18
+
+
 def test_webster_marks_from_any_power_law_support():
     # beta = 1 is the uniform-density case: generic and closed paths agree
     # to 1e-9 on any support wide enough to cover the interval
@@ -251,6 +274,32 @@ def test_uniform_rounding_decision_agrees_with_its_mark():
                         assert marks.rounds_up(q, f, divisor) == (q >= mark), (dist, divisor, q)
 
 
+@pytest.mark.parametrize("log_vg,f,parked", [
+    # [f, f+1] lies 38 and 46 sigmas above the median, or 42 or more below
+    # it, where its mass is zero in floats
+    (0.0, 10 ** 5, 10 ** 5 + 1),
+    (0.0, 10 ** 6, 10 ** 6 + 1),
+    (math.log(1e6), 0, 0),
+    (math.log(1e6), 1, 1),
+    (math.log(1e6), 2, 2),
+])
+def test_lognormal_rounding_agrees_with_its_mark_in_the_tails(log_vg, f, parked):
+    # the mark is parked, no quota rounds the other way, and the bias is zero
+    dist = LogNormal(log_vg, 0.3)
+    marks = DistributionMarks(dist)
+    assert marks.mark_at(f, 1.0) == parked
+    for k in range(1, 64):
+        q = f + k / 64
+        assert marks.rounds_up(q, f, 1.0) == (q >= parked), (f, q)
+    assert expected_family_bias(dist, 1.0, f, f + 0.5) == 0.0
+
+
+def test_lognormal_tail_state_gets_no_more_seats_than_its_mark_allows():
+    method = MethodSpec(DistributionMarks(LogNormal(0.0, 0.3)), "state")
+    app = apportion_at_divisor([StateProfile("a", 100000.3)], 1.0, method)
+    assert app.seats["a"] == 100000
+
+
 def test_margin_sign_is_the_rounding_decision():
     # margin >= 0 is rounds_up on every branch, and away from the mark it is
     # quota >= mark_at; a lognormal at q_g = 5 takes CDF form for f <= 4
@@ -282,11 +331,22 @@ def test_margin_sign_is_the_rounding_decision():
 # --- expected family bias ---------------------------------------------------
 
 def test_bias_zero_at_unbiased_mark():
-    for q_g in (1.0, 5.0, 20.0):
-        dist = lognormal_qg(q_g)
-        for f in (0, 1, 5):
-            r = unbiased_mark(dist, f, 1.0)
-            assert abs(expected_family_bias(dist, 1.0, f, r)) <= 1e-9
+    cases = [(lognormal_qg(q_g), (1.0,), (0, 1, 5), 1e-9) for q_g in (1.0, 5.0, 20.0)]
+    # uniform laws, also on intervals that straddle a support edge or carry no mass
+    cases += [(dist, (0.7, 1.0, 2.5), range(12), 1e-12)
+              for dist in (Uniform(0.0, 7.3), Uniform(2.2, 9.0))]
+    for dist, divisors, fs, tol in cases:
+        for divisor in divisors:
+            for f in fs:
+                r = unbiased_mark(dist, f, divisor)
+                assert abs(expected_family_bias(dist, divisor, f, r)) <= tol, (dist, divisor, f)
+
+
+def test_bias_zero_on_intervals_without_mass():
+    dist = Uniform(5.0, 6.0)  # no mass on [1, 2] or [20, 21]
+    for f in (1, 20):
+        for mark in (f, f + 0.5, f + 1):
+            assert expected_family_bias(dist, 1.0, f, mark) == 0.0
 
 
 @pytest.mark.parametrize("f,mark,want", [

@@ -651,6 +651,35 @@ def test_mark_crossings_take_at_most_bisection_steps_plus_slack():
     assert bracketed >= 80
 
 
+class RecordingMarks(DistributionMarks):
+    """Distribution marks that record the family of every mark they test."""
+
+    def margin(self, quota, f, divisor):
+        self.families.append(f)
+        return super().margin(quota, f, divisor)
+
+    def mark_at(self, f, divisor):
+        self.families.append(f)
+        return super().mark_at(f, divisor)
+
+
+def test_mark_crossings_test_only_the_families_the_window_reads():
+    # a rounding of v/D with D in [d_lo, d_hi] reads a family between
+    # floor(v/d_hi) and floor(v/d_lo), so no other family's mark is tested,
+    # for moving marks and constant ones alike
+    windows = [(0.5, 2.0), (0.79, 0.87), (2.0, 2.5), (3.0, 40.0), (0.2, 300.0)]
+    for value in (1.0, 7.5, 10.0, 123.45):
+        for d_lo, d_hi in windows:
+            for rounding, moving in ((LogNormal(0.0, 1.0), True), (Uniform(0.0, 3.0), True),
+                                     (LogNormal(0.0, 1.0), False)):
+                marks = RecordingMarks(rounding, None if moving else lambda f, d: f + 0.5)
+                marks.families = []
+                _mark_crossings(value, marks, d_lo, d_hi, moving)
+                read = range(math.floor(value / d_hi), math.floor(value / d_lo) + 1)
+                assert marks.families and set(marks.families) <= set(read), \
+                    (value, d_lo, d_hi, rounding, sorted(set(marks.families)))
+
+
 def test_every_mark_crossing_is_a_decision_flip(monkeypatch):
     # every crossing the root finder returns on the lognormal-house windows
     # (and on a uniform law's), checked at float resolution; bisection takes
@@ -1022,6 +1051,39 @@ def test_house_window_matches_fixed_slack_on_random_instances():
             rule, mode, floor = HOUSE_METHODS[(3 * i + j) % len(HOUSE_METHODS)]
             assert_same_as_fixed_slack(states, MethodSpec(rule, mode, min_seat_floor=floor),
                                        range(1, top + 1))
+
+
+def test_house_window_is_swept_at_most_twice(monkeypatch):
+    # when a solution touches a probed end, or no piece reaches the target,
+    # the fixed-slack window is swept once instead; no end is widened further
+    windows = []
+    sweep = engine._sweep
+
+    def recording(states, method, d_lo, d_hi):
+        windows.append((d_lo, d_hi))
+        return sweep(states, method, d_lo, d_hi)
+
+    monkeypatch.setattr(engine, "_sweep", recording)
+    # an end probed, then widened twice, by a search that doubled its margin
+    cases = [(states_of(7.0, 9.0, 4.0, 9.0, 7.0), 16, MethodSpec(WEBSTER, BY_STATE))]
+    for i, states in enumerate(random_house_instances(20261018, 48)):
+        top = math.floor(math.fsum(s.population for s in states)) + len(states) + 2
+        rule, mode, floor = HOUSE_METHODS[i % len(HOUSE_METHODS)]
+        cases += [(states, target, MethodSpec(rule, mode, min_seat_floor=floor))
+                  for target in range(1, top + 1)]
+    resweeps = 0
+    for states, target, method in cases:
+        windows.clear()
+        try:
+            apportion_for_house_size(states, target, method)
+        except (InfeasibleTarget, TargetUnachievable):
+            pass
+        assert len(windows) <= 2, (states, target, method, windows)
+        if len(windows) == 2:
+            resweeps += 1
+            (lo, hi), (cap_lo, cap_hi) = windows
+            assert cap_lo <= lo and hi <= cap_hi
+    assert resweeps > 0
 
 
 @pytest.mark.parametrize("pops, target, method, ends", [
