@@ -80,8 +80,8 @@ class TargetUnachievable(ApportionmentError):
 
     Carries the nearest achievable totals on both sides, measured over
     the pieces of the fixed-slack window v_T/(target ± (n·(1 + floor) + 1)),
-    floor being ``min_seat_floor``, which for small targets runs up to the
-    divisor beyond which no crossing is possible (``None`` when a side has
+    floor being ``min_seat_floor``, which for small targets runs to just
+    above the last divisor where seats change (``None`` when a side has
     none there).
     """
 
@@ -120,7 +120,7 @@ class MethodSpec:
         if not isinstance(self.rounding, _Hamilton) and not all(
                 hasattr(self.rounding, m) for m in ("rounds_up", "mark_at")):
             raise TypeError("rounding must be HAMILTON or provide rounds_up and mark_at")
-        if getattr(self.rounding, "divisor_dependent", False) and not hasattr(self.rounding, "margin"):
+        if self.divisor_dependent and not hasattr(self.rounding, "margin"):
             raise TypeError("a divisor-dependent rounding must provide margin")
         if self.min_seat_floor is not None and self.min_seat_floor < 0:
             raise ValueError("min_seat_floor must be non-negative")
@@ -128,6 +128,11 @@ class MethodSpec:
     @property
     def is_hamilton(self) -> bool:
         return isinstance(self.rounding, _Hamilton)
+
+    @property
+    def divisor_dependent(self) -> bool:
+        """Whether the marks move with D, so crossings are root-found on ``margin``."""
+        return bool(getattr(self.rounding, "divisor_dependent", False))
 
     def __str__(self) -> str:
         if self.is_hamilton:
@@ -317,11 +322,15 @@ def _mark_times_d_crossing(value: float, f: int, rounding, d_lo: float, d_hi: fl
     if not (m_lo := margin(d_lo)) >= 0.0 or (m_hi := margin(d_hi)) >= 0.0:
         return None
     lo, hi = d_lo, d_hi
-    width = math.ldexp(hi - lo, _ILLINOIS_SLACK)  # bound on the bracket, halved each step
+    # bound on the bracket from step _ILLINOIS_SLACK on, then halved; not the
+    # width pre-scaled by 2^slack, which overflows on brackets beyond ~1e307
+    width, step = hi - lo, 0
     kept = 0  # +1 if the last step moved lo, -1 if it moved hi
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        width *= 0.5
-        reach = max(width - 0.5 * (hi - lo), 0.0)
+        step += 1
+        if step > _ILLINOIS_SLACK:
+            width *= 0.5
+        reach = max(width - 0.5 * (hi - lo), 0.0) if step >= _ILLINOIS_SLACK else math.inf
         # m_lo >= 0 > m_hi, so span > 0 unless a margin is NaN or halved to zero
         d = lo + (hi - lo) * (m_lo / span) if (span := m_lo - m_hi) > 0.0 else mid
         d = min(max(d, math.nextafter(lo, hi), mid - reach), math.nextafter(hi, lo), mid + reach)
@@ -365,10 +374,8 @@ def _mark_crossings(value: float, rounding, d_lo: float, d_hi: float,
 
 def _boundary_crossings(value: float, d_lo: float, d_hi: float) -> list[float]:
     """All D in [d_lo, d_hi] where v/D (v = ``value``) is an integer."""
-    k_lo = max(1, int(math.ceil(value / d_hi)) - 1)
-    k_hi = int(math.floor(value / d_lo)) + 1
     out = []
-    for k in range(k_lo, k_hi + 1):
+    for k in range(max(1, math.ceil(value / d_hi)), math.floor(value / d_lo) + 1):
         d = value / k
         if d_lo <= d <= d_hi:
             out.append(d)
@@ -389,7 +396,6 @@ def _crossing_events(states: tuple[StateProfile, ...], method: MethodSpec,
     state whose floor(v/D) reaches f in the window; between two cuts its
     members and volume are fixed, so the volume's crossings are listed once.
     """
-    divisor_dependent = bool(getattr(method.rounding, "divisor_dependent", False))
     tags: dict[float, tuple[list[int], list[int]]] = {d_lo: ([], []), d_hi: ([], [])}
 
     def tag(ds: Iterable[float], kind: int, ident: int) -> None:
@@ -401,7 +407,7 @@ def _crossing_events(states: tuple[StateProfile, ...], method: MethodSpec,
     if method.mode == BY_STATE:
         for i, s in enumerate(states):
             tag(_mark_crossings(s.population, method.rounding, d_lo, d_hi,
-                                divisor_dependent), 0, i)
+                                method.divisor_dependent), 0, i)
     else:
         candidates: dict[int, list[float]] = {}  # f -> populations, input order
         for s in states:
@@ -419,7 +425,7 @@ def _crossing_events(states: tuple[StateProfile, ...], method: MethodSpec,
                         vol += v
                 if vol:  # populations are positive, so the family has members
                     tag(_boundary_crossings(vol, a, b), 1, f)
-                    tag(_mark_crossings(vol, method.rounding, a, b, divisor_dependent), 1, f)
+                    tag(_mark_crossings(vol, method.rounding, a, b, method.divisor_dependent), 1, f)
     return sorted(tags.items())
 
 
@@ -596,25 +602,16 @@ def breakpoints(states: Iterable[StateProfile], method: MethodSpec,
     return [p.hi for p in pieces[:-1]]
 
 
-def _forces_one_seat_each(method: MethodSpec) -> bool:
-    # state-mode marks with r(0) = 0 give every positive quota a seat
-    if method.mode != BY_STATE or method.is_hamilton:
-        return False
-    try:
-        return method.rounding.mark_at(0, 1.0) == 0.0
-    except Exception:
-        return False
-
-
-def _seat_bounds(pops: list[float], method: MethodSpec):
+def _seat_bounds(states: tuple[StateProfile, ...], method: MethodSpec):
     """``(L, U)``: seat totals with L(D) <= total(D) <= U(D), both non-increasing in D."""
-    floor_seats = method.min_seat_floor or 0
-    if method.mode == BY_STATE and not getattr(method.rounding, "divisor_dependent", False):
-        rounding = method.rounding
+    if method.mode == BY_STATE and not method.divisor_dependent:
+        seats_at = _Direct(states, method).seats_at
 
         def exact(d: float) -> int:
-            return sum(max(round_quota(v / d, rounding, d), floor_seats) for v in pops)
+            return sum(seats_at(d))
         return exact, exact
+    pops = [s.population for s in states]
+    floor_seats = method.min_seat_floor or 0
 
     def lower(d: float) -> int:
         return sum(max(math.floor(v / d), floor_seats) for v in pops)
@@ -624,26 +621,24 @@ def _seat_bounds(pops: list[float], method: MethodSpec):
     return lower, upper
 
 
-def _freeze_divisor(states: tuple[StateProfile, ...], target: int, method: MethodSpec,
-                    d_lo: float) -> float:
-    """A divisor beyond which no further crossing is possible (small targets)."""
-    v_t = math.fsum(s.population for s in states)
-    v_max = max(s.population for s in states)
-    if not getattr(method.rounding, "divisor_dependent", False):
-        r0 = method.rounding.mark_at(0, 1.0)
-        base = v_max if method.mode == BY_STATE else v_t
-        hi = (base / r0 if r0 > 0 else base) * (1 + 1e-9)
-        return max(hi, d_lo * 2)
-    # divisor-dependent marks: expand until the total settles at or below target
-    hi = max(v_t, 2 * v_max)
-    prev_total = None
-    for _ in range(80):
-        total = apportion_at_divisor(states, hi, method).total_seats
-        if total < target or total == prev_total:
-            break
-        prev_total = total
-        hi *= 2
-    return hi
+# The far end of the bracket on which the freeze divisor's mark crossing is
+# solved: finite, inside the crossing solver's range, beyond any population.
+_FAR = 1e300
+
+
+def _freeze_divisor(states: tuple[StateProfile, ...], method: MethodSpec, d_lo: float) -> float:
+    """A divisor just above the last one where seats change (small targets).
+
+    Above v (each state's population in state mode, v_T in family mode)
+    its quota is below 1, so only the mark r(0, D) is left to cross.  Every
+    state counts: under a bounded law a state above the support keeps its
+    seat for good, while a smaller one may lose its seat further out.
+    """
+    pops = [s.population for s in states]
+    ends = []
+    for v in pops if method.mode == BY_STATE else [math.fsum(pops)]:
+        ends += [v, *_mark_crossings(v, method.rounding, v, _FAR, method.divisor_dependent)]
+    return max(max(ends) * (1 + 1e-9), d_lo * 2)
 
 
 def _search_window(states: tuple[StateProfile, ...], target: int,
@@ -657,9 +652,9 @@ def _search_window(states: tuple[StateProfile, ...], target: int,
     *Bounds.*  Two seat totals L(D) <= total(D) <= U(D), both
     non-increasing in D also in float arithmetic, with m = min_seat_floor:
 
-    - state mode with constant marks: L = U = the exact total
-      sum max(round_quota(v/D), m).  fl(v/D) is monotone in D, and floor
-      and the test q >= r(f) are monotone in q, so the total is too;
+    - state mode with constant marks: L = U = the exact total, that of
+      ``_Direct.seats_at(D)``.  fl(v/D) is monotone in D, and floor and
+      the test q >= r(f) are monotone in q, so the total is too;
     - every other case (family mode, divisor-dependent marks):
       L = sum max(floor(v/D), m) and U = sum max(floor(v/D) + 1, m).
       Every rounding gives a state floor(q) or floor(q) + 1 of its float
@@ -678,9 +673,10 @@ def _search_window(states: tuple[StateProfile, ...], target: int,
     seat) after each failed probe.  Each end is capped at the fixed-slack
     bound v_T/(target ± (n·(1 + m) + 1)): every state or family rounds
     within (its quota − 1, quota + 1] and the floor adds at most m per
-    state.  For small targets the upper cap is instead the freeze divisor
-    beyond which no crossing is possible, and only there is frozen_above
-    set.
+    state.  For small targets (target − (n·(1 + m) + 1) < 1) the upper cap
+    is instead the freeze divisor, just above the last divisor where seats
+    change, state boundaries and r(0, D) crossings included, for every
+    rounding; only there is frozen_above set.
 
     *Edge checks.*  A probe is a float, not a candidate divisor, so a
     solution piece touching it would end at the probe instead of at its
@@ -691,15 +687,14 @@ def _search_window(states: tuple[StateProfile, ...], target: int,
     exactly as in the fixed-slack window, and when the target is not
     reached the nearest totals are those over the fixed-slack window.
     """
-    pops = [s.population for s in states]
-    v_t = math.fsum(pops)
+    v_t = math.fsum(s.population for s in states)
     slack = len(states) * (1 + (method.min_seat_floor or 0)) + 1
     cap_lo = v_t / (target + slack)
     if target - slack >= 1:
         cap_hi, frozen_above = v_t / (target - slack), False
     else:
-        cap_hi, frozen_above = _freeze_divisor(states, target, method, cap_lo), True
-    lower, upper = _seat_bounds(pops, method)
+        cap_hi, frozen_above = _freeze_divisor(states, method, cap_lo), True
+    lower, upper = _seat_bounds(states, method)
     l_0, u_0 = lower(v_t / target), upper(v_t / target)
 
     def lower_end() -> float:
@@ -756,8 +751,10 @@ def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,
                 raise InfeasibleTarget(
                     "min_seat_floor is incompatible with Hamilton's fixed total")
         return [app]
-    per_state_min = max(floor_seats, 1) if _forces_one_seat_each(method) else floor_seats
-    forced_min = n * per_state_min
+    # state-mode constant marks with r(0) = 0 give every positive quota a seat
+    forces_one = (method.mode == BY_STATE and not method.divisor_dependent
+                  and method.rounding.mark_at(0, 1.0) == 0.0)
+    forced_min = n * (max(floor_seats, 1) if forces_one else floor_seats)
     if target_total < forced_min:
         raise InfeasibleTarget(
             f"target {target_total} infeasible: method forces at least "

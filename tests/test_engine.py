@@ -592,9 +592,10 @@ class CountingMarks(DistributionMarks):
 def test_mark_crossing_on_a_wide_bracket_is_the_decision_flip():
     # 120 halvings leave [1e-3, 1e40] about 7,500 wide, with a midpoint
     # (3761.58) where the decision is false on both sides: the root finder
-    # must run to adjacent floats however many steps that takes
+    # must run to adjacent floats however many steps that takes; a bracket
+    # wider than 2^-slack of the float range must not overflow its bound
     marks = DistributionMarks(LogNormal(0.0, 1.0))
-    for d_hi in (1e30, 1e40):
+    for d_hi in (1e30, 1e40, 1.5e308):
         d = _mark_times_d_crossing(5.0, 2, marks, 1e-3, d_hi)
         assert d == 2.035736937462085
         assert is_decision_flip(5.0, 2, marks, d)
@@ -860,7 +861,6 @@ def per_span_family_events(states, method, d_lo, d_hi):
     state-boundary crossings, floor every state at the midpoint, sum the
     family volumes in input order and enumerate each family's crossings
     within that span.  Returns {D: (state ids, family ids)}."""
-    divisor_dependent = bool(getattr(method.rounding, "divisor_dependent", False))
     tags = {d_lo: (set(), set()), d_hi: (set(), set())}
     for i, s in enumerate(states):
         for d in _boundary_crossings(s.population, d_lo, d_hi):
@@ -874,7 +874,7 @@ def per_span_family_events(states, method, d_lo, d_hi):
             volumes[f] = volumes.get(f, 0.0) + s.population
         for f, vol in volumes.items():
             for d in (_boundary_crossings(vol, a, b)
-                      + _mark_crossings(vol, method.rounding, a, b, divisor_dependent)):
+                      + _mark_crossings(vol, method.rounding, a, b, method.divisor_dependent)):
                 tags.setdefault(d, (set(), set()))[1].add(f)
     return tags
 
@@ -932,6 +932,17 @@ def test_family_events_match_per_span_rule_with_lognormal_marks():
 
 # --- the probed house-size window against the fixed-slack one -------------
 
+def frozen_upper_end(states, method, lo):
+    """The divisor beyond which constant marks change no seat: above the
+    largest population (v_T in family mode) only r(0) is left, crossed
+    at that population / r(0)."""
+    assert not method.divisor_dependent
+    r0 = method.rounding.mark_at(0, 1.0)
+    v_t = math.fsum(s.population for s in states)
+    base = max(s.population for s in states) if method.mode == BY_STATE else v_t
+    return max((base / r0 if r0 > 0 else base) * (1 + 1e-9), 2 * lo)
+
+
 def fixed_slack_solutions(states, target, method):
     """House-size search over the fixed-slack window, written out plainly.
 
@@ -947,13 +958,7 @@ def fixed_slack_solutions(states, target, method):
     slack = len(states) * (1 + (method.min_seat_floor or 0)) + 1
     lo = v_t / (target + slack)
     frozen = target - slack < 1
-    if frozen:
-        assert not getattr(method.rounding, "divisor_dependent", False)
-        r0 = method.rounding.mark_at(0, 1.0)
-        base = max(s.population for s in states) if method.mode == BY_STATE else v_t
-        hi = max((base / r0 if r0 > 0 else base) * (1 + 1e-9), 2 * lo)
-    else:
-        hi = v_t / (target - slack)
+    hi = frozen_upper_end(states, method, lo) if frozen else v_t / (target - slack)
     pieces = _sweep(states, method, lo, hi)
     solutions, seen = [], set()
     for idx, p in enumerate(pieces):
@@ -1105,3 +1110,82 @@ def test_house_window_widens_an_end_a_solution_touches(pops, target, method, end
     [solution] = apportion_for_house_size(states, target, method)
     assert solution.d_interval == ends
     assert_same_as_fixed_slack(states, method, [target])
+
+
+# --- small house sizes under marks that move with D ------------------------
+
+def test_freeze_divisor_of_constant_marks_is_the_closed_form():
+    # the freeze divisor comes from the crossing finder for every rounding;
+    # for constant marks it is the float the closed form gives
+    for states in random_house_instances(20261019, 40):
+        v_t = math.fsum(s.population for s in states)
+        for rule in SWEEP_RULES:
+            for mode in (BY_STATE, BY_FAMILY):
+                for floor in (None, 1):
+                    method = MethodSpec(rule, mode, min_seat_floor=floor)
+                    slack = len(states) * (1 + (floor or 0)) + 1
+                    for target in range(1, slack):
+                        lo = v_t / (target + slack)
+                        assert engine._freeze_divisor(states, method, lo) == \
+                            frozen_upper_end(states, method, lo), (rule, mode, states)
+
+
+def test_small_target_under_moving_marks_ends_where_its_seat_is_lost():
+    # on the uniform law's support [0, D] holds mass evenly, so r(0, D) = 1/2:
+    # the state's one seat holds up to D = 2v, not for every larger divisor
+    v = 1.2402584540376074
+    marks = DistributionMarks(Uniform(0.0, 339.300204245145))
+    method = MethodSpec(marks)
+    [solution] = apportion_for_house_size(states_of(v), 1, method)
+    lo, hi = solution.d_interval
+    assert lo == 0.8268389693584048 and hi == pytest.approx(2 * v, rel=1e-12)
+    assert is_decision_flip(v, 0, marks, hi)
+    assert apportion_at_divisor(states_of(v), 2.6, method).seats == {"s0": 0}
+
+
+def test_moving_marks_force_no_seat_on_every_state():
+    # r(0, D) = 0 only while [0, D] holds none of the law's mass: past
+    # D = 1000 the smaller states lose their seats, so every total below
+    # one seat per state is reached
+    states = states_of(1200.0, 1500.0, 2000.0, 2600.0, 3100.0, 3900.0, 4500.0)
+    method = MethodSpec(DistributionMarks(Uniform(1000.0, 5000.0)))
+    for target in range(1, 7):
+        [solution] = apportion_for_house_size(states, target, method)
+        assert solution.total_seats == target
+        assert apportion_at_divisor(states, solution.divisor, method).seats == solution.seats
+
+
+def moving_marks_instances(seed, count):
+    """1–6 states under lognormal or uniform marks; the uniform law's top
+    may lie below some populations, whose seats then never go."""
+    rng = random.Random(seed)
+    for i in range(count):
+        pops = [math.exp(rng.uniform(-1.0, 3.0)) for _ in range(rng.randint(1, 6))]
+        if i % 2:
+            dist = LogNormal(rng.uniform(-1.0, 3.0), rng.uniform(0.3, 2.0))
+        else:
+            low = rng.choice([0.0, rng.uniform(0.0, min(pops))])
+            dist = Uniform(low, max(low + 0.1, rng.uniform(0.3, 3.0) * max(pops)))
+        yield states_of(*pops), DistributionMarks(dist)
+
+
+def test_small_targets_under_moving_marks_hold_to_their_ends():
+    # every solution is the direct apportionment at its divisor, and one
+    # reported to hold for every larger divisor holds at far ones
+    frozen = 0
+    for states, marks in moving_marks_instances(20261018, 40):
+        for mode in (BY_STATE, BY_FAMILY):
+            method = MethodSpec(marks, mode)
+            for target in range(1, len(states) + 2):
+                try:
+                    solutions = apportion_for_house_size(states, target, method)
+                except TargetUnachievable:
+                    continue
+                for sol in solutions:
+                    assert apportion_at_divisor(states, sol.divisor, method).seats == sol.seats
+                    if sol.d_interval[1] == math.inf:
+                        frozen += 1
+                        for k in (2, 16, 1e6):
+                            far = apportion_at_divisor(states, k * sol.divisor, method)
+                            assert far.seats == sol.seats, (states, marks, mode, target, k)
+    assert frozen >= 10, frozen
