@@ -102,7 +102,9 @@ class MethodSpec:
 
     ``rounding`` is ``HAMILTON``, or a signpost rule or marks object with
     ``rounds_up(quota, f, divisor)`` (is quota >= r(f, D)?) and ``mark_at(f, divisor)``.
-    One whose marks move with D declares ``divisor_dependent = True`` and
+    With constant marks the engine decides ``quota >= mark_at(f, D)`` itself,
+    reading each mark once per call; ``rounds_up`` is consulted only when marks
+    move.  One whose marks move with D declares ``divisor_dependent = True`` and
     must also provide ``margin(quota, f, divisor)``: a float that is >= 0
     exactly when ``rounds_up`` is true, on which mark crossings are root-found.
     ``min_seat_floor``, when set, raises every state to at least that
@@ -208,7 +210,8 @@ class _Direct:
     name) order); ``seats_at(D)`` then rounds with the float operations of
     ``compute_quotas`` and ``partition_families``: q = v/D per state, a
     family as a run of equal floor(q) in (population, name) order with its
-    quota summed by ``sum()`` in that order, ``round_quota``,
+    quota summed by ``sum()`` in that order, ``round`` (``round_quota``'s
+    rule, with constant marks kept in a table for the evaluator's life),
     ``positional_split`` and the seat floor.  The states must already be
     checked (``compute_quotas`` checks them).
     """
@@ -218,30 +221,50 @@ class _Direct:
         self.names = [s.name for s in states]
         self.pops = [s.population for s in states]
         self.rounding = method.rounding
+        self.moving = method.divisor_dependent
+        self.marks: dict[int, float] = {}  # constant marks r(f), each read once
         self.floor = method.min_seat_floor or 0
         self.by_family = method.mode == BY_FAMILY
         if self.by_family:
             self.order = sorted(range(len(states)), key=lambda i: (self.pops[i], self.names[i]))
             self.sorted_pops = [self.pops[i] for i in self.order]
+            self.rank = sorted(range(len(states)), key=self.order.__getitem__)  # order's inverse
+
+    def round(self, quota: float, divisor: float) -> int:
+        """``round_quota(quota, rounding, divisor)``, with each constant mark
+        read from the rule once per evaluator: q >= r(f) is the decision."""
+        if self.moving:
+            return round_quota(quota, self.rounding, divisor)
+        f = math.floor(quota)
+        if quota == f:
+            return f
+        mark = self.marks.get(f)
+        if mark is None:
+            mark = self.marks[f] = self.rounding.mark_at(f, divisor)
+        return f + 1 if quota >= mark else f
 
     def seats_at(self, divisor: float) -> tuple[int, ...]:
         """Every state's seats at ``divisor``, in input order, floor applied."""
-        rounding = self.rounding
-        if not self.by_family:
-            seats = [round_quota(v / divisor, rounding, divisor) for v in self.pops]
+        round_ = self.round
+        if not self.by_family:  # round() inlined where a read mark decides; it fills the table
+            marks, seats = self.marks, []
+            for v in self.pops:
+                f = math.floor(q := v / divisor)
+                mark = marks.get(f)
+                seats.append(round_(q, divisor) if mark is None or q == f
+                             else f + 1 if q >= mark else f)
         else:
-            seats = [0] * len(self.pops)
             quotas = [v / divisor for v in self.sorted_pops]
-            families = [math.floor(q) for q in quotas]
+            ranked: list[int] = []
             lo = 0
             while lo < len(quotas):
-                f = families[lo]
-                hi = bisect_right(families, f, lo)
-                m_low, _ = positional_split(
-                    f, hi - lo, round_quota(sum(quotas[lo:hi]), rounding, divisor))
-                for k in range(lo, hi):
-                    seats[self.order[k]] = f + (k - lo >= m_low)
+                f = math.floor(quotas[lo])
+                hi = bisect_left(quotas, f + 1, lo + 1)  # a family: a run of equal floor(q)
+                q = quotas[lo] if hi == lo + 1 else sum(quotas[lo:hi])  # sum() of one is itself
+                m_low, m_high = positional_split(f, hi - lo, round_(q, divisor))
+                ranked += [f] * m_low + [f + 1] * m_high
                 lo = hi
+            seats = [ranked[p] for p in self.rank]
         if self.floor:
             return tuple(max(s, self.floor) for s in seats)
         return tuple(seats)
@@ -314,7 +337,10 @@ def _mark_times_d_crossing(value: float, f: int, rounding, d_lo: float, d_hi: fl
     midpoint so that after k steps the bracket is at most 2^(slack − k) of its
     first width.  So it takes at most ``_ILLINOIS_SLACK`` + 1 steps more than
     bisection; like bisection, it keeps the decision true at ``lo`` and false
-    at ``hi`` and returns their midpoint once they are adjacent floats.
+    at ``hi`` and returns their midpoint once they are adjacent floats.  A
+    bracket wider than 64 binades (the freeze divisor's [v, 1e300]) is first
+    cut to one binade at geometric means, where false position would creep
+    down from the far end a few binades per step.
     """
     def margin(d: float) -> float:
         return rounding.margin(value / d, f, d)
@@ -322,6 +348,12 @@ def _mark_times_d_crossing(value: float, f: int, rounding, d_lo: float, d_hi: fl
     if not (m_lo := margin(d_lo)) >= 0.0 or (m_hi := margin(d_hi)) >= 0.0:
         return None
     lo, hi = d_lo, d_hi
+    while d_hi > 2.0 ** 64 * d_lo and hi > 2.0 * lo:
+        d = math.sqrt(lo) * math.sqrt(hi)  # geometric probes first, down to one binade
+        if (m := margin(d)) >= 0.0:
+            lo, m_lo = d, m
+        else:
+            hi, m_hi = d, m
     # bound on the bracket from step _ILLINOIS_SLACK on, then halved; not the
     # width pre-scaled by 2^slack, which overflows on brackets beyond ~1e307
     width, step = hi - lo, 0
@@ -444,9 +476,6 @@ class _SeatTracker(_Direct):
         self.seats = list(self.seats_at(divisor))  # min_seat_floor applied
         self.total = sum(self.seats)
         if self.by_family:
-            self.rank = [0] * len(states)
-            for p, i in enumerate(self.order):
-                self.rank[i] = p
             self.family = [math.floor(v / divisor) for v in self.sorted_pops]
 
     def _set(self, i: int, seats: int) -> bool:
@@ -467,8 +496,7 @@ class _SeatTracker(_Direct):
         moved = False
         if not self.by_family:
             for i in state_ids:
-                q = self.pops[i] / divisor
-                moved |= self._set(i, round_quota(q, self.rounding, divisor))
+                moved |= self._set(i, self.round(self.pops[i] / divisor, divisor))
             return moved
         families = set(family_ids)
         for i in state_ids:
@@ -483,7 +511,7 @@ class _SeatTracker(_Direct):
                 continue
             # summed in member order, exactly as Family.quota does
             quota = sum(v / divisor for v in self.sorted_pops[lo:hi])
-            m_low, _ = positional_split(f, hi - lo, round_quota(quota, self.rounding, divisor))
+            m_low, _ = positional_split(f, hi - lo, self.round(quota, divisor))
             for k in range(hi - lo):
                 moved |= self._set(self.order[lo + k], f + (k >= m_low))
         return moved

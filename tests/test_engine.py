@@ -580,13 +580,21 @@ def bisection_steps(value, f, rounding, d_lo, d_hi):
 
 
 class CountingMarks(DistributionMarks):
-    """Distribution marks that count their margin evaluations."""
+    """Distribution marks that count their margin, rounds_up and mark_at calls."""
 
-    margins = 0
+    margins = rounds_ups = mark_ats = 0
 
     def margin(self, quota, f, divisor):
         self.margins += 1
         return super().margin(quota, f, divisor)
+
+    def rounds_up(self, quota, f, divisor):
+        self.rounds_ups += 1
+        return super().rounds_up(quota, f, divisor)
+
+    def mark_at(self, f, divisor):
+        self.mark_ats += 1
+        return super().mark_at(f, divisor)
 
 
 def test_mark_crossing_on_a_wide_bracket_is_the_decision_flip():
@@ -804,6 +812,77 @@ def test_family_quota_is_rounded_as_partition_families_sums_it():
     assert [app.seats for app in solutions if app.divisor == 1.0] == [want.seats]
     for app in solutions:
         assert_same_as_eager(app, states, method)
+
+
+# --- the direct evaluator against per-state round_quota --------------------
+
+@st.composite
+def rounding_instances(draw):
+    """``(states, divisor)``: 1-8 states, ties among them, and populations at
+    whole and half multiples of the divisor, so quotas land exactly on an
+    integer f (meeting r(f) = f under Adams) and on Webster's marks."""
+    divisor = draw(st.sampled_from([1.0, 0.5, 3.0]) | st.floats(min_value=0.05, max_value=20.0))
+    pool = draw(st.lists(st.floats(min_value=0.01, max_value=40.0)
+                         | st.integers(1, 30).map(lambda k: k * divisor)
+                         | st.integers(1, 60).map(lambda k: k * divisor / 2),
+                         min_size=1, max_size=8))
+    return states_of(*draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))), divisor
+
+
+@given(instance=rounding_instances(),
+       rule=st.sampled_from(SWEEP_RULES + (power_law(-1.0), power_law(0.0))),
+       mode=st.sampled_from((BY_STATE, BY_FAMILY)),
+       floor=st.sampled_from((None, 1, 2)))
+@settings(max_examples=400, deadline=None)
+def test_direct_rounding_equals_round_quota_per_state(instance, rule, mode, floor):
+    # the evaluator reads each constant mark once and decides q >= r(f) itself;
+    # the reference asks round_quota per state and uses partition_families
+    states, divisor = instance
+    method = MethodSpec(rule, mode, floor)
+    assert apportion_at_divisor(states, divisor, method) == \
+        eager_apportionment(states, divisor, method)
+
+
+class CountingWebster:
+    """Webster's constant marks, counting the engine's calls to each entry."""
+
+    divisor_dependent = False
+    rounds_ups = mark_ats = 0
+
+    def rounds_up(self, quota, f, divisor):
+        self.rounds_ups += 1
+        return WEBSTER.rounds_up(quota, f, divisor)
+
+    def mark_at(self, f, divisor):
+        self.mark_ats += 1
+        return WEBSTER.mark_at(f, divisor)
+
+
+def test_constant_marks_are_read_once_per_call_and_moving_ones_decided():
+    # constant marks: each mark read from the rule once per call, no rounds_up
+    states = bundled_census(2020)
+    v_t = math.fsum(s.population for s in states)
+    for mode in (BY_STATE, BY_FAMILY):
+        rule = CountingWebster()
+        pieces = piecewise_apportionments(states, MethodSpec(rule, mode), v_t / 600, v_t / 300)
+        assert rule.rounds_ups == 0 and rule.mark_ats < 1000
+        webster = piecewise_apportionments(states, MethodSpec(WEBSTER, mode), v_t / 600, v_t / 300)
+        assert [(a, b, app.seats) for a, b, app in pieces] == \
+            [(a, b, app.seats) for a, b, app in webster]
+        rule = CountingWebster()
+        solutions = apportion_for_house_size(states, 435, MethodSpec(rule, mode))
+        assert rule.rounds_ups == 0
+        assert [app.seats for app in solutions] == \
+            [app.seats for app in apportion_for_house_size(states, 435, MethodSpec(WEBSTER, mode))]
+    # moving marks: every rounding is decided by rounds_up, no mark is solved
+    for mode in (BY_STATE, BY_FAMILY):
+        marks = CountingMarks(LogNormal(math.log(5.0 * v_t / 435), 1.0))
+        apportion_at_divisor(states, v_t / 435, MethodSpec(marks, mode))
+        roundings = len(states) if mode == BY_STATE else \
+            len(partition_families(compute_quotas(states, v_t / 435)))
+        assert (marks.rounds_ups, marks.mark_ats) == (roundings, 0)
+        piecewise_apportionments(states, MethodSpec(marks, mode), v_t / 440, v_t / 430)
+        assert marks.rounds_ups > roundings and marks.mark_ats == 0
 
 
 # --- piece seats against exact rounding (fault (b)) ------------------------
