@@ -243,6 +243,15 @@ class _Direct:
             mark = self.marks[f] = self.rounding.mark_at(f, divisor)
         return f + 1 if quota >= mark else f
 
+    def runs(self, divisor: float) -> tuple[list[float], list[int]]:
+        """Family mode: the sorted quotas at ``divisor`` and where each family ends."""
+        quotas = [v / divisor for v in self.sorted_pops]
+        ends, lo = [], 0
+        while lo < len(quotas):
+            lo = bisect_left(quotas, math.floor(quotas[lo]) + 1, lo + 1)
+            ends.append(lo)
+        return quotas, ends
+
     def seats_at(self, divisor: float) -> tuple[int, ...]:
         """Every state's seats at ``divisor``, in input order, floor applied."""
         round_ = self.round
@@ -254,12 +263,11 @@ class _Direct:
                 seats.append(round_(q, divisor) if mark is None or q == f
                              else f + 1 if q >= mark else f)
         else:
-            quotas = [v / divisor for v in self.sorted_pops]
+            quotas, ends = self.runs(divisor)
             ranked: list[int] = []
             lo = 0
-            while lo < len(quotas):
+            for hi in ends:
                 f = math.floor(quotas[lo])
-                hi = bisect_left(quotas, f + 1, lo + 1)  # a family: a run of equal floor(q)
                 q = quotas[lo] if hi == lo + 1 else sum(quotas[lo:hi])  # sum() of one is itself
                 m_low, m_high = positional_split(f, hi - lo, round_(q, divisor))
                 ranked += [f] * m_low + [f + 1] * m_high
@@ -630,23 +638,45 @@ def breakpoints(states: Iterable[StateProfile], method: MethodSpec,
     return [p.hi for p in pieces[:-1]]
 
 
-def _seat_bounds(states: tuple[StateProfile, ...], method: MethodSpec):
-    """``(L, U)``: seat totals with L(D) <= total(D) <= U(D), both non-increasing in D."""
+def _exact_floor(terms: list[float]) -> int:
+    """Floor of the exact sum of ``terms`` (``fsum`` rounds it correctly)."""
+    total = math.fsum(terms)
+    if total == (floor := math.floor(total)) and math.fsum([*terms, -total]) < 0.0:
+        return floor - 1
+    return floor
+
+
+def _seat_bounds(states: tuple[StateProfile, ...], method: MethodSpec, top: float):
+    """``bounds(D) -> (L, U)`` with L(D) <= total(D) <= U(D), both non-increasing
+    in D while the quotas total at most ``top`` (see ``_search_window``)."""
+    direct = _Direct(states, method)
+    floor_seats = direct.floor
     if method.mode == BY_STATE and not method.divisor_dependent:
-        seats_at = _Direct(states, method).seats_at
+        def exact(d: float) -> tuple[int, int]:
+            total = sum(direct.seats_at(d))
+            return total, total
+        return exact
+    if method.mode == BY_STATE:
+        def per_state(d: float) -> tuple[int, int]:
+            floors = [math.floor(v / d) for v in direct.pops]
+            return (sum(max(f, floor_seats) for f in floors),
+                    sum(max(f + 1, floor_seats) for f in floors))
+        return per_state
+    eta = (len(states) + 2) * 2.0 ** -52 * top  # covers sum()'s error, naive or compensated
 
-        def exact(d: float) -> int:
-            return sum(seats_at(d))
-        return exact, exact
-    pops = [s.population for s in states]
-    floor_seats = method.min_seat_floor or 0
-
-    def lower(d: float) -> int:
-        return sum(max(math.floor(v / d), floor_seats) for v in pops)
-
-    def upper(d: float) -> int:
-        return sum(max(math.floor(v / d) + 1, floor_seats) for v in pops)
-    return lower, upper
+    def per_family(d: float) -> tuple[int, int]:
+        quotas, ends = direct.runs(d)
+        lower = upper = 0
+        for lo, hi in zip([0, *ends], ends):
+            f, k, run = math.floor(quotas[lo]), hi - lo, quotas[lo:hi]
+            floor = math.floor(x := math.fsum(run))  # X_f, correctly rounded: within η/6
+            ceil = floor + 1
+            if not floor <= x - 2 * eta and x + 2 * eta < ceil:  # an integer within 2η of x
+                floor, ceil = _exact_floor([*run, -eta]), -_exact_floor([-q for q in run] + [-eta])
+            lower += max(floor, k * max(f, floor_seats))  # a seat floor m lifts f < m to m·k
+            upper += max(min(ceil, k * (f + 1)), k * floor_seats)
+        return lower, upper
+    return per_family
 
 
 # The far end of the bracket on which the freeze divisor's mark crossing is
@@ -677,22 +707,30 @@ def _search_window(states: tuple[StateProfile, ...], target: int,
     apportionment is constant for all D above the last piece, so a
     solution on it extends to infinity.
 
-    *Bounds.*  Two seat totals L(D) <= total(D) <= U(D), both
-    non-increasing in D also in float arithmetic, with m = min_seat_floor:
+    *Bounds.*  Two seat totals L(D) <= total(D) <= U(D) on D >= cap_lo,
+    both non-increasing in D, with m = min_seat_floor:
 
     - state mode with constant marks: L = U = the exact total, that of
       ``_Direct.seats_at(D)``.  fl(v/D) is monotone in D, and floor and
       the test q >= r(f) are monotone in q, so the total is too;
-    - every other case (family mode, divisor-dependent marks):
-      L = sum max(floor(v/D), m) and U = sum max(floor(v/D) + 1, m).
-      Every rounding gives a state floor(q) or floor(q) + 1 of its float
-      quota, and these sums use only float division and floor.
+    - state mode with divisor-dependent marks: L = sum max(floor(v/D), m)
+      and U = sum max(floor(v/D) + 1, m), as every rounding gives a state
+      floor(q) or floor(q) + 1 of its float quota;
+    - family mode: L = sum_f max(floor(X_f − η), k_f·f) and
+      U = sum_f min(ceil(X_f + η), k_f·(f+1)) (m·k_f each if f < m), with
+      X_f the exact sum of family f's k_f float quotas and η = (n+2)·2⁻⁵²·
+      (target + slack + 2) a bound, on [cap_lo, ∞), on the error of the
+      evaluator's ``sum()`` of them, naive or compensated.  It rounds that
+      sum to its floor or floor + 1 in [k_f·f, k_f·(f+1)], so L and U
+      bracket the total.  Unless an integer lies within 2η of ``fsum``'s
+      X_f, the two terms are its floor and floor + 1; else ``_exact_floor``
+      takes them.  As D grows the quotas fl(v/D) fall, X_f with them, and
+      a member leaving f (quota >= f) for a lower g (quota < g + 1 <= f)
+      lowers f's terms by at least what it adds to g's, as an integer
+      shift commutes with floor(· − η) and ceil(· + η).
 
-    So if L(d_lo) > target, no D <= d_lo reaches the target, and if
-    U(d_hi) < target, no D >= d_hi does.  (The family-quota bound
-    sum floor(Q_f) .. sum ceil(Q_f) would be tighter, but a float
-    membership flip can move it by one seat, so it is not monotone in
-    floats.)
+    So if L(d_lo) > target, no D in [cap_lo, d_lo] reaches it (nor, by the
+    slack below, any D < cap_lo); if U(d_hi) < target, no D >= d_hi does.
 
     *Probing.*  From D_0 = v_T/target each end takes secant steps on v_T/D:
     the lower end probes v_T/(2·target − L(D_0) + 1 + margin) until L
@@ -722,13 +760,13 @@ def _search_window(states: tuple[StateProfile, ...], target: int,
         cap_hi, frozen_above = v_t / (target - slack), False
     else:
         cap_hi, frozen_above = _freeze_divisor(states, method, cap_lo), True
-    lower, upper = _seat_bounds(states, method)
-    l_0, u_0 = lower(v_t / target), upper(v_t / target)
+    bounds = _seat_bounds(states, method, target + slack + 2)
+    l_0, u_0 = bounds(v_t / target)
 
     def lower_end() -> float:
         margin = 1
         while (k := 2 * target - l_0 + 1 + margin) < target + slack:
-            if k > 0 and lower(v_t / k) > target:
+            if k > 0 and bounds(v_t / k)[0] > target:
                 return v_t / k
             margin *= 2
         return cap_lo
@@ -736,7 +774,7 @@ def _search_window(states: tuple[StateProfile, ...], target: int,
     def upper_end() -> float:
         margin = 1
         while (k := 2 * target - u_0 - 1 - margin) > 0 and v_t / k < cap_hi:
-            if upper(v_t / k) < target:
+            if bounds(v_t / k)[1] < target:
                 return v_t / k
             margin *= 2
         return cap_hi
@@ -760,7 +798,8 @@ def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,
     divisor, each with ``d_interval`` set to the maximal divisor run
     (lo, hi] on which it holds (``math.inf`` upper end when the
     apportionment stays frozen for all larger divisors).  A length-2+
-    list is the multiple-solution paradox surfaced, not an error.
+    list is the multiple-solution paradox surfaced, not an error.  A
+    solution's piece and its neighbours are checked (``ApportionmentError``).
     Hamilton returns a single apportionment at D = v_T/target.
     """
     states = tuple(states)
@@ -798,7 +837,8 @@ def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,
             continue  # same seat vector on a lower disjoint run; keep the top one
         upper = math.inf if (frozen_above and idx == len(pieces) - 1) else piece.hi
         seen.add(piece.seats)
-        direct.check(piece)
+        for near in pieces[max(idx - 1, 0):idx + 2]:  # and its neighbours, which share its ends
+            direct.check(near)
         solutions.append(direct.apportionment(piece, (piece.lo, upper)))
     if not solutions:
         totals = {p.total for p in pieces}

@@ -550,6 +550,20 @@ def test_every_entry_point_raises_rather_than_return_stale_seats():
                 run()
 
 
+def test_house_size_search_checks_the_pieces_next_to_a_solution():
+    # near the support edge the decision rounds_up(5.66…/D, 1, D) flips many
+    # times within a few ulps, so the crossing found depends on the bracket:
+    # the solution runs over (4.013607483825648, 172.59965490956887], and the
+    # piece below it, (4.013607406960038, 4.013607483825648], keeps stale
+    # seats (2, 1, 1); its upper end is the solution's lower one
+    states = states_of(6.630387852391515, 3.966941559043632, 5.664619264775566)
+    method = MethodSpec(DistributionMarks(Uniform(0.0, 4.013607483847588)), BY_STATE)
+    with pytest.raises(ApportionmentError, match="missed a crossing"):
+        apportion_for_house_size(states, 3, method)
+    with pytest.raises(ApportionmentError, match="missed a crossing"):
+        piecewise_apportionments(states, method, 2.7103247793684524, 172.599655082167)
+
+
 # --- mark crossings in D ----------------------------------------------------
 
 def step_marks(f, d):
@@ -690,9 +704,10 @@ def test_mark_crossings_test_only_the_families_the_window_reads():
 
 
 def test_every_mark_crossing_is_a_decision_flip(monkeypatch):
-    # every crossing the root finder returns on the lognormal-house windows
-    # (and on a uniform law's), checked at float resolution; bisection takes
-    # about 48 interior decisions per lognormal crossing, the solver about 12
+    # every crossing the root finder returns on the lognormal-house windows,
+    # widened by the house sizes 425 and 445 (and on a uniform law's), checked
+    # at float resolution; bisection takes about 48 interior decisions per
+    # lognormal crossing, the solver about 12
     calls, steps = [], []
     solve = engine._mark_times_d_crossing
 
@@ -712,7 +727,7 @@ def test_every_mark_crossing_is_a_decision_flip(monkeypatch):
         for sigma in (0.3, 1.0, 2.0):
             marks = CountingMarks(LogNormal(math.log(5.0 * v_t / 435), sigma))
             for mode in (BY_STATE, BY_FAMILY):
-                for target in (435, 430, 440):
+                for target in (435, 430, 440, 425, 445):
                     apportion_for_house_size(states, target, MethodSpec(marks, mode))
     states = bundled_census(2020)
     uniform = DistributionMarks(Uniform(0.0, 1.2 * max(s.population for s in states)))
@@ -1189,6 +1204,100 @@ def test_house_window_widens_an_end_a_solution_touches(pops, target, method, end
     [solution] = apportion_for_house_size(states, target, method)
     assert solution.d_interval == ends
     assert_same_as_fixed_slack(states, method, [target])
+
+
+# --- family-quota seat bounds ----------------------------------------------
+
+def test_floor_of_a_sum_is_exact():
+    # 13 − 2⁻⁶⁰, ten 0.1s (exactly 1 + 5.55e-17) and its negation all
+    # round to integers
+    assert engine._exact_floor([13.0, -2.0 ** -60]) == 12
+    assert engine._exact_floor([13.0]) == 13
+    assert engine._exact_floor([0.1] * 10) == 1
+    assert engine._exact_floor([-0.1] * 10) == -2
+
+
+@st.composite
+def family_bound_instances(draw):
+    """``(states, d_min)``: 1–12 states with real, integer or half-integer
+    populations, and the least divisor the bounds are read at, v_T/T."""
+    pops = st.sampled_from((st.floats(min_value=0.2, max_value=40.0),
+                            st.integers(1, 40).map(float),
+                            st.integers(1, 80).map(lambda k: k / 2)))
+    states = states_of(*draw(st.lists(draw(pops), min_size=1, max_size=12)))
+    return states, math.fsum(s.population for s in states) / draw(st.integers(1, 60))
+
+
+BOUND_RULES = (WEBSTER, JEFFERSON, HUNTINGTON_HILL,
+               DistributionMarks(LogNormal(math.log(2.0), 1.0)))
+
+
+@given(instance=family_bound_instances(), rule=st.sampled_from(BOUND_RULES),
+       floor=st.sampled_from((None, 1, 2)),
+       extra=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_family_seat_bounds_bracket_the_total_and_never_rise(instance, rule, floor, extra):
+    # over a grid holding every membership cut v/k at and above d_min, with
+    # its neighbouring floats, and a few points beyond: L <= total <= U, and
+    # neither bound rises with D; a family leaves at most 2 seats between
+    # them, and none when the seat floor lifts all its members
+    states, d_min = instance
+    method = MethodSpec(rule, BY_FAMILY, floor)
+    v_t = math.fsum(s.population for s in states)
+    cuts = [s.population / k for s in states
+            for k in range(1, math.floor(s.population / d_min) + 1)]
+    grid = sorted({d for c in cuts for d in (math.nextafter(c, 0.0), c, math.nextafter(c, math.inf))
+                   if d >= d_min} | {d_min, *(d_min + x * 2 * v_t for x in extra)})
+    bounds = engine._seat_bounds(states, method, v_t / d_min + 2)
+    direct = engine._Direct(states, method)
+    last = None
+    for d in grid:
+        lower, upper = bounds(d)
+        assert lower <= sum(direct.seats_at(d)) <= upper, (d, lower, upper)
+        quotas, ends = direct.runs(d)
+        families = [math.floor(quotas[lo]) for lo in [0, *ends[:-1]]]
+        assert upper - lower <= sum(2 for f in families if f >= (floor or 0))
+        if last is not None:
+            assert lower <= last[0] and upper <= last[1], (d, last, (lower, upper))
+        last = lower, upper
+
+
+def test_family_seat_bounds_allow_for_the_error_of_sum():
+    # one family of four quotas whose exact sum is 13: Python's naive sum()
+    # (3.11 and earlier) gives 12.999999999999998, which Jefferson rounds to
+    # 12, so a lower bound of floor(13) would exclude the engine's own total
+    states = states_of(3.05, 3.15, 3.2, 3.6)
+    method = MethodSpec(JEFFERSON, BY_FAMILY)
+    quotas = [s.population for s in states]
+    assert math.fsum(quotas) == 13.0
+    total = sum(engine._Direct(states, method).seats_at(1.0))
+    assert total == (12 if sum(quotas) < 13.0 else 13)
+    lower, upper = engine._seat_bounds(states, method, 15.0)(1.0)
+    assert lower <= total <= upper
+
+
+def test_census_house_round_sweeps_under_1500_pieces(monkeypatch):
+    # a census-house-shaped round: every census year, rule and mode, the years
+    # taking 435, 485 and 385 seats in turn from 2020 down; per-state bounds
+    # in family mode swept 2,643 pieces, 54 of them for 2020 Webster at 435
+    swept = {}
+    sweep = engine._sweep
+
+    def counting(states, method, d_lo, d_hi):
+        pieces = sweep(states, method, d_lo, d_hi)
+        key = (states, method)
+        swept[key] = swept.get(key, 0) + len(pieces)
+        return pieces
+
+    monkeypatch.setattr(engine, "_sweep", counting)
+    houses = (435, 485, 385)
+    for i, year in enumerate(sorted(CENSUS_YEARS, reverse=True)):
+        states = tuple(bundled_census(year))
+        for rule in SWEEP_RULES:
+            for mode in (BY_STATE, BY_FAMILY):
+                apportion_for_house_size(states, houses[i % 3], MethodSpec(rule, mode))
+    assert sum(swept.values()) < 1500
+    assert swept[(tuple(bundled_census(2020)), MethodSpec(WEBSTER, BY_FAMILY))] <= 29
 
 
 # --- small house sizes under marks that move with D ------------------------
