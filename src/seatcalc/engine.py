@@ -246,8 +246,8 @@ class _Direct:
     def runs(self, divisor: float) -> tuple[list[float], list[int]]:
         """Family mode: the sorted quotas at ``divisor`` and where each family ends."""
         quotas = [v / divisor for v in self.sorted_pops]
-        ends, lo = [], 0
-        while lo < len(quotas):
+        ends, lo, n = [], 0, len(quotas)
+        while lo < n:
             lo = bisect_left(quotas, math.floor(quotas[lo]) + 1, lo + 1)
             ends.append(lo)
         return quotas, ends
@@ -671,7 +671,7 @@ def _seat_bounds(states: tuple[StateProfile, ...], method: MethodSpec, top: floa
             f, k, run = math.floor(quotas[lo]), hi - lo, quotas[lo:hi]
             floor = math.floor(x := math.fsum(run))  # X_f, correctly rounded: within η/6
             ceil = floor + 1
-            if not floor <= x - 2 * eta and x + 2 * eta < ceil:  # an integer within 2η of x
+            if not (floor <= x - 2 * eta and x + 2 * eta < ceil):  # an integer within 2η of x
                 floor, ceil = _exact_floor([*run, -eta]), -_exact_floor([-q for q in run] + [-eta])
             lower += max(floor, k * max(f, floor_seats))  # a seat floor m lifts f < m to m·k
             upper += max(min(ceil, k * (f + 1)), k * floor_seats)

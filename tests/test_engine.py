@@ -1248,15 +1248,24 @@ def test_family_seat_bounds_bracket_the_total_and_never_rise(instance, rule, flo
             for k in range(1, math.floor(s.population / d_min) + 1)]
     grid = sorted({d for c in cuts for d in (math.nextafter(c, 0.0), c, math.nextafter(c, math.inf))
                    if d >= d_min} | {d_min, *(d_min + x * 2 * v_t for x in extra)})
-    bounds = engine._seat_bounds(states, method, v_t / d_min + 2)
+    top = v_t / d_min + 2
+    bounds = engine._seat_bounds(states, method, top)
     direct = engine._Direct(states, method)
+    eta = Fraction((len(states) + 2) * 2.0 ** -52 * top)
+    m = floor or 0
     last = None
     for d in grid:
         lower, upper = bounds(d)
         assert lower <= sum(direct.seats_at(d)) <= upper, (d, lower, upper)
         quotas, ends = direct.runs(d)
+        exact_lower = exact_upper = 0  # the bounds' formula in exact arithmetic
+        for lo, hi in zip([0, *ends], ends):
+            f, k, x = math.floor(quotas[lo]), hi - lo, sum(map(Fraction, quotas[lo:hi]))
+            exact_lower += max(math.floor(x - eta), k * max(f, m))
+            exact_upper += max(min(math.ceil(x + eta), k * (f + 1)), k * m)
+        assert (lower, upper) == (exact_lower, exact_upper), d
         families = [math.floor(quotas[lo]) for lo in [0, *ends[:-1]]]
-        assert upper - lower <= sum(2 for f in families if f >= (floor or 0))
+        assert upper - lower <= sum(2 for f in families if f >= m)
         if last is not None:
             assert lower <= last[0] and upper <= last[1], (d, last, (lower, upper))
         last = lower, upper
@@ -1274,6 +1283,23 @@ def test_family_seat_bounds_allow_for_the_error_of_sum():
     assert total == (12 if sum(quotas) < 13.0 else 13)
     lower, upper = engine._seat_bounds(states, method, 15.0)(1.0)
     assert lower <= total <= upper
+
+
+def test_family_seat_bounds_are_exact_just_below_an_integer():
+    # the last quota 8 floats below 3.6 puts the family's exact sum X 2⁻⁴⁸
+    # below 13, closer than η = 6·2⁻⁵²·15 ≈ 2e-14, so ceil(X + η) is 14 and
+    # floor(X − η) is 12: a sum() within η of X may exceed 13, where Adams
+    # gives 14.  fsum's 12.999999999999996 lies below 13 as well, so floor + 1
+    # of it would give 13; the integer within 2η must send it to the exact path
+    last = 3.6
+    for _ in range(8):
+        last = math.nextafter(last, 0.0)
+    states = states_of(3.05, 3.15, 3.2, last)
+    assert sum(map(Fraction, (3.05, 3.15, 3.2, last))) == 13 - Fraction(2) ** -48
+    for rule in (ADAMS, JEFFERSON):
+        method = MethodSpec(rule, BY_FAMILY)
+        assert engine._seat_bounds(states, method, 15.0)(1.0) == (12, 14)
+        assert 12 <= sum(engine._Direct(states, method).seats_at(1.0)) <= 14
 
 
 def test_census_house_round_sweeps_under_1500_pieces(monkeypatch):
