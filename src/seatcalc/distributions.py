@@ -559,6 +559,15 @@ def monte_carlo_bias(dist: PopulationDistribution, divisor: float, marks,
     each family's seats-minus-quota total.  Returns the replication
     mean and standard error per family, for every family index up to
     the largest observed.
+
+    Replications run in chunks of 4,096, each drawn from its own
+    ``SeedSequence.spawn`` stream; the chunk size and that seeding are
+    part of the byte-identical output contract.  A chunk sorts each
+    replication's draws by family and sums every (replication, family)
+    run, so its memory and time grow with 4,096 × ``n_states`` draws,
+    plus one row per family for the running totals, not with
+    replications × the largest family.  A mark is solved only for the
+    families some draw reaches, once each.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
@@ -570,20 +579,14 @@ def monte_carlo_bias(dist: PopulationDistribution, divisor: float, marks,
     if isinstance(marks, PopulationDistribution):
         marks = DistributionMarks(marks)
 
-    mark_table: list[float] = []
-
-    def marks_up_to(f_max: int) -> np.ndarray:
-        while len(mark_table) <= f_max:
-            mark_table.append(marks.mark_at(len(mark_table), divisor))
-        return np.asarray(mark_table)
-
+    marks_of = np.zeros(0)  # mark of family f, NaN until a draw reaches f
     sum_t: np.ndarray = np.zeros(1)
     sum_t2: np.ndarray = np.zeros(1)
 
-    def grow(arr: np.ndarray, size: int) -> np.ndarray:
+    def grow(arr: np.ndarray, size: int, fill: float = 0.0) -> np.ndarray:
         if size <= arr.size:
             return arr
-        out = np.zeros(size)
+        out = np.full(size, fill)
         out[: arr.size] = arr
         return out
 
@@ -599,20 +602,32 @@ def monte_carlo_bias(dist: PopulationDistribution, divisor: float, marks,
         q = v / divisor
         fam = np.floor(q).astype(np.int64)
         f_max = int(fam.max())
-        table = marks_up_to(f_max)
+        width = f_max + 1
+        # sort each replication's draws stably by family, so that every
+        # (replication, family) run is contiguous and keeps its draw order
+        order = np.argsort(fam.astype(np.min_scalar_type(f_max)).reshape(reps, n_states),
+                           axis=1, kind="stable")
+        order += np.arange(0, reps * n_states, n_states)[:, None]
+        order = order.ravel()
+        fam, q = fam[order], q[order]
+        starts = np.empty(fam.size, dtype=bool)
+        np.not_equal(fam[1:], fam[:-1], out=starts[1:])
+        starts[::n_states] = True
+        run_fam = fam[np.flatnonzero(starts)]
+        marks_of = grow(marks_of, width, math.nan)
+        for f in np.unique(run_fam[np.isnan(marks_of[run_fam])]).tolist():
+            marks_of[f] = marks.mark_at(f, divisor)
         # same convention as engine.round_quota: integral quotas stand,
         # otherwise a quota at or above the mark rounds up
-        seats = fam + ((q > fam) & (q >= table[fam]))
-        diff = seats - q
-        # per-replication, per-family totals of seats - quota
-        width = f_max + 1
-        rep_idx = np.repeat(np.arange(reps), n_states)
-        flat = np.bincount(rep_idx * width + fam, weights=diff,
-                           minlength=reps * width).reshape(reps, width)
+        seats = fam + ((q > fam) & (q >= marks_of[fam]))
+        # each run's total of seats - quota is summed in draw order, then each
+        # family's run totals in replication order; float sums depend on
+        # order, and the output contract fixes this one
+        run_t = np.bincount(np.cumsum(starts) - 1, weights=seats - q)
         sum_t = grow(sum_t, width)
         sum_t2 = grow(sum_t2, width)
-        sum_t[:width] += flat.sum(axis=0)
-        sum_t2[:width] += (flat * flat).sum(axis=0)
+        sum_t[:width] += np.bincount(run_fam, weights=run_t, minlength=width)
+        sum_t2[:width] += np.bincount(run_fam, weights=run_t * run_t, minlength=width)
 
     r = float(replications)
     out = []

@@ -604,7 +604,7 @@ def piecewise_apportionments(states: Iterable[StateProfile], method: MethodSpec,
     it), but the endpoint is a float near the exact crossing, not the
     crossing itself: checked in exact arithmetic, the seats fail at many
     endpoints, on either side of the true breakpoint (fault (b), ROADMAP
-    item 2).
+    item 1).
 
     One sweep computes them.  It enumerates the candidate divisors, at
     which a state's quota (or in family mode a family's) meets an
@@ -632,7 +632,7 @@ def breakpoints(states: Iterable[StateProfile], method: MethodSpec,
     piece below it (a quota exactly at a mark rounds up, so the change is
     in effect at the crossing divisor itself), but a returned divisor is
     a float near the exact crossing, and in exact arithmetic it often
-    lies on the other side (fault (b), ROADMAP item 2).
+    lies on the other side (fault (b), ROADMAP item 1).
     """
     _, pieces = _checked_sweep(states, method, d_lo, d_hi)
     return [p.hi for p in pieces[:-1]]

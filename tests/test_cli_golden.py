@@ -154,6 +154,11 @@ def _cases():
         "--marks", "powerlaw:2", *few, "--seed", "4", "--format", "tsv")
     add("bias-uniform", "bias", "--dist", "uniform:1,20", "--marks", "hill", *few,
         "--seed", "5")
+    # several 4,096-replication chunks, the last one partial
+    add("bias-multichunk", "bias", "--dist", "lognormal:5,1", "--replications", "9001",
+        "--n-states", "12", "--seed", "6")
+    add("bias-uniform-multichunk", "bias", "--dist", "uniform:1,20", "--marks", "hill",
+        "--divisor", "4", "--replications", "5000", "--n-states", "60", "--seed", "7")
 
     # usage errors, infeasible targets and conflicting flags
     pops = ("--populations", "1,2")

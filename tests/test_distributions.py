@@ -1,6 +1,7 @@
 """Distributions, unbiased marks, immunity checks, Monte Carlo bias."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from seatcalc.core import StateProfile
 from seatcalc.distributions import (
+    _MC_CHUNK,
     DistributionMarks,
     LogNormal,
     PowerLaw,
@@ -20,7 +22,7 @@ from seatcalc.distributions import (
     verify_alabama_immunity,
 )
 from seatcalc.engine import MethodSpec, apportion_at_divisor
-from seatcalc.signposts import WEBSTER, power_law_mark
+from seatcalc.signposts import HUNTINGTON_HILL, WEBSTER, power_law, power_law_mark
 
 TABLE_MARKS = {
     # f -> marks for q_g in (1, 2, 5, 10, 20), sigma = 1
@@ -463,6 +465,91 @@ def test_monte_carlo_webster_direction():
     fam0 = rows[0]
     assert fam0.f == 0
     assert fam0.mean_bias > 4 * fam0.std_error
+
+
+def dense_monte_carlo_bias(dist, divisor, marks, replications, n_states, seed):
+    """Reference accumulation: a dense replications × (f_max + 1) table per
+    chunk, and a mark solved for every family up to the largest drawn."""
+    mark_table = []
+    sum_t = np.zeros(0)
+    sum_t2 = np.zeros(0)
+    n_chunks = (replications + _MC_CHUNK - 1) // _MC_CHUNK
+    for idx, chunk_seed in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
+        reps = min(_MC_CHUNK, replications - idx * _MC_CHUNK)
+        q = dist.sample(np.random.default_rng(chunk_seed), reps * n_states) / divisor
+        fam = np.floor(q).astype(np.int64)
+        width = int(fam.max()) + 1
+        while len(mark_table) < width:
+            mark_table.append(marks.mark_at(len(mark_table), divisor))
+        seats = fam + ((q > fam) & (q >= np.asarray(mark_table)[fam]))
+        rep_idx = np.repeat(np.arange(reps), n_states)
+        flat = np.bincount(rep_idx * width + fam, weights=seats - q,
+                           minlength=reps * width).reshape(reps, width)
+        if sum_t.size < width:
+            sum_t = np.concatenate([sum_t, np.zeros(width - sum_t.size)])
+            sum_t2 = np.concatenate([sum_t2, np.zeros(width - sum_t2.size)])
+        sum_t[:width] += flat.sum(axis=0)
+        sum_t2[:width] += (flat * flat).sum(axis=0)
+    r = float(replications)
+    rows = []
+    for f in range(sum_t.size):
+        mean = sum_t[f] / r
+        if replications > 1:
+            se = math.sqrt(max(sum_t2[f] - r * mean * mean, 0.0) / (r - 1.0) / r)
+        else:
+            se = math.nan
+        rows.append((f, float(mean), float(se)))
+    return rows
+
+
+def _same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("dist,divisor,marks,replications,n_states", [
+    # three chunks, the last one partial
+    (lognormal_qg(5.0), 1.0, WEBSTER, 2 * _MC_CHUNK + 809, 12),
+    # 40 members per family and replication: any pairwise or per-draw
+    # summation of a family's seats - quota differs in the last bits
+    (Uniform(1.0, 20.0), 4.0, HUNTINGTON_HILL, 300, 200),
+    (lognormal_qg(5.0), 1.0, DistributionMarks(lognormal_qg(5.0)), 400, 12),
+    (PowerLaw(-1.5, 1.0, 100.0), 1.0, power_law(2.0), 400, 12),
+    (lognormal_qg(5.0), 1.0, WEBSTER, 5000, 1),
+    (lognormal_qg(5.0), 1.0, WEBSTER, 1, 50),
+    (lognormal_qg(5.0), 1.0, WEBSTER, 2, 50),
+])
+def test_monte_carlo_equals_dense_accumulation(dist, divisor, marks, replications,
+                                               n_states):
+    got = monte_carlo_bias(dist, divisor, marks, replications, n_states, seed=6)
+    want = dense_monte_carlo_bias(dist, divisor, marks, replications, n_states, seed=6)
+    assert len(got) == len(want)
+    for row, (f, mean, se) in zip(got, want):
+        assert row.f == f
+        assert _same_float(row.mean_bias, mean), (f, row.mean_bias, mean)
+        assert _same_float(row.std_error, se), (f, row.std_error, se)
+
+
+def test_monte_carlo_memory_and_marks_follow_the_draws():
+    # sigma = 2 reaches f_max = 17,757 but draws only 871 distinct families;
+    # a dense replications × (f_max + 1) table of floats would take 142 MB
+    solved = []
+
+    class CountingWebster:
+        def mark_at(self, f, divisor):
+            solved.append(f)
+            return WEBSTER.mark_at(f, divisor)
+
+    tracemalloc.start()
+    try:
+        rows = monte_carlo_bias(LogNormal(math.log(5.0), 2.0), 1.0, CountingWebster(),
+                                1000, 50, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert len(rows) == 17758
+    assert len(solved) == len(set(solved)) == 871
+    assert max(solved) == len(rows) - 1
 
 
 @given(f=st.integers(min_value=0, max_value=30),
