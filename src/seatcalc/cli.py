@@ -697,11 +697,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_to_devnull() -> None:
+    # the reader closed the pipe early (e.g. head): send what is left of the
+    # output, the shutdown flush included, nowhere
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        code = EXIT_OK
     except _UsageError as exc:
         print(f"seatcalc: {exc}", file=sys.stderr)
         code = exc.code
@@ -717,9 +727,7 @@ def main(argv=None) -> int:
     try:
         sys.stdout.flush()
     except BrokenPipeError:
-        # downstream pipe closed early (e.g. head); silence the shutdown flush
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        _stdout_to_devnull()
     if argv is None:
         sys.exit(code)
     return code

@@ -12,7 +12,10 @@ past f exactly when I(v) reaches the mean of I over that interval.  Each
 distribution implements that one mean test, ``_excess``, and decides
 there alone whether the interval carries any mass (a lognormal tests in
 CDF form below its median, in survival form above); the rounding margin,
-the reported mark and the expected family bias all read it.  Power-law
+the reported mark and the expected family bias all read it.  For a
+lognormal the test is one straight-line computation per decision, whose
+arithmetic the margin, ``_excess``, the marks and the bias share, on
+constants computed once per law.  Power-law
 densities p(v) ~ v^(beta-1) give the divisor-independent closed-form
 marks of the signposts module on intervals inside their support; every
 other distribution (lognormal in particular) yields marks that move
@@ -99,6 +102,11 @@ class PopulationDistribution:
             return None
         mean = self.cdf_integral(a, b) / divisor - self.cdf(a)
         return lambda v: self.cdf_diff(a, v) - mean
+
+    def _excess_at(self, f: int, divisor: float, v: float) -> float | None:
+        """``_excess(f, divisor)`` at v, or None when the interval carries no mass."""
+        excess = self._excess(f, divisor)
+        return None if excess is None else excess(v)
 
 
 @dataclass(frozen=True)
@@ -203,7 +211,16 @@ class PowerLaw(PopulationDistribution):
 
 @dataclass(frozen=True)
 class LogNormal(PopulationDistribution):
-    """ln v ~ Normal(log_vg, sigma^2); log_vg is the log of the geometric mean."""
+    """ln v ~ Normal(log_vg, sigma^2); log_vg is the log of the geometric mean.
+
+    The mean test is one straight-line computation per rounding decision:
+    ``_mean_test`` picks the CDF or survival form and takes the interval
+    mean from ``_tail_integral``, which also serves ``cdf_integral``, and
+    ``_test_at`` compares; the margin, ``_excess``, the marks and the
+    bias all share that arithmetic.  The median and the antiderivative's
+    constant are computed once per instance, at construction, so a law
+    whose mean overflows a float is rejected there.
+    """
 
     log_vg: float
     sigma: float
@@ -215,6 +232,15 @@ class LogNormal(PopulationDistribution):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not math.isfinite(self.log_vg):
             raise ValueError("log_vg must be finite")
+        # the median and the mean v_g*exp(sigma^2/2), the antiderivative's
+        # constant: plain attributes, not fields, so == and hash are unchanged,
+        # and not cached_property, whose instance-dict writes slow every read
+        try:
+            shift = math.exp(self.log_vg + 0.5 * self.sigma ** 2)
+        except OverflowError:
+            raise ValueError("the mean exp(log_vg + sigma^2/2) overflows a float") from None
+        object.__setattr__(self, "_median", math.exp(self.log_vg))
+        object.__setattr__(self, "_shift", shift)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -249,31 +275,53 @@ class LogNormal(PopulationDistribution):
     def _tail_integral(self, a: float, b: float, s: float) -> tuple[float, float]:
         # integral of I (s = 1) or of S = 1 - I (s = -1) over [a, b], and the mass
         # on [a, b]; the antiderivative of Phi(s*z(v)) is
-        # v*Phi(s*z) - v_g*exp(sigma^2/2)*Phi(s*(z - sigma))
+        # v*Phi(s*z) - shift*Phi(s*(z - sigma)), which is -shift (s = -1) or
+        # 0 (s = 1) at v = 0, written out at both ends with Phi(x) = erfc(-x/√2)/2
         if b <= a:
             return 0.0, 0.0
-        a = max(a, 0.0)
-        shift = math.exp(self.log_vg + 0.5 * self.sigma ** 2)
-
-        def anti(v: float) -> tuple[float, float]:
-            if v <= 0:
-                return (-shift, 1.0) if s < 0 else (0.0, 0.0)
-            z = self._z(v)
-            p = _phi(s * z)
-            return v * p - shift * _phi(s * (z - self.sigma)), p
-
-        (int_b, p_b), (int_a, p_a) = anti(b), anti(a)
+        shift, log_vg, sigma = self._shift, self.log_vg, self.sigma
+        if b <= 0:
+            int_b, p_b = (-shift, 1.0) if s < 0 else (0.0, 0.0)
+        else:
+            z = (math.log(b) - log_vg) / sigma
+            p_b = 0.5 * math.erfc(-(s * z) / _SQRT2)
+            int_b = b * p_b - shift * (0.5 * math.erfc(-(s * (z - sigma)) / _SQRT2))
+        if a <= 0:
+            int_a, p_a = (-shift, 1.0) if s < 0 else (0.0, 0.0)
+        else:
+            z = (math.log(a) - log_vg) / sigma
+            p_a = 0.5 * math.erfc(-(s * z) / _SQRT2)
+            int_a = a * p_a - shift * (0.5 * math.erfc(-(s * (z - sigma)) / _SQRT2))
         return int_b - int_a, s * (p_b - p_a)
 
-    def _excess(self, f: int, divisor: float) -> Callable[[float], float] | None:
-        # tail-safe: in CDF form if the interval's middle is below the median,
-        # else in survival form; the integral's Phi values also give the mass
-        s = 1.0 if (f + 0.5) * divisor <= math.exp(self.log_vg) else -1.0
+    def _mean_test(self, f: int, divisor: float) -> tuple[float, float] | None:
+        # (s, mean) for _test_at, or None when the interval carries no mass;
+        # tail-safe: in CDF form (s = 1) if the interval's middle is below the
+        # median, else in survival form, and the integral's Phi values give the mass
+        s = 1.0 if (f + 0.5) * divisor <= self._median else -1.0
         integral, mass = self._tail_integral(f * divisor, (f + 1) * divisor, s)
         if mass <= 0.0:
             return None
-        mean = integral / divisor
-        return lambda v: s * (_phi(s * self._z(v)) - mean)
+        return s, integral / divisor
+
+    def _test_at(self, v: float, s: float, mean: float) -> float:
+        # s * (Phi(s*z(v)) - mean), >= 0 iff v/D rounds up past f
+        return s * (0.5 * math.erfc(-(s * ((math.log(v) - self.log_vg) / self.sigma)) / _SQRT2)
+                    - mean)
+
+    def _excess(self, f: int, divisor: float) -> Callable[[float], float] | None:
+        test = self._mean_test(f, divisor)
+        if test is None:
+            return None
+        s, mean = test
+        return lambda v: self._test_at(v, s, mean)
+
+    def _excess_at(self, f: int, divisor: float, v: float) -> float | None:
+        test = self._mean_test(f, divisor)
+        if test is None:
+            return None
+        s, mean = test
+        return self._test_at(v, s, mean)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         import numpy as np
@@ -426,8 +474,8 @@ def expected_family_bias(dist: PopulationDistribution, divisor: float, f: int,
         raise ValueError(f"mark {mark} outside [{f}, {f + 1}]")
     if not (divisor > 0) or not math.isfinite(divisor):
         raise ValueError(f"divisor must be positive and finite, got {divisor!r}")
-    excess = dist._excess(f, divisor)
-    return 0.0 if excess is None else -excess(mark * divisor)
+    excess = dist._excess_at(f, divisor, mark * divisor)
+    return 0.0 if excess is None else -excess
 
 
 @dataclass
@@ -457,14 +505,21 @@ class DistributionMarks:
         return unbiased_mark(self.distribution, f, divisor)
 
     def margin(self, quota: float, f: int, divisor: float) -> float:
-        """Signed rounding margin, >= 0 exactly when quota >= r(f, D)."""
+        """Signed rounding margin, >= 0 exactly when quota >= r(f, D).
+
+        The mean test is evaluated at quota·D through the distribution's
+        ``_excess_at``, with no closure built: for a lognormal that is one
+        straight-line computation per decision, sharing its arithmetic with
+        ``_excess``, the marks and the bias, on constants the law computed
+        once.
+        """
         dist = self.distribution
         if self.marks is not None or isinstance(dist, PowerLaw):
             return quota - self.mark_at(f, divisor)
-        excess = dist._excess(f, divisor)
+        excess = dist._excess_at(f, divisor, quota * divisor)
         if excess is None:
             return quota - _degenerate_mark(dist, f, f * divisor, (f + 1) * divisor)
-        return excess(quota * divisor)
+        return excess
 
     def rounds_up(self, quota: float, f: int, divisor: float) -> bool:
         return self.margin(quota, f, divisor) >= 0.0

@@ -350,15 +350,14 @@ def _mark_times_d_crossing(value: float, f: int, rounding, d_lo: float, d_hi: fl
     cut to one binade at geometric means, where false position would creep
     down from the far end a few binades per step.
     """
-    def margin(d: float) -> float:
-        return rounding.margin(value / d, f, d)
-
-    if not (m_lo := margin(d_lo)) >= 0.0 or (m_hi := margin(d_hi)) >= 0.0:
+    margin = rounding.margin
+    if (not (m_lo := margin(value / d_lo, f, d_lo)) >= 0.0
+            or (m_hi := margin(value / d_hi, f, d_hi)) >= 0.0):
         return None
     lo, hi = d_lo, d_hi
     while d_hi > 2.0 ** 64 * d_lo and hi > 2.0 * lo:
         d = math.sqrt(lo) * math.sqrt(hi)  # geometric probes first, down to one binade
-        if (m := margin(d)) >= 0.0:
+        if (m := margin(value / d, f, d)) >= 0.0:
             lo, m_lo = d, m
         else:
             hi, m_hi = d, m
@@ -376,7 +375,7 @@ def _mark_times_d_crossing(value: float, f: int, rounding, d_lo: float, d_hi: fl
         d = min(max(d, math.nextafter(lo, hi), mid - reach), math.nextafter(hi, lo), mid + reach)
         if not lo < d < hi:  # NaN, from infinite margins
             d = mid
-        m = margin(d)
+        m = margin(value / d, f, d)
         if m >= 0.0:
             lo, m_lo = d, m
             if kept > 0:

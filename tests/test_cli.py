@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -277,6 +278,13 @@ def test_marks_reject_hamilton(capsys):
     assert code == 2
 
 
+def test_marks_reject_a_lognormal_whose_mean_overflows(capsys):
+    code, out, err = run(capsys, "marks", "--method", "lognormal:5,40", "--fmax", "2")
+    assert code == 2
+    assert out == ""
+    assert "overflows" in err
+
+
 def test_marks_reject_negative_digits(capsys):
     code, out, err = run(capsys, "marks", "--method", "webster", "--digits", "-1")
     assert code == 2
@@ -471,6 +479,23 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["f,webster", "0,0.50", "1,1.50"]
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_output_pipe_ends_quietly(unbuffered):
+    # as under `| head -n 1`: bias writes 17,759 lines (415 KB), more than a pipe
+    # buffer holds, so the child is still writing when the reader goes away
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    with subprocess.Popen(
+            [sys.executable, "-m", "seatcalc", "bias", "--dist", "lognormal:5,2",
+             "--replications", "200", "--seed", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"f,mean_bias,std_error\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert err == b""
+    assert code == 0
 
 
 def test_import_leaves_numpy_unloaded():

@@ -82,6 +82,8 @@ def test_distribution_validation():
         PowerLaw(2.0, 0.0, math.inf)  # non-normalizable at infinity
     with pytest.raises(ValueError):
         LogNormal(0.0, 0.0)
+    with pytest.raises(ValueError, match="overflows"):
+        LogNormal(0.0, 40.0)  # mean exp(800)
     with pytest.raises(ValueError):
         Uniform(3.0, 2.0)
 
@@ -328,6 +330,111 @@ def test_margin_sign_is_the_rounding_decision():
     # a quota exactly at a custom mark has margin 0 and rounds up
     assert custom.margin(1.25, 1, 1.0) == 0.0
     assert custom.rounds_up(1.25, 1, 1.0)
+
+
+# The lognormal mean test written out plainly, one helper per step, with
+# every float operation in the order seatcalc computes it; the program's
+# flattened form must agree with it bit for bit.
+
+SQRT2 = math.sqrt(2.0)
+
+
+def plain_phi(x):
+    return 0.5 * math.erfc(-x / SQRT2)
+
+
+def plain_tail_integral(log_vg, sigma, a, b, s):
+    if b <= a:
+        return 0.0, 0.0
+    a = max(a, 0.0)
+    shift = math.exp(log_vg + 0.5 * sigma ** 2)
+
+    def anti(v):
+        if v <= 0:
+            return (-shift, 1.0) if s < 0 else (0.0, 0.0)
+        z = (math.log(v) - log_vg) / sigma
+        p = plain_phi(s * z)
+        return v * p - shift * plain_phi(s * (z - sigma)), p
+
+    (int_b, p_b), (int_a, p_a) = anti(b), anti(a)
+    return int_b - int_a, s * (p_b - p_a)
+
+
+def plain_excess(log_vg, sigma, f, divisor, forms=None):
+    s = 1.0 if (f + 0.5) * divisor <= math.exp(log_vg) else -1.0
+    integral, mass = plain_tail_integral(log_vg, sigma, f * divisor, (f + 1) * divisor, s)
+    if forms is not None:
+        forms.add(s if mass > 0.0 else None)
+    if mass <= 0.0:
+        return None
+    mean = integral / divisor
+    return lambda v: s * (plain_phi(s * ((math.log(v) - log_vg) / sigma)) - mean)
+
+
+def plain_parked_mark(log_vg, sigma, f, divisor):
+    cdf = lambda v: 0.0 if v <= 0 else plain_phi((math.log(v) - log_vg) / sigma)
+    if cdf(f * divisor) >= 1.0:
+        return float(f + 1)
+    if cdf((f + 1) * divisor) <= 0.0:
+        return float(f)
+    return f + 0.5
+
+
+def plain_mark(log_vg, sigma, f, divisor):
+    excess = plain_excess(log_vg, sigma, f, divisor)
+    if excess is None:
+        return plain_parked_mark(log_vg, sigma, f, divisor)
+    lo, hi = float(f), float(f + 1)
+    for _ in range(200):
+        if hi - lo <= 1e-12:
+            break
+        mid = 0.5 * (lo + hi)
+        if excess(mid * divisor) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def lognormal_pin_grid():
+    """(law, divisor, f): both tail forms, f = 0, intervals with no mass."""
+    from seatcalc.census import bundled_census
+    v_t = math.fsum(s.population for s in bundled_census(2020))
+    fs = (*range(25), 60, 300, 10 ** 4, 10 ** 6, 10 ** 9)
+    grid = [(LogNormal(math.log(5.0), sigma), d, f)
+            for sigma in (0.3, 1.0, 2.0) for d in (0.37, 1.3, 3.1) for f in fs]
+    # the 2020 lognormal-house law at the 435-seat divisor, and its neighbours
+    grid += [(LogNormal(math.log(5.0 * v_t / 435), sigma), v_t / n, f)
+             for sigma in (0.3, 1.0, 2.0) for n in (430, 435, 440) for f in fs]
+    # an interval from 0 whose mass underflows, so its mark is parked
+    grid += [(LogNormal(0.0, 0.3), 1e-9, 0)]
+    return grid
+
+
+def test_lognormal_mean_test_is_pinned_bit_for_bit():
+    forms = set()
+    for dist, d, f in lognormal_pin_grid():
+        mu, sigma = dist.log_vg, dist.sigma
+        want = plain_excess(mu, sigma, f, d, forms)
+        got = dist._excess(f, d)
+        assert (got is None) == (want is None), (dist, d, f)
+        marks = DistributionMarks(dist)
+        for k in range(0 if f else 1, 9):  # a quota of 0 has no log
+            q = f + k / 8
+            if want is None:
+                margin = q - plain_parked_mark(mu, sigma, f, d)
+                bias = 0.0
+            else:
+                margin = want(q * d)
+                bias = -want(q * d)
+                assert got(q * d) == margin, (dist, d, f, q)
+            assert marks.margin(q, f, d) == margin, (dist, d, f, q)
+            assert expected_family_bias(dist, d, f, q) == bias, (dist, d, f, q)
+        assert unbiased_mark(dist, f, d) == plain_mark(mu, sigma, f, d), (dist, d, f)
+        for a, b in ((f * d, (f + 1) * d), (0.0, (f + 1) * d), (-d, f * d), (-2 * d, -d),
+                     ((f + 1) * d, f * d)):
+            assert dist.cdf_integral(a, b) == plain_tail_integral(mu, sigma, a, b, 1.0)[0]
+    assert forms == {1.0, -1.0, None}  # CDF form, survival form, no mass
 
 
 # --- expected family bias ---------------------------------------------------
