@@ -601,6 +601,8 @@ class FamilyBias:
 
 
 _MC_CHUNK = 4096
+# families a Monte Carlo run may reach: its running totals hold one row each
+_MC_MAX_FAMILIES = 2 ** 20
 
 
 def monte_carlo_bias(dist: PopulationDistribution, divisor: float, marks,
@@ -622,7 +624,9 @@ def monte_carlo_bias(dist: PopulationDistribution, divisor: float, marks,
     run, so its memory and time grow with 4,096 × ``n_states`` draws,
     plus one row per family for the running totals, not with
     replications × the largest family.  A mark is solved only for the
-    families some draw reaches, once each.
+    families some draw reaches, once each.  A draw at or beyond family
+    2**20 raises ``ValueError``: a heavy tail is refused before anything
+    is sized by it.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
@@ -655,6 +659,9 @@ def monte_carlo_bias(dist: PopulationDistribution, divisor: float, marks,
         rng = np.random.default_rng(chunk_seeds[chunk_idx])
         v = dist.sample(rng, reps * n_states)
         q = v / divisor
+        if not (q_max := float(q.max())) < _MC_MAX_FAMILIES:
+            raise ValueError(f"a draw reaches family {np.floor(q_max):.0f}, beyond the "
+                             f"limit of {_MC_MAX_FAMILIES:,} families")
         fam = np.floor(q).astype(np.int64)
         f_max = int(fam.max())
         width = f_max + 1

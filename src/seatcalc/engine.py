@@ -204,20 +204,36 @@ def family_splits(partition: FamilyPartition, rounding, divisor: float) -> tuple
 
 
 class _Direct:
-    """Direct apportionment of fixed states under one method, on plain lists.
+    """The one evaluator of an engine call: fixed states under one method.
 
-    Set up once (names, populations and in family mode the (population,
-    name) order); ``seats_at(D)`` then rounds with the float operations of
-    ``compute_quotas`` and ``partition_families``: q = v/D per state, a
-    family as a run of equal floor(q) in (population, name) order with its
-    quota summed by ``sum()`` in that order, ``round`` (``round_quota``'s
-    rule, with constant marks kept in a table for the evaluator's life),
-    ``positional_split`` and the seat floor.  The states must already be
-    checked (``compute_quotas`` checks them).
+    Each public entry point builds one, which checks the states with the
+    checks and messages of ``compute_quotas``, and the window bounds, the
+    candidate enumeration, the sweep and the guard all read it.  It holds
+    what belongs to the (states, method) pair, on plain lists: names,
+    populations, in family mode the (population, name) order, and the
+    table of constant marks r(f), each read from the rule once per call
+    (``mark``).
+
+    ``seats_at(D)`` rounds with the float operations of ``compute_quotas``
+    and ``partition_families``: q = v/D per state, a family as a run of
+    equal floor(q) in (population, name) order with its quota summed by
+    ``sum()`` in that order, ``round`` (``round_quota``'s rule),
+    ``positional_split`` and the seat floor.  It and ``check`` are
+    stateless: they never read the sweep state below, so a check of the
+    pieces this evaluator swept is still a from-scratch evaluation.
+
+    The sweep state: ``start(D)`` apportions once in full into ``seats``
+    (input order, floor applied) and ``total``; after that ``reround``
+    re-rounds only what a crossing event tags.  In family mode families
+    are contiguous runs of (population, name) order, because floor(v/D) is
+    monotone in v: ``family[p]`` is the family of the state at rank p, so
+    a family's members are found by bisection.
     """
 
-    def __init__(self, states: tuple[StateProfile, ...], method: MethodSpec):
-        self.states = states
+    def __init__(self, states: Iterable[StateProfile], method: MethodSpec):
+        self.states = states = tuple(states)
+        compute_quotas(states, 1.0)  # checks the states
+        self.method = method
         self.names = [s.name for s in states]
         self.pops = [s.population for s in states]
         self.rounding = method.rounding
@@ -230,18 +246,22 @@ class _Direct:
             self.sorted_pops = [self.pops[i] for i in self.order]
             self.rank = sorted(range(len(states)), key=self.order.__getitem__)  # order's inverse
 
+    def mark(self, f: int, divisor: float) -> float:
+        """Constant marks only: r(f), read from the rule once per evaluator."""
+        mark = self.marks.get(f)
+        if mark is None:
+            mark = self.marks[f] = self.rounding.mark_at(f, divisor)
+        return mark
+
     def round(self, quota: float, divisor: float) -> int:
-        """``round_quota(quota, rounding, divisor)``, with each constant mark
-        read from the rule once per evaluator: q >= r(f) is the decision."""
+        """``round_quota(quota, rounding, divisor)``; with constant marks the
+        decision is q >= r(f) on the table's mark."""
         if self.moving:
             return round_quota(quota, self.rounding, divisor)
         f = math.floor(quota)
         if quota == f:
             return f
-        mark = self.marks.get(f)
-        if mark is None:
-            mark = self.marks[f] = self.rounding.mark_at(f, divisor)
-        return f + 1 if quota >= mark else f
+        return f + 1 if quota >= self.mark(f, divisor) else f
 
     def runs(self, divisor: float) -> tuple[list[float], list[int]]:
         """Family mode: the sorted quotas at ``divisor`` and where each family ends."""
@@ -276,6 +296,51 @@ class _Direct:
         if self.floor:
             return tuple(max(s, self.floor) for s in seats)
         return tuple(seats)
+
+    def start(self, divisor: float) -> None:
+        """Apportion in full at ``divisor``: the sweep state ``reround`` updates."""
+        self.seats = list(self.seats_at(divisor))  # min_seat_floor applied
+        self.total = sum(self.seats)
+        if self.by_family:
+            self.family = [math.floor(v / divisor) for v in self.sorted_pops]
+
+    def _set(self, i: int, seats: int) -> bool:
+        seats = max(seats, self.floor)
+        old = self.seats[i]
+        if seats == old:
+            return False
+        self.seats[i] = seats
+        self.total += seats - old
+        return True
+
+    def reround(self, divisor: float, state_ids, family_ids) -> bool:
+        """Re-round the given states and families at ``divisor``.
+
+        Returns True if any seat moved.  In family mode a state is
+        re-rounded through its old and new family.
+        """
+        moved = False
+        if not self.by_family:
+            for i in state_ids:
+                moved |= self._set(i, self.round(self.pops[i] / divisor, divisor))
+            return moved
+        families = set(family_ids)
+        for i in state_ids:
+            p = self.rank[i]
+            families.add(self.family[p])
+            self.family[p] = math.floor(self.sorted_pops[p] / divisor)
+            families.add(self.family[p])
+        for f in families:
+            lo = bisect_left(self.family, f)
+            hi = bisect_right(self.family, f, lo)
+            if lo == hi:
+                continue
+            # summed in member order, exactly as Family.quota does
+            quota = sum(v / divisor for v in self.sorted_pops[lo:hi])
+            m_low, _ = positional_split(f, hi - lo, self.round(quota, divisor))
+            for k in range(hi - lo):
+                moved |= self._set(self.order[lo + k], f + (k >= m_low))
+        return moved
 
     def check(self, piece: _Piece) -> None:
         """Raise unless the piece's seats are the direct ones at its divisor.
@@ -389,21 +454,21 @@ def _mark_times_d_crossing(value: float, f: int, rounding, d_lo: float, d_hi: fl
     return mid
 
 
-def _mark_crossings(value: float, rounding, d_lo: float, d_hi: float,
-                    divisor_dependent: bool) -> list[float]:
+def _mark_crossings(value: float, direct: _Direct, d_lo: float, d_hi: float) -> list[float]:
     """All D in [d_lo, d_hi] where v/D (v = ``value``) meets a mark.
 
     Only the marks of families floor(v/d_hi) .. floor(v/d_lo) are tested:
     fl(v/D) is monotone in D, so no rounding in the window reads another.
+    Constant marks come from the evaluator's table.
     """
     out = []
     for f in range(math.floor(value / d_hi), math.floor(value / d_lo) + 1):
-        if divisor_dependent:
-            d = _mark_times_d_crossing(value, f, rounding, d_lo, d_hi)
+        if direct.moving:
+            d = _mark_times_d_crossing(value, f, direct.rounding, d_lo, d_hi)
             if d is not None and d_lo <= d <= d_hi:
                 out.append(d)
         else:
-            r = rounding.mark_at(f, 1.0)
+            r = direct.mark(f, 1.0)
             if r > 0:
                 d = value / r
                 if d_lo <= d <= d_hi:
@@ -421,8 +486,7 @@ def _boundary_crossings(value: float, d_lo: float, d_hi: float) -> list[float]:
     return out
 
 
-def _crossing_events(states: tuple[StateProfile, ...], method: MethodSpec,
-                     d_lo: float, d_hi: float,
+def _crossing_events(direct: _Direct, d_lo: float, d_hi: float,
                      ) -> list[tuple[float, tuple[list[int], list[int]]]]:
     """Every D in [d_lo, d_hi] where the apportionment could change.
 
@@ -441,16 +505,14 @@ def _crossing_events(states: tuple[StateProfile, ...], method: MethodSpec,
         for d in ds:
             tags.setdefault(d, ([], []))[kind].append(ident)
 
-    for i, s in enumerate(states):
-        tag(_boundary_crossings(s.population, d_lo, d_hi), 0, i)
-    if method.mode == BY_STATE:
-        for i, s in enumerate(states):
-            tag(_mark_crossings(s.population, method.rounding, d_lo, d_hi,
-                                method.divisor_dependent), 0, i)
+    for i, v in enumerate(direct.pops):
+        tag(_boundary_crossings(v, d_lo, d_hi), 0, i)
+    if not direct.by_family:
+        for i, v in enumerate(direct.pops):
+            tag(_mark_crossings(v, direct, d_lo, d_hi), 0, i)
     else:
         candidates: dict[int, list[float]] = {}  # f -> populations, input order
-        for s in states:
-            v = s.population
+        for v in direct.pops:
             for f in range(math.floor(v / d_hi), math.floor(v / d_lo) + 1):
                 candidates.setdefault(f, []).append(v)
         for f, pops in candidates.items():
@@ -464,64 +526,8 @@ def _crossing_events(states: tuple[StateProfile, ...], method: MethodSpec,
                         vol += v
                 if vol:  # populations are positive, so the family has members
                     tag(_boundary_crossings(vol, a, b), 1, f)
-                    tag(_mark_crossings(vol, method.rounding, a, b, method.divisor_dependent), 1, f)
+                    tag(_mark_crossings(vol, direct, a, b), 1, f)
     return sorted(tags.items())
-
-
-class _SeatTracker(_Direct):
-    """Every state's seats at the sweep's current divisor, kept in place.
-
-    It starts from one direct apportionment; after that only what a
-    crossing event tags is re-rounded.  In family mode families are
-    contiguous runs of (population, name) order, because floor(v/D) is
-    monotone in v: ``family[p]`` is the family of the state at rank p, so
-    a family's members are found by bisection.
-    """
-
-    def __init__(self, states: tuple[StateProfile, ...], method: MethodSpec, divisor: float):
-        super().__init__(states, method)
-        self.seats = list(self.seats_at(divisor))  # min_seat_floor applied
-        self.total = sum(self.seats)
-        if self.by_family:
-            self.family = [math.floor(v / divisor) for v in self.sorted_pops]
-
-    def _set(self, i: int, seats: int) -> bool:
-        seats = max(seats, self.floor)
-        old = self.seats[i]
-        if seats == old:
-            return False
-        self.seats[i] = seats
-        self.total += seats - old
-        return True
-
-    def reround(self, divisor: float, state_ids, family_ids) -> bool:
-        """Re-round the given states and families at ``divisor``.
-
-        Returns True if any seat moved.  In family mode a state is
-        re-rounded through its old and new family.
-        """
-        moved = False
-        if not self.by_family:
-            for i in state_ids:
-                moved |= self._set(i, self.round(self.pops[i] / divisor, divisor))
-            return moved
-        families = set(family_ids)
-        for i in state_ids:
-            p = self.rank[i]
-            families.add(self.family[p])
-            self.family[p] = math.floor(self.sorted_pops[p] / divisor)
-            families.add(self.family[p])
-        for f in families:
-            lo = bisect_left(self.family, f)
-            hi = bisect_right(self.family, f, lo)
-            if lo == hi:
-                continue
-            # summed in member order, exactly as Family.quota does
-            quota = sum(v / divisor for v in self.sorted_pops[lo:hi])
-            m_low, _ = positional_split(f, hi - lo, self.round(quota, divisor))
-            for k in range(hi - lo):
-                moved |= self._set(self.order[lo + k], f + (k >= m_low))
-        return moved
 
 
 class _Piece(NamedTuple):
@@ -539,17 +545,12 @@ class _Piece(NamedTuple):
 _EVENT_BAND = 1e-9
 
 
-def _sweep(states: tuple[StateProfile, ...], method: MethodSpec,
-           d_lo: float, d_hi: float) -> list[_Piece]:
+def _sweep(direct: _Direct, d_lo: float, d_hi: float) -> list[_Piece]:
     """Constant-seat pieces over [d_lo, d_hi] by one ascending event sweep."""
-    if method.is_hamilton:
-        raise ApportionmentError("Hamilton's method has no divisor sweep")
     if not (0 < d_lo < d_hi) or not math.isfinite(d_hi):
         raise ValueError(f"need 0 < d_lo < d_hi, got [{d_lo!r}, {d_hi!r}]")
-    compute_quotas(states, d_lo)  # checks the states
-    events = _crossing_events(states, method, d_lo, d_hi)
+    events = _crossing_events(direct, d_lo, d_hi)
     pieces: list[_Piece] = []
-    tracker: _SeatTracker | None = None
     first = last = 0  # events[first:last] lie within the band of the midpoint
     for (a, _), (b, _) in zip(events, events[1:]):
         mid = 0.5 * (a + b)
@@ -557,34 +558,35 @@ def _sweep(states: tuple[StateProfile, ...], method: MethodSpec,
             continue  # interval at float resolution; no interior
         while last < len(events) and events[last][0] <= mid * (1 + _EVENT_BAND):
             last += 1
-        if tracker is None:
-            tracker = _SeatTracker(states, method, mid)
+        if not pieces:
+            direct.start(mid)
             moved = True
         else:
             near = [tags for _, tags in events[first:last]]
-            moved = tracker.reround(mid, [i for ids, _ in near for i in ids],
-                                  [f for _, fs in near for f in fs])
+            moved = direct.reround(mid, [i for ids, _ in near for i in ids],
+                                   [f for _, fs in near for f in fs])
         while first < last and events[first][0] * (1 + _EVENT_BAND) < mid:
             first += 1
         if moved:
-            pieces.append(_Piece(a, b, mid, tuple(tracker.seats), tracker.total))
+            pieces.append(_Piece(a, b, mid, tuple(direct.seats), direct.total))
         else:
             pieces[-1] = pieces[-1]._replace(hi=b)
     if not pieces:
         # window too narrow to contain any candidate interior: one piece
         mid = 0.5 * (d_lo + d_hi)
-        tracker = _SeatTracker(states, method, mid)
-        pieces.append(_Piece(d_lo, d_hi, mid, tuple(tracker.seats), tracker.total))
+        direct.start(mid)
+        pieces.append(_Piece(d_lo, d_hi, mid, tuple(direct.seats), direct.total))
     return pieces
 
 
 def _checked_sweep(states: Iterable[StateProfile], method: MethodSpec,
                    d_lo: float, d_hi: float) -> tuple[_Direct, list[_Piece]]:
     """The sweep's pieces over [d_lo, d_hi], each checked by direct apportionment
-    at its divisor, and the evaluator that checked them."""
-    states = tuple(states)
-    pieces = _sweep(states, method, d_lo, d_hi)
+    at its divisor, and the evaluator that swept and checked them."""
+    if method.is_hamilton:
+        raise ApportionmentError("Hamilton's method has no divisor sweep")
     direct = _Direct(states, method)
+    pieces = _sweep(direct, d_lo, d_hi)
     for piece in pieces:
         direct.check(piece)
     return direct, pieces
@@ -645,23 +647,22 @@ def _exact_floor(terms: list[float]) -> int:
     return floor
 
 
-def _seat_bounds(states: tuple[StateProfile, ...], method: MethodSpec, top: float):
+def _seat_bounds(direct: _Direct, top: float):
     """``bounds(D) -> (L, U)`` with L(D) <= total(D) <= U(D), both non-increasing
     in D while the quotas total at most ``top`` (see ``_search_window``)."""
-    direct = _Direct(states, method)
     floor_seats = direct.floor
-    if method.mode == BY_STATE and not method.divisor_dependent:
+    if not direct.by_family and not direct.moving:
         def exact(d: float) -> tuple[int, int]:
             total = sum(direct.seats_at(d))
             return total, total
         return exact
-    if method.mode == BY_STATE:
+    if not direct.by_family:
         def per_state(d: float) -> tuple[int, int]:
             floors = [math.floor(v / d) for v in direct.pops]
             return (sum(max(f, floor_seats) for f in floors),
                     sum(max(f + 1, floor_seats) for f in floors))
         return per_state
-    eta = (len(states) + 2) * 2.0 ** -52 * top  # covers sum()'s error, naive or compensated
+    eta = (len(direct.pops) + 2) * 2.0 ** -52 * top  # covers sum()'s error, naive or compensated
 
     def per_family(d: float) -> tuple[int, int]:
         quotas, ends = direct.runs(d)
@@ -683,7 +684,7 @@ def _seat_bounds(states: tuple[StateProfile, ...], method: MethodSpec, top: floa
 _FAR = 1e300
 
 
-def _freeze_divisor(states: tuple[StateProfile, ...], method: MethodSpec, d_lo: float) -> float:
+def _freeze_divisor(direct: _Direct, d_lo: float) -> float:
     """A divisor just above the last one where seats change (small targets).
 
     Above v (each state's population in state mode, v_T in family mode)
@@ -691,15 +692,13 @@ def _freeze_divisor(states: tuple[StateProfile, ...], method: MethodSpec, d_lo: 
     state counts: under a bounded law a state above the support keeps its
     seat for good, while a smaller one may lose its seat further out.
     """
-    pops = [s.population for s in states]
     ends = []
-    for v in pops if method.mode == BY_STATE else [math.fsum(pops)]:
-        ends += [v, *_mark_crossings(v, method.rounding, v, _FAR, method.divisor_dependent)]
+    for v in [math.fsum(direct.pops)] if direct.by_family else direct.pops:
+        ends += [v, *_mark_crossings(v, direct, v, _FAR)]
     return max(max(ends) * (1 + 1e-9), d_lo * 2)
 
 
-def _search_window(states: tuple[StateProfile, ...], target: int,
-                   method: MethodSpec) -> tuple[list[_Piece], bool]:
+def _search_window(direct: _Direct, target: int) -> tuple[list[_Piece], bool]:
     """Sweep of a divisor window provably holding every D with total == target.
 
     Returns ``(pieces, frozen_above)``, where frozen_above means the
@@ -752,14 +751,14 @@ def _search_window(states: tuple[StateProfile, ...], target: int,
     exactly as in the fixed-slack window, and when the target is not
     reached the nearest totals are those over the fixed-slack window.
     """
-    v_t = math.fsum(s.population for s in states)
-    slack = len(states) * (1 + (method.min_seat_floor or 0)) + 1
+    v_t = math.fsum(direct.pops)
+    slack = len(direct.pops) * (1 + direct.floor) + 1
     cap_lo = v_t / (target + slack)
     if target - slack >= 1:
         cap_hi, frozen_above = v_t / (target - slack), False
     else:
-        cap_hi, frozen_above = _freeze_divisor(states, method, cap_lo), True
-    bounds = _seat_bounds(states, method, target + slack + 2)
+        cap_hi, frozen_above = _freeze_divisor(direct, cap_lo), True
+    bounds = _seat_bounds(direct, target + slack + 2)
     l_0, u_0 = bounds(v_t / target)
 
     def lower_end() -> float:
@@ -779,12 +778,12 @@ def _search_window(states: tuple[StateProfile, ...], target: int,
         return cap_hi
 
     d_lo, d_hi = lower_end(), upper_end()
-    pieces = _sweep(states, method, d_lo, d_hi)
+    pieces = _sweep(direct, d_lo, d_hi)
     hit = [p.total == target for p in pieces]
     if ((hit[0] and d_lo != cap_lo) or (hit[-1] and d_hi != cap_hi)
             or (not any(hit) and (d_lo, d_hi) != (cap_lo, cap_hi))):
         d_lo, d_hi = cap_lo, cap_hi
-        pieces = _sweep(states, method, d_lo, d_hi)
+        pieces = _sweep(direct, d_lo, d_hi)
     return pieces, frozen_above and d_hi == cap_hi
 
 
@@ -801,16 +800,15 @@ def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,
     solution's piece and its neighbours are checked (``ApportionmentError``).
     Hamilton returns a single apportionment at D = v_T/target.
     """
-    states = tuple(states)
     if target_total < 1:
         raise InfeasibleTarget(f"target house size must be >= 1, got {target_total}")
-    n = len(states)
-    floor_seats = method.min_seat_floor or 0
+    direct = _Direct(states, method)
+    n, floor_seats = len(direct.pops), direct.floor
     if method.is_hamilton:
         if target_total < n * floor_seats:
             raise InfeasibleTarget(
                 f"target {target_total} below the {n * floor_seats}-seat floor")
-        app = _hamilton(states, target_total)
+        app = _hamilton(direct.states, target_total)
         if floor_seats:
             app = replace(app, seats={name: max(s, floor_seats) for name, s in app})
             if app.total_seats != target_total:
@@ -818,17 +816,15 @@ def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,
                     "min_seat_floor is incompatible with Hamilton's fixed total")
         return [app]
     # state-mode constant marks with r(0) = 0 give every positive quota a seat
-    forces_one = (method.mode == BY_STATE and not method.divisor_dependent
-                  and method.rounding.mark_at(0, 1.0) == 0.0)
+    forces_one = not direct.by_family and not direct.moving and direct.mark(0, 1.0) == 0.0
     forced_min = n * (max(floor_seats, 1) if forces_one else floor_seats)
     if target_total < forced_min:
         raise InfeasibleTarget(
             f"target {target_total} infeasible: method forces at least "
             f"{forced_min} seats across {n} states")
 
-    pieces, frozen_above = _search_window(states, target_total, method)
+    pieces, frozen_above = _search_window(direct, target_total)
 
-    direct = _Direct(states, method)
     solutions: list[Apportionment] = []
     seen: set[tuple[int, ...]] = set()
     for idx, piece in enumerate(pieces):

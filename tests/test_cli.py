@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -496,6 +497,27 @@ def test_closed_output_pipe_ends_quietly(unbuffered):
         code = proc.wait(timeout=60)
     assert err == b""
     assert code == 0
+
+
+@pytest.mark.parametrize("args", [
+    # a quota of 3.2e19, beyond int64
+    ("--dist", "lognormal:5,30", "--replications", "1", "--n-states", "1", "--seed", "0"),
+    # family 2,186,058,007: running totals sized by it would take 16 GiB
+    ("--dist", "lognormal:5,10", "--replications", "1", "--seed", "1", "--marks", "webster"),
+], ids=["beyond-int64", "beyond-memory"])
+def test_heavy_tail_bias_is_refused(args):
+    # in a child capped at 1 GiB of address space, so that a run sized by the
+    # tail fails fast instead of exhausting the machine's memory
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "seatcalc", "bias", *args],
+                          capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("seatcalc: a draw reaches family ")
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
 def test_import_leaves_numpy_unloaded():

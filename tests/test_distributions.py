@@ -659,6 +659,17 @@ def test_monte_carlo_memory_and_marks_follow_the_draws():
     assert max(solved) == len(rows) - 1
 
 
+@pytest.mark.parametrize("dist, family", [
+    (LogNormal(math.log(5.0), 30.0), "32253768188971503616"),  # beyond int64
+    (Uniform(2.0 ** 20, 2.0 ** 20 + 1.0), "1048576"),  # the first family refused
+])
+def test_monte_carlo_refuses_a_family_beyond_the_limit(dist, family):
+    # refused before the quotas are cast to int64 or sized into arrays
+    with pytest.raises(ValueError, match=f"a draw reaches family {family}, beyond the "
+                                         f"limit of 1,048,576 families"):
+        monte_carlo_bias(dist, 1.0, WEBSTER, 1, 1, seed=0)
+
+
 @given(f=st.integers(min_value=0, max_value=30),
        q_g=st.sampled_from([1.0, 2.0, 5.0, 10.0, 20.0]))
 @settings(max_examples=60, deadline=None)

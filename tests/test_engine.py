@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -260,6 +261,37 @@ def test_target_validation():
         apportion_for_house_size(states_of(1.0), 0, MethodSpec(WEBSTER))
 
 
+STATE_CHECK_METHODS = {
+    "webster/state": MethodSpec(WEBSTER, BY_STATE),
+    "webster/family": MethodSpec(WEBSTER, BY_FAMILY),
+    "lognormal": MethodSpec(DistributionMarks(LogNormal(0.0, 1.0))),
+    "hamilton": MethodSpec(HAMILTON),
+}
+STATE_CHECK_CALLS = {
+    "apportion_at_divisor": lambda states, m: apportion_at_divisor(states, 1.0, m),
+    "apportion_for_house_size": lambda states, m: apportion_for_house_size(states, 5, m),
+    "piecewise_apportionments": lambda states, m: piecewise_apportionments(states, m, 0.5, 2.0),
+    "breakpoints": lambda states, m: breakpoints(states, m, 0.5, 2.0),
+    "scan_alabama": lambda states, m: scan_alabama(states, m, 0.5, 2.0),
+}
+
+
+@pytest.mark.parametrize("states, message", [
+    ((), "need at least one state"),
+    ((StateProfile("a", 1.0), StateProfile("b", 2.0), StateProfile("a", 3.0)),
+     "duplicate state names: a"),
+], ids=["empty", "duplicate"])
+@pytest.mark.parametrize("call, method", [  # Hamilton has no divisor and no sweep
+    pytest.param(call, method, id=f"{call}-{method}")
+    for call in STATE_CHECK_CALLS for method in STATE_CHECK_METHODS
+    if method != "hamilton" or call == "apportion_for_house_size"])
+def test_every_entry_point_checks_the_states(call, method, states, message):
+    # with compute_quotas' checks and messages, before any window is computed
+    with pytest.raises(ValueError) as err:
+        STATE_CHECK_CALLS[call](states, STATE_CHECK_METHODS[method])
+    assert err.type is ValueError and str(err.value) == message
+
+
 # --- breakpoints ----------------------------------------------------------
 
 def test_breakpoints_single_state():
@@ -477,7 +509,7 @@ def assert_sweep_matches_oracle(states, method, d_lo, d_hi):
     pieces = piecewise_apportionments(states, method, d_lo, d_hi)
     for (_, _, below), (_, _, above) in zip(pieces, pieces[1:]):
         assert below.seats != above.seats
-    cands = [d for d, _ in _crossing_events(states, method, d_lo, d_hi)]
+    cands = [d for d, _ in _crossing_events(engine._Direct(states, method), d_lo, d_hi)]
     k = 0
     for a, b in zip(cands, cands[1:]):
         mid = 0.5 * (a + b)
@@ -696,8 +728,9 @@ def test_mark_crossings_test_only_the_families_the_window_reads():
             for rounding, moving in ((LogNormal(0.0, 1.0), True), (Uniform(0.0, 3.0), True),
                                      (LogNormal(0.0, 1.0), False)):
                 marks = RecordingMarks(rounding, None if moving else lambda f, d: f + 0.5)
-                marks.families = []
-                _mark_crossings(value, marks, d_lo, d_hi, moving)
+                marks.families, marks.divisor_dependent = [], moving
+                _mark_crossings(value, engine._Direct(states_of(value), MethodSpec(marks)),
+                                d_lo, d_hi)
                 read = range(math.floor(value / d_hi), math.floor(value / d_lo) + 1)
                 assert marks.families and set(marks.families) <= set(read), \
                     (value, d_lo, d_hi, rounding, sorted(set(marks.families)))
@@ -900,6 +933,47 @@ def test_constant_marks_are_read_once_per_call_and_moving_ones_decided():
         assert marks.rounds_ups > roundings and marks.mark_ats == 0
 
 
+class MarkReads:
+    """A rule's constant marks, counting the reads of each mark r(f)."""
+
+    divisor_dependent = False
+
+    def __init__(self, rule):
+        self.rule, self.reads = rule, Counter()
+
+    def rounds_up(self, quota, f, divisor):
+        self.reads[f] += 1
+        return self.rule.rounds_up(quota, f, divisor)
+
+    def mark_at(self, f, divisor):
+        self.reads[f] += 1
+        return self.rule.mark_at(f, divisor)
+
+
+def test_every_constant_mark_is_read_at_most_once_per_call():
+    # the window bounds, the candidate enumeration, the sweep and the guard
+    # share one mark table per call, so no r(f) is read from the rule twice
+    states = bundled_census(2020)
+    v_t = math.fsum(s.population for s in states)
+    calls = [
+        (WEBSTER, lambda m: piecewise_apportionments(states, m, v_t / 600, v_t / 300)),
+        (WEBSTER, lambda m: breakpoints(states, m, v_t / 600, v_t / 300)),
+        (WEBSTER, lambda m: scan_alabama(states, m, v_t / 600, v_t / 300)),
+        (WEBSTER, lambda m: apportion_for_house_size(states, 435, m)),
+        (WEBSTER, lambda m: apportion_for_house_size(states, 5, m)),  # the freeze divisor
+        # swept again over the fixed-slack window, by state
+        (ADAMS, lambda m: apportion_for_house_size(states_of(*(3.0,) * 5), 14, m)),
+    ]
+    for rule, call in calls:
+        for mode in (BY_STATE, BY_FAMILY):
+            marks = MarkReads(rule)
+            try:
+                call(MethodSpec(marks, mode))
+            except TargetUnachievable:
+                pass
+            assert marks.reads and max(marks.reads.values()) == 1, (rule, mode, marks.reads)
+
+
 # --- piece seats against exact rounding (fault (b)) ------------------------
 
 def adams_pieces_by_exact_rounding():
@@ -923,7 +997,7 @@ def test_pieces_hold_inside_by_exact_rounding():
     assert all(seats == inside for seats, inside, _ in adams_pieces_by_exact_rounding())
 
 
-@pytest.mark.xfail(strict=True, reason="fault (b), open as ROADMAP item 2: checked exactly, "
+@pytest.mark.xfail(strict=True, reason="fault (b), open as ROADMAP item 1: checked exactly, "
                                        "the seats fail at 191 of the 304 upper endpoints")
 def test_pieces_hold_at_upper_endpoints_by_exact_rounding():
     assert all(seats == at_hi for seats, _, at_hi in adams_pieces_by_exact_rounding())
@@ -955,6 +1029,7 @@ def per_span_family_events(states, method, d_lo, d_hi):
     state-boundary crossings, floor every state at the midpoint, sum the
     family volumes in input order and enumerate each family's crossings
     within that span.  Returns {D: (state ids, family ids)}."""
+    direct = engine._Direct(states, method)
     tags = {d_lo: (set(), set()), d_hi: (set(), set())}
     for i, s in enumerate(states):
         for d in _boundary_crossings(s.population, d_lo, d_hi):
@@ -968,13 +1043,13 @@ def per_span_family_events(states, method, d_lo, d_hi):
             volumes[f] = volumes.get(f, 0.0) + s.population
         for f, vol in volumes.items():
             for d in (_boundary_crossings(vol, a, b)
-                      + _mark_crossings(vol, method.rounding, a, b, method.divisor_dependent)):
+                      + _mark_crossings(vol, direct, a, b)):
                 tags.setdefault(d, (set(), set()))[1].add(f)
     return tags
 
 
 def family_events(states, method, d_lo, d_hi):
-    events = _crossing_events(states, method, d_lo, d_hi)
+    events = _crossing_events(engine._Direct(states, method), d_lo, d_hi)
     return {d: (set(ids), set(fs)) for d, (ids, fs) in events}
 
 
@@ -1053,7 +1128,7 @@ def fixed_slack_solutions(states, target, method):
     lo = v_t / (target + slack)
     frozen = target - slack < 1
     hi = frozen_upper_end(states, method, lo) if frozen else v_t / (target - slack)
-    pieces = _sweep(states, method, lo, hi)
+    pieces = _sweep(engine._Direct(states, method), lo, hi)
     solutions, seen = [], set()
     for idx, p in enumerate(pieces):
         if p.total == target and p.seats not in seen:
@@ -1158,9 +1233,9 @@ def test_house_window_is_swept_at_most_twice(monkeypatch):
     windows = []
     sweep = engine._sweep
 
-    def recording(states, method, d_lo, d_hi):
+    def recording(direct, d_lo, d_hi):
         windows.append((d_lo, d_hi))
-        return sweep(states, method, d_lo, d_hi)
+        return sweep(direct, d_lo, d_hi)
 
     monkeypatch.setattr(engine, "_sweep", recording)
     # an end probed, then widened twice, by a search that doubled its margin
@@ -1249,8 +1324,8 @@ def test_family_seat_bounds_bracket_the_total_and_never_rise(instance, rule, flo
     grid = sorted({d for c in cuts for d in (math.nextafter(c, 0.0), c, math.nextafter(c, math.inf))
                    if d >= d_min} | {d_min, *(d_min + x * 2 * v_t for x in extra)})
     top = v_t / d_min + 2
-    bounds = engine._seat_bounds(states, method, top)
     direct = engine._Direct(states, method)
+    bounds = engine._seat_bounds(direct, top)
     eta = Fraction((len(states) + 2) * 2.0 ** -52 * top)
     m = floor or 0
     last = None
@@ -1281,7 +1356,7 @@ def test_family_seat_bounds_allow_for_the_error_of_sum():
     assert math.fsum(quotas) == 13.0
     total = sum(engine._Direct(states, method).seats_at(1.0))
     assert total == (12 if sum(quotas) < 13.0 else 13)
-    lower, upper = engine._seat_bounds(states, method, 15.0)(1.0)
+    lower, upper = engine._seat_bounds(engine._Direct(states, method), 15.0)(1.0)
     assert lower <= total <= upper
 
 
@@ -1298,7 +1373,7 @@ def test_family_seat_bounds_are_exact_just_below_an_integer():
     assert sum(map(Fraction, (3.05, 3.15, 3.2, last))) == 13 - Fraction(2) ** -48
     for rule in (ADAMS, JEFFERSON):
         method = MethodSpec(rule, BY_FAMILY)
-        assert engine._seat_bounds(states, method, 15.0)(1.0) == (12, 14)
+        assert engine._seat_bounds(engine._Direct(states, method), 15.0)(1.0) == (12, 14)
         assert 12 <= sum(engine._Direct(states, method).seats_at(1.0)) <= 14
 
 
@@ -1309,9 +1384,9 @@ def test_census_house_round_sweeps_under_1500_pieces(monkeypatch):
     swept = {}
     sweep = engine._sweep
 
-    def counting(states, method, d_lo, d_hi):
-        pieces = sweep(states, method, d_lo, d_hi)
-        key = (states, method)
+    def counting(direct, d_lo, d_hi):
+        pieces = sweep(direct, d_lo, d_hi)
+        key = (direct.states, direct.method)
         swept[key] = swept.get(key, 0) + len(pieces)
         return pieces
 
@@ -1340,7 +1415,7 @@ def test_freeze_divisor_of_constant_marks_is_the_closed_form():
                     slack = len(states) * (1 + (floor or 0)) + 1
                     for target in range(1, slack):
                         lo = v_t / (target + slack)
-                        assert engine._freeze_divisor(states, method, lo) == \
+                        assert engine._freeze_divisor(engine._Direct(states, method), lo) == \
                             frozen_upper_end(states, method, lo), (rule, mode, states)
 
 
