@@ -160,11 +160,19 @@ def _rounding(parsed, anchor: float):
     return DistributionMarks(_build_distribution(parsed, anchor))
 
 
+def _total_population(states) -> float:
+    """v_T, refused as a usage error when it overflows a float."""
+    try:
+        return math.fsum(s.population for s in states)
+    except OverflowError:
+        raise _UsageError("the total population overflows a float") from None
+
+
 def _house_anchor(states, seats: int) -> float:
     """v_T/N for a --seats N target, refusing N < 1 before dividing by it."""
     if seats < 1:
         raise InfeasibleTarget(f"target house size must be >= 1, got {seats}")
-    return math.fsum(s.population for s in states) / seats
+    return _total_population(states) / seats
 
 
 def _parse_divisor(text: str, states) -> float:
@@ -174,7 +182,7 @@ def _parse_divisor(text: str, states) -> float:
         n = _parse_float(text[3:], "divisor denominator")
         if n <= 0:
             raise _UsageError("divisor denominator must be positive")
-        return math.fsum(s.population for s in states) / n
+        return _total_population(states) / n
     value = _parse_float(text, "divisor")
     if value <= 0:
         raise _UsageError("divisor must be positive")

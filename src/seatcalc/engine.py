@@ -210,24 +210,33 @@ class _Direct:
     checks and messages of ``compute_quotas``, and the window bounds, the
     candidate enumeration, the sweep and the guard all read it.  It holds
     what belongs to the (states, method) pair, on plain lists: names,
-    populations, in family mode the (population, name) order, and the
-    table of constant marks r(f), each read from the rule once per call
-    (``mark``).
+    populations and their total v_T, in family mode the (population, name)
+    order, and the table of constant marks r(f), each read from the rule
+    once per call (``mark``).  A v_T beyond the float range is refused
+    here, and ``refuse_overflow`` refuses a divisor whose quotas would be.
 
     ``seats_at(D)`` rounds with the float operations of ``compute_quotas``
     and ``partition_families``: q = v/D per state, a family as a run of
     equal floor(q) in (population, name) order with its quota summed by
     ``sum()`` in that order, ``round`` (``round_quota``'s rule),
-    ``positional_split`` and the seat floor.  It and ``check`` are
-    stateless: they never read the sweep state below, so a check of the
-    pieces this evaluator swept is still a from-scratch evaluation.
+    ``positional_split`` and the seat floor.  A state's quota, and that of
+    a family of one, is decided inline as q >= r(f) on the table's mark;
+    ``round`` takes it only when the table lacks f (it then fills it) or q
+    is integral, and always under moving marks, which never fill the
+    table.  Family seats are written straight to their input positions
+    through ``order``.  ``seats_at`` and ``check`` are stateless: they
+    never read the sweep state below, so a check of the pieces this
+    evaluator swept is still a from-scratch evaluation.
 
     The sweep state: ``start(D)`` apportions once in full into ``seats``
     (input order, floor applied) and ``total``; after that ``reround``
-    re-rounds only what a crossing event tags.  In family mode families
-    are contiguous runs of (population, name) order, because floor(v/D) is
-    monotone in v: ``family[p]`` is the family of the state at rank p, so
-    a family's members are found by bisection.
+    re-rounds only what a crossing event tags, deciding a state's quota
+    inline as ``seats_at`` does, and writes each changed seat and the
+    total in place, with no call per seat.  In family mode families are
+    contiguous runs of (population, name) order, because floor(v/D) is
+    monotone in v: ``family[p]`` is the family of the state at rank p,
+    ``rank`` maps an event's input index to its rank, and a family's
+    members are found by bisection.
     """
 
     def __init__(self, states: Iterable[StateProfile], method: MethodSpec):
@@ -236,6 +245,10 @@ class _Direct:
         self.method = method
         self.names = [s.name for s in states]
         self.pops = [s.population for s in states]
+        try:
+            self.v_t = math.fsum(self.pops)
+        except OverflowError:
+            raise ValueError("the total population overflows a float") from None
         self.rounding = method.rounding
         self.moving = method.divisor_dependent
         self.marks: dict[int, float] = {}  # constant marks r(f), each read once
@@ -245,6 +258,14 @@ class _Direct:
             self.order = sorted(range(len(states)), key=lambda i: (self.pops[i], self.names[i]))
             self.sorted_pops = [self.pops[i] for i in self.order]
             self.rank = sorted(range(len(states)), key=self.order.__getitem__)  # order's inverse
+
+    def refuse_overflow(self, divisor: float) -> None:
+        """Raise ``ValueError`` unless max(v)/D (by state) or v_T/D (by family)
+        is finite: it bounds every quota, or every family quota sum up to the
+        error of ``sum()``, at D >= ``divisor``."""
+        top = self.v_t if self.by_family else max(self.pops)
+        if not math.isfinite(top / divisor):
+            raise ValueError(f"the quotas overflow a float at divisor {divisor!r}")
 
     def mark(self, f: int, divisor: float) -> float:
         """Constant marks only: r(f), read from the rule once per evaluator."""
@@ -274,9 +295,9 @@ class _Direct:
 
     def seats_at(self, divisor: float) -> tuple[int, ...]:
         """Every state's seats at ``divisor``, in input order, floor applied."""
-        round_ = self.round
-        if not self.by_family:  # round() inlined where a read mark decides; it fills the table
-            marks, seats = self.marks, []
+        round_, marks = self.round, self.marks  # round() inlined where a read mark decides
+        if not self.by_family:
+            seats = []
             for v in self.pops:
                 f = math.floor(q := v / divisor)
                 mark = marks.get(f)
@@ -284,15 +305,20 @@ class _Direct:
                              else f + 1 if q >= mark else f)
         else:
             quotas, ends = self.runs(divisor)
-            ranked: list[int] = []
-            lo = 0
+            order, seats, lo = self.order, [0] * len(quotas), 0
             for hi in ends:
-                f = math.floor(quotas[lo])
-                q = quotas[lo] if hi == lo + 1 else sum(quotas[lo:hi])  # sum() of one is itself
-                m_low, m_high = positional_split(f, hi - lo, round_(q, divisor))
-                ranked += [f] * m_low + [f + 1] * m_high
+                f = math.floor(q := quotas[lo])
+                if hi == lo + 1:  # a family of one rounds its own quota
+                    mark = marks.get(f)
+                    seats[order[lo]] = (round_(q, divisor) if mark is None or q == f
+                                        else f + 1 if q >= mark else f)
+                else:
+                    m_low, _ = positional_split(f, hi - lo, round_(sum(quotas[lo:hi]), divisor))
+                    for i in order[lo:lo + m_low]:
+                        seats[i] = f
+                    for i in order[lo + m_low:hi]:
+                        seats[i] = f + 1
                 lo = hi
-            seats = [ranked[p] for p in self.rank]
         if self.floor:
             return tuple(max(s, self.floor) for s in seats)
         return tuple(seats)
@@ -304,42 +330,47 @@ class _Direct:
         if self.by_family:
             self.family = [math.floor(v / divisor) for v in self.sorted_pops]
 
-    def _set(self, i: int, seats: int) -> bool:
-        seats = max(seats, self.floor)
-        old = self.seats[i]
-        if seats == old:
-            return False
-        self.seats[i] = seats
-        self.total += seats - old
-        return True
-
     def reround(self, divisor: float, state_ids, family_ids) -> bool:
-        """Re-round the given states and families at ``divisor``.
+        """Re-round the given states and families at ``divisor``, in place.
 
-        Returns True if any seat moved.  In family mode a state is
-        re-rounded through its old and new family.
+        Returns True if any seat moved (in family mode seats can swap at
+        an unchanged total).  In family mode a state is re-rounded through
+        its old and new family.
         """
-        moved = False
+        seats, floor, total, moved = self.seats, self.floor, self.total, False
         if not self.by_family:
+            round_, marks, pops = self.round, self.marks, self.pops
             for i in state_ids:
-                moved |= self._set(i, self.round(self.pops[i] / divisor, divisor))
+                f = math.floor(q := pops[i] / divisor)
+                mark = marks.get(f)
+                s = max(round_(q, divisor) if mark is None or q == f
+                        else f + 1 if q >= mark else f, floor)
+                if s != seats[i]:
+                    total += s - seats[i]
+                    seats[i], moved = s, True
+            self.total = total
             return moved
+        family, sorted_pops, order = self.family, self.sorted_pops, self.order
         families = set(family_ids)
         for i in state_ids:
             p = self.rank[i]
-            families.add(self.family[p])
-            self.family[p] = math.floor(self.sorted_pops[p] / divisor)
-            families.add(self.family[p])
+            families.add(family[p])
+            family[p] = math.floor(sorted_pops[p] / divisor)
+            families.add(family[p])
         for f in families:
-            lo = bisect_left(self.family, f)
-            hi = bisect_right(self.family, f, lo)
+            lo = bisect_left(family, f)
+            hi = bisect_right(family, f, lo)
             if lo == hi:
                 continue
             # summed in member order, exactly as Family.quota does
-            quota = sum(v / divisor for v in self.sorted_pops[lo:hi])
+            quota = sum([v / divisor for v in sorted_pops[lo:hi]])
             m_low, _ = positional_split(f, hi - lo, self.round(quota, divisor))
-            for k in range(hi - lo):
-                moved |= self._set(self.order[lo + k], f + (k >= m_low))
+            for p in range(lo, hi):
+                i = order[p]
+                if (s := max(f + (p - lo >= m_low), floor)) != seats[i]:
+                    total += s - seats[i]
+                    seats[i], moved = s, True
+        self.total = total
         return moved
 
     def check(self, piece: _Piece) -> None:
@@ -375,13 +406,13 @@ def apportion_at_divisor(states: Iterable[StateProfile], divisor: float,
     states = tuple(states)
     quotas = compute_quotas(states, divisor)
     direct = _Direct(states, method)
+    direct.refuse_overflow(divisor)
     return Apportionment(divisor, dict(zip(direct.names, direct.seats_at(divisor))), quotas)
 
 
-def _hamilton(states: tuple[StateProfile, ...], target: int) -> Apportionment:
-    total_pop = math.fsum(s.population for s in states)
-    divisor = total_pop / target
-    quotas = compute_quotas(states, divisor)
+def _hamilton(direct: _Direct, target: int) -> Apportionment:
+    divisor = direct.v_t / target
+    quotas = compute_quotas(direct.states, divisor)
     base = {e.state.name: int(math.floor(e.quota)) for e in quotas}
     remaining = target - sum(base.values())
     # largest fractional remainders win; ties by larger population, then name
@@ -549,6 +580,7 @@ def _sweep(direct: _Direct, d_lo: float, d_hi: float) -> list[_Piece]:
     """Constant-seat pieces over [d_lo, d_hi] by one ascending event sweep."""
     if not (0 < d_lo < d_hi) or not math.isfinite(d_hi):
         raise ValueError(f"need 0 < d_lo < d_hi, got [{d_lo!r}, {d_hi!r}]")
+    direct.refuse_overflow(d_lo)
     events = _crossing_events(direct, d_lo, d_hi)
     pieces: list[_Piece] = []
     first = last = 0  # events[first:last] lie within the band of the midpoint
@@ -570,7 +602,8 @@ def _sweep(direct: _Direct, d_lo: float, d_hi: float) -> list[_Piece]:
         if moved:
             pieces.append(_Piece(a, b, mid, tuple(direct.seats), direct.total))
         else:
-            pieces[-1] = pieces[-1]._replace(hi=b)
+            p = pieces[-1]
+            pieces[-1] = _Piece(p.lo, b, p.divisor, p.seats, p.total)
     if not pieces:
         # window too narrow to contain any candidate interior: one piece
         mid = 0.5 * (d_lo + d_hi)
@@ -693,7 +726,7 @@ def _freeze_divisor(direct: _Direct, d_lo: float) -> float:
     seat for good, while a smaller one may lose its seat further out.
     """
     ends = []
-    for v in [math.fsum(direct.pops)] if direct.by_family else direct.pops:
+    for v in [direct.v_t] if direct.by_family else direct.pops:
         ends += [v, *_mark_crossings(v, direct, v, _FAR)]
     return max(max(ends) * (1 + 1e-9), d_lo * 2)
 
@@ -751,7 +784,7 @@ def _search_window(direct: _Direct, target: int) -> tuple[list[_Piece], bool]:
     exactly as in the fixed-slack window, and when the target is not
     reached the nearest totals are those over the fixed-slack window.
     """
-    v_t = math.fsum(direct.pops)
+    v_t = direct.v_t
     slack = len(direct.pops) * (1 + direct.floor) + 1
     cap_lo = v_t / (target + slack)
     if target - slack >= 1:
@@ -808,7 +841,7 @@ def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,
         if target_total < n * floor_seats:
             raise InfeasibleTarget(
                 f"target {target_total} below the {n * floor_seats}-seat floor")
-        app = _hamilton(direct.states, target_total)
+        app = _hamilton(direct, target_total)
         if floor_seats:
             app = replace(app, seats={name: max(s, floor_seats) for name, s in app})
             if app.total_seats != target_total:

@@ -520,6 +520,23 @@ def test_heavy_tail_bias_is_refused(args):
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
+
+@pytest.mark.parametrize("argv", [
+    ("apportion", "--populations", "1e308,1e308", "--seats", "2"),
+    ("apportion", "--populations", "1e308,1e308", "--seats", "2", "--method", "hamilton"),
+    ("apportion", "--populations", "1e308,1e308", "--divisor", "1e-300"),
+    ("apportion", "--populations", "1e308,1e308", "--divisor", "1e-300", "--mode", "family"),
+    ("apportion", "--populations", "1e308,1e308", "--divisor", "vt/2"),
+    ("apportion", "--populations", "1,2", "--divisor", "1e-309"),
+    ("paradox", "alabama", "--populations", "1,2", "--d-lo", "1e-309", "--d-hi", "1e-308"),
+], ids=["seats", "hamilton", "divisor", "divisor-family", "vt-divisor", "quotas", "alabama"])
+def test_overflowing_populations_and_quotas_are_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("seatcalc: the ") and " overflow" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_import_leaves_numpy_unloaded():
     # numpy is imported where sampling needs it, so start-up does not pay for it
     code = "import sys, seatcalc, seatcalc.cli; sys.exit('numpy' in sys.modules)"

@@ -292,6 +292,44 @@ def test_every_entry_point_checks_the_states(call, method, states, message):
     assert err.type is ValueError and str(err.value) == message
 
 
+OVERFLOW_CALLS = {
+    "apportion_at_divisor": lambda states, m, d: apportion_at_divisor(states, d, m),
+    "apportion_for_house_size": lambda states, m, d: apportion_for_house_size(states, 2, m),
+    "piecewise_apportionments": lambda states, m, d: piecewise_apportionments(states, m, d, 10 * d),
+    "breakpoints": lambda states, m, d: breakpoints(states, m, d, 10 * d),
+    "scan_alabama": lambda states, m, d: scan_alabama(states, m, d, 10 * d),
+}
+
+
+OVERFLOWS = {  # (populations, divisor or window's lower end, message)
+    "total": ((1e308, 1e308), 1e-300, "the total population overflows a float"),
+    "quotas": ((1.0, 2.0), 1e-309, "the quotas overflow a float at divisor 1e-309"),
+}
+
+
+@pytest.mark.parametrize("call, method, overflow", [
+    pytest.param(call, method, overflow, id=f"{call}-{method}-{overflow}")
+    for call in OVERFLOW_CALLS for method in STATE_CHECK_METHODS for overflow in OVERFLOWS
+    # Hamilton has no divisor and no sweep; v_T/N cannot overflow unless v_T does
+    if (method != "hamilton" or call == "apportion_for_house_size")
+    and (overflow == "total" or call != "apportion_for_house_size")])
+def test_every_entry_point_refuses_overflowing_quotas(call, method, overflow):
+    pops, divisor, message = OVERFLOWS[overflow]
+    with pytest.raises(ValueError) as err:
+        OVERFLOW_CALLS[call](states_of(*pops), STATE_CHECK_METHODS[method], divisor)
+    assert err.type is ValueError and str(err.value) == message
+
+
+def test_a_family_quota_sum_may_not_overflow():
+    # each quota is 1e308, a float, but the family holding both sums to inf
+    states = states_of(1e307, 1e307)
+    by_state = MethodSpec(WEBSTER, BY_STATE)
+    assert apportion_at_divisor(states, 0.1, by_state) == \
+        eager_apportionment(states, 0.1, by_state)
+    with pytest.raises(ValueError, match="the quotas overflow a float at divisor 0.1"):
+        apportion_at_divisor(states, 0.1, MethodSpec(WEBSTER, BY_FAMILY))
+
+
 # --- breakpoints ----------------------------------------------------------
 
 def test_breakpoints_single_state():
@@ -562,6 +600,47 @@ def test_sweep_raises_rather_than_return_stale_seats():
     method = MethodSpec(DistributionMarks(standard, marks), BY_STATE)
     with pytest.raises(ApportionmentError, match="missed a crossing"):
         piecewise_apportionments(states_of(1.0, 10.0), method, 0.5, 2.0)
+
+
+def test_reround_agrees_with_a_full_evaluation_at_every_interval(monkeypatch):
+    # the piece guard evaluates only each piece's first candidate interval;
+    # here every reround is checked against seats_at at its own midpoint
+    reround, calls = engine._Direct.reround, []
+
+    def checked(self, divisor, state_ids, family_ids):
+        before = list(self.seats)
+        moved = reround(self, divisor, state_ids, family_ids)
+        assert tuple(self.seats) == self.seats_at(divisor), (self.method, divisor)
+        assert self.total == sum(self.seats), (self.method, divisor)
+        assert moved == (self.seats != before), (self.method, divisor)
+        calls.append(moved)
+        return moved
+
+    monkeypatch.setattr(engine._Direct, "reround", checked)
+    states = bundled_census(2020)
+    v_t = math.fsum(s.population for s in states)
+    for mode in (BY_STATE, BY_FAMILY):
+        for rule in (WEBSTER, HUNTINGTON_HILL, ADAMS):
+            for floor in (None, 1):
+                piecewise_apportionments(states, MethodSpec(rule, mode, floor),
+                                         v_t / 600, v_t / 300)
+        marks = DistributionMarks(LogNormal(math.log(5.0 * v_t / 435), 1.0))
+        apportion_for_house_size(states, 435, MethodSpec(marks, mode))
+    # Hill by family: at D = 1 the first state leaves family 1 for family 0,
+    # and the second state gains the seat the third loses, at an unchanged total
+    pieces = piecewise_apportionments(states_of(1.0, 1.43, 0.3),
+                                      MethodSpec(HUNTINGTON_HILL, BY_FAMILY), 0.95, 1.05)
+    assert [(hi, tuple(app.seats.values())) for _, hi, app in pieces][1:3] == \
+        [(1.0, (1, 1, 1)), (1.0111626970967629, (1, 2, 0))]
+    rng = random.Random(20261019)
+    for _ in range(30):  # populations from a small pool, so that some tie
+        pool = [rng.randint(1, 40) / 4 for _ in range(rng.randint(1, 6))]
+        small = states_of(*(rng.choice(pool) for _ in range(rng.randint(1, 10))))
+        for rule in (WEBSTER, HUNTINGTON_HILL, ADAMS):
+            for mode in (BY_STATE, BY_FAMILY):
+                piecewise_apportionments(small, MethodSpec(rule, mode, rng.choice((None, 1))),
+                                         0.3, 1.7)
+    assert len(calls) > 10_000 and calls.count(False) > 1000
 
 
 def test_every_entry_point_raises_rather_than_return_stale_seats():
@@ -887,6 +966,20 @@ def test_direct_rounding_equals_round_quota_per_state(instance, rule, mode, floo
     # the reference asks round_quota per state and uses partition_families
     states, divisor = instance
     method = MethodSpec(rule, mode, floor)
+    assert apportion_at_divisor(states, divisor, method) == \
+        eager_apportionment(states, divisor, method)
+
+
+@given(instance=rounding_instances(),
+       dist=st.sampled_from((LogNormal(0.0, 1.0), LogNormal(math.log(5.0), 0.5),
+                             Uniform(0.0, 10.0), Uniform(2.0, 30.0))),
+       floor=st.sampled_from((None, 1, 2)))
+@settings(max_examples=200, deadline=None)
+def test_family_rounding_under_moving_marks_equals_round_quota(instance, dist, floor):
+    # moving marks never fill the mark table, so every family, one member or
+    # more, is rounded by round_quota's rounds_up
+    states, divisor = instance
+    method = MethodSpec(DistributionMarks(dist), BY_FAMILY, floor)
     assert apportion_at_divisor(states, divisor, method) == \
         eager_apportionment(states, divisor, method)
 
