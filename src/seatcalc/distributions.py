@@ -9,13 +9,14 @@ divisor, the condition for family f is
 
 whose right side lies between I(fD) and I((f+1)D).  So v/D rounds up
 past f exactly when I(v) reaches the mean of I over that interval.  Each
-distribution implements that one mean test, ``_excess``, and decides
-there alone whether the interval carries any mass (a lognormal tests in
-CDF form below its median, in survival form above); the rounding margin,
-the reported mark and the expected family bias all read it.  For a
-lognormal the test is one straight-line computation per decision, whose
-arithmetic the margin, ``_excess``, the marks and the bias share, on
-constants computed once per law.  Power-law
+distribution implements that one mean test as a pair: ``_mean_test(f, D)``
+decides whether the interval carries any mass and returns a reference
+point and the interval mean, or None, and ``_test_at(v, ref, mean)``
+compares I(v) with that mean.  The base class states both relative to
+I(fD); a lognormal tests in CDF form below its median, in survival form
+above, in one straight-line computation per decision on constants
+computed once per law.  The rounding margin, the reported mark and the
+expected family bias all read the pair.  Power-law
 densities p(v) ~ v^(beta-1) give the divisor-independent closed-form
 marks of the signposts module on intervals inside their support; every
 other distribution (lognormal in particular) yields marks that move
@@ -88,25 +89,39 @@ class PopulationDistribution:
     def cdf_diff(self, a: float, b: float) -> float:
         raise NotImplementedError
 
-    def cdf_integral(self, a: float, b: float) -> float:
+    def _cdf_antideriv(self, v: float) -> float:
+        # an antiderivative of I inside the support, up to a constant
         raise NotImplementedError
+
+    def cdf_integral(self, a: float, b: float) -> float:
+        # a bounded support: I = 0 below it, 1 above it, _cdf_antideriv inside
+        if b <= a:
+            return 0.0
+        v_lo, v_hi = self.support
+        total = 0.0
+        if b > v_hi:
+            total += b - max(a, v_hi)
+        lo = min(max(a, v_lo), v_hi)
+        hi = min(max(b, v_lo), v_hi)
+        if hi > lo:
+            total += self._cdf_antideriv(hi) - self._cdf_antideriv(lo)
+        return total
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
 
-    def _excess(self, f: int, divisor: float) -> Callable[[float], float] | None:
-        """v -> I(v) − (1/D)∫_{fD}^{(f+1)D} I, >= 0 iff v/D rounds up past f, or None
-        when the interval carries no mass; both sides are taken relative to I(fD)."""
+    def _mean_test(self, f: int, divisor: float) -> tuple[float, float] | None:
+        """``(ref, mean)`` for ``_test_at``, or None when [fD, (f+1)D] carries
+        no mass: here ref = fD and mean = (1/D)∫_{fD}^{(f+1)D} I − I(fD)."""
         a, b = f * divisor, (f + 1) * divisor
         if self.cdf_diff(a, b) <= 0.0:
             return None
-        mean = self.cdf_integral(a, b) / divisor - self.cdf(a)
-        return lambda v: self.cdf_diff(a, v) - mean
+        return a, self.cdf_integral(a, b) / divisor - self.cdf(a)
 
-    def _excess_at(self, f: int, divisor: float, v: float) -> float | None:
-        """``_excess(f, divisor)`` at v, or None when the interval carries no mass."""
-        excess = self._excess(f, divisor)
-        return None if excess is None else excess(v)
+    def _test_at(self, v: float, ref: float, mean: float) -> float:
+        """I(v) − (1/D)∫_{fD}^{(f+1)D} I, both sides taken relative to I(ref):
+        >= 0 iff v/D rounds up past f."""
+        return self.cdf_diff(ref, v) - mean
 
 
 @dataclass(frozen=True)
@@ -179,7 +194,6 @@ class PowerLaw(PopulationDistribution):
         return self._pow(a, self.beta) * math.expm1(self.beta * math.log(b / a)) / self._norm
 
     def _cdf_antideriv(self, v: float) -> float:
-        # antiderivative of I on the interior, up to a constant
         if self.beta == 0:
             return (v * math.log(v / self.v_lo) - v) / math.log(self.v_hi / self.v_lo)
         b1 = self.beta + 1.0
@@ -187,18 +201,6 @@ class PowerLaw(PopulationDistribution):
         if self.beta == -1.0:
             return (math.log(v) - lo_term) / self._norm
         return (self._pow(v, b1) / b1 - lo_term) / self._norm
-
-    def cdf_integral(self, a: float, b: float) -> float:
-        if b <= a:
-            return 0.0
-        total = 0.0
-        if b > self.v_hi:
-            total += b - max(a, self.v_hi)  # I = 1 above the support
-        lo = min(max(a, self.v_lo), self.v_hi)
-        hi = min(max(b, self.v_lo), self.v_hi)
-        if hi > lo:
-            total += self._cdf_antideriv(hi) - self._cdf_antideriv(lo)
-        return total
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         import numpy as np
@@ -216,8 +218,8 @@ class LogNormal(PopulationDistribution):
     The mean test is one straight-line computation per rounding decision:
     ``_mean_test`` picks the CDF or survival form and takes the interval
     mean from ``_tail_integral``, which also serves ``cdf_integral``, and
-    ``_test_at`` compares; the margin, ``_excess``, the marks and the
-    bias all share that arithmetic.  The median and the antiderivative's
+    ``_test_at`` compares; the margin, the marks and the bias all share
+    that arithmetic.  The median and the antiderivative's
     constant are computed once per instance, at construction, so a law
     whose mean overflows a float is rejected there.
     """
@@ -309,20 +311,6 @@ class LogNormal(PopulationDistribution):
         return s * (0.5 * math.erfc(-(s * ((math.log(v) - self.log_vg) / self.sigma)) / _SQRT2)
                     - mean)
 
-    def _excess(self, f: int, divisor: float) -> Callable[[float], float] | None:
-        test = self._mean_test(f, divisor)
-        if test is None:
-            return None
-        s, mean = test
-        return lambda v: self._test_at(v, s, mean)
-
-    def _excess_at(self, f: int, divisor: float, v: float) -> float | None:
-        test = self._mean_test(f, divisor)
-        if test is None:
-            return None
-        s, mean = test
-        return self._test_at(v, s, mean)
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         import numpy as np
         return np.exp(rng.normal(self.log_vg, self.sigma, size=n))
@@ -362,19 +350,8 @@ class Uniform(PopulationDistribution):
         b = min(max(b, self.v_lo), self.v_hi)
         return max(b - a, 0.0) / (self.v_hi - self.v_lo)
 
-    def cdf_integral(self, a: float, b: float) -> float:
-        if b <= a:
-            return 0.0
-        total = 0.0
-        if b > self.v_hi:
-            total += b - max(a, self.v_hi)
-        lo = min(max(a, self.v_lo), self.v_hi)
-        hi = min(max(b, self.v_lo), self.v_hi)
-        if hi > lo:
-            width = self.v_hi - self.v_lo
-            anti = lambda v: 0.5 * (v - self.v_lo) ** 2 / width
-            total += anti(hi) - anti(lo)
-        return total
+    def _cdf_antideriv(self, v: float) -> float:
+        return 0.5 * (v - self.v_lo) ** 2 / (self.v_hi - self.v_lo)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.v_lo, self.v_hi, size=n)
@@ -441,9 +418,11 @@ def unbiased_mark(dist: PopulationDistribution, f: int, divisor: float,
     if not generic and isinstance(dist, PowerLaw) and dist.v_lo <= a and b <= dist.v_hi:
         return power_law_mark(dist.beta, f)
 
-    excess = dist._excess(f, divisor)
-    if excess is None:
+    test = dist._mean_test(f, divisor)
+    if test is None:
         return _degenerate_mark(dist, f, a, b)
+    ref, mean = test
+    excess = lambda v: dist._test_at(v, ref, mean)
     if generic:
         delta = dist.cdf_diff(a, b)
         rhs = _adaptive_simpson(lambda v: dist.cdf_diff(a, v) / delta, a, b,
@@ -474,8 +453,8 @@ def expected_family_bias(dist: PopulationDistribution, divisor: float, f: int,
         raise ValueError(f"mark {mark} outside [{f}, {f + 1}]")
     if not (divisor > 0) or not math.isfinite(divisor):
         raise ValueError(f"divisor must be positive and finite, got {divisor!r}")
-    excess = dist._excess_at(f, divisor, mark * divisor)
-    return 0.0 if excess is None else -excess
+    test = dist._mean_test(f, divisor)
+    return 0.0 if test is None else -dist._test_at(mark * divisor, *test)
 
 
 @dataclass
@@ -507,19 +486,19 @@ class DistributionMarks:
     def margin(self, quota: float, f: int, divisor: float) -> float:
         """Signed rounding margin, >= 0 exactly when quota >= r(f, D).
 
-        The mean test is evaluated at quota·D through the distribution's
-        ``_excess_at``, with no closure built: for a lognormal that is one
-        straight-line computation per decision, sharing its arithmetic with
-        ``_excess``, the marks and the bias, on constants the law computed
-        once.
+        The mean test is evaluated at quota·D by the distribution's
+        ``_mean_test``/``_test_at`` pair, with no closure built: for a
+        lognormal that is one straight-line computation per decision, on
+        constants the law computed once.
         """
         dist = self.distribution
         if self.marks is not None or isinstance(dist, PowerLaw):
             return quota - self.mark_at(f, divisor)
-        excess = dist._excess_at(f, divisor, quota * divisor)
-        if excess is None:
+        test = dist._mean_test(f, divisor)
+        if test is None:
             return quota - _degenerate_mark(dist, f, f * divisor, (f + 1) * divisor)
-        return excess
+        ref, mean = test
+        return dist._test_at(quota * divisor, ref, mean)
 
     def rounds_up(self, quota: float, f: int, divisor: float) -> bool:
         return self.margin(quota, f, divisor) >= 0.0

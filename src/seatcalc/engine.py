@@ -335,7 +335,9 @@ class _Direct:
 
         Returns True if any seat moved (in family mode seats can swap at
         an unchanged total).  In family mode a state is re-rounded through
-        its old and new family.
+        its old and new family.  A family whose seats fall outside its
+        members' range, which only a stale member left by a missed crossing
+        can cause, raises ``ApportionmentError`` as the guard would.
         """
         seats, floor, total, moved = self.seats, self.floor, self.total, False
         if not self.by_family:
@@ -364,7 +366,11 @@ class _Direct:
                 continue
             # summed in member order, exactly as Family.quota does
             quota = sum([v / divisor for v in sorted_pops[lo:hi]])
-            m_low, _ = positional_split(f, hi - lo, self.round(quota, divisor))
+            try:
+                m_low, _ = positional_split(f, hi - lo, self.round(quota, divisor))
+            except ValueError as err:  # a stale member put the family's seats out of range
+                raise ApportionmentError(
+                    f"divisor sweep missed a crossing below D = {divisor!r}: {err}") from None
             for p in range(lo, hi):
                 i = order[p]
                 if (s := max(f + (p - lo >= m_low), floor)) != seats[i]:
@@ -517,6 +523,11 @@ def _boundary_crossings(value: float, d_lo: float, d_hi: float) -> list[float]:
     return out
 
 
+# Family ranges a window may span, summed over what it lists crossings for
+# (see ``_crossing_events``).
+_MAX_FAMILIES_SPANNED = 2 ** 18
+
+
 def _crossing_events(direct: _Direct, d_lo: float, d_hi: float,
                      ) -> list[tuple[float, tuple[list[int], list[int]]]]:
     """Every D in [d_lo, d_hi] where the apportionment could change.
@@ -529,14 +540,38 @@ def _crossing_events(direct: _Direct, d_lo: float, d_hi: float,
     Family f is cut at the window ends and at v/f and v/(f+1) of each
     state whose floor(v/D) reaches f in the window; between two cuts its
     members and volume are fixed, so the volume's crossings are listed once.
+
+    *Limit.*  A volume v (a state's population, or a family's between two
+    cuts) listed over [a, b] spans the families floor(v/b) .. floor(v/a),
+    m = floor(v/a) − floor(v/b) + 1 of them, as fl(v/D) is monotone in D.
+    Its boundary crossings v/k have k in that range, and its mark
+    crossings one family each, so it adds at most 2m candidates, and in
+    family mode m entries to the per-family population lists.  Before
+    each volume's lists are built, m is added to a running total, an O(1)
+    step; past ``_MAX_FAMILIES_SPANNED`` (2^18) the window is refused with
+    ``ValueError``.  So no call lists more than 2^19 candidates, under
+    200 MB of event table at the ~360 bytes each that tracemalloc measures
+    (a float key, its tag tuple and lists, and the sorted item), nor
+    root-finds more than 2^18 moving-mark crossings.  The census windows
+    in the tests and the benchmark span at most 1,997.
     """
     tags: dict[float, tuple[list[int], list[int]]] = {d_lo: ([], []), d_hi: ([], [])}
+    spanned = 0
 
     def tag(ds: Iterable[float], kind: int, ident: int) -> None:
         for d in ds:
             tags.setdefault(d, ([], []))[kind].append(ident)
 
+    def span(v: float, a: float, b: float) -> None:
+        nonlocal spanned
+        spanned += math.floor(v / a) - math.floor(v / b) + 1
+        if spanned > _MAX_FAMILIES_SPANNED:
+            raise ValueError(
+                f"the divisor window [{d_lo!r}, {d_hi!r}] spans more than "
+                f"{_MAX_FAMILIES_SPANNED:,} families of the quotas; narrow it")
+
     for i, v in enumerate(direct.pops):
+        span(v, d_lo, d_hi)
         tag(_boundary_crossings(v, d_lo, d_hi), 0, i)
     if not direct.by_family:
         for i, v in enumerate(direct.pops):
@@ -556,6 +591,7 @@ def _crossing_events(direct: _Direct, d_lo: float, d_hi: float,
                     if math.floor(v / mid) == f:
                         vol += v
                 if vol:  # populations are positive, so the family has members
+                    span(vol, a, b)
                     tag(_boundary_crossings(vol, a, b), 1, f)
                     tag(_mark_crossings(vol, direct, a, b), 1, f)
     return sorted(tags.items())

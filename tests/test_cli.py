@@ -520,6 +520,21 @@ def test_heavy_tail_bias_is_refused(args):
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
+def test_unbounded_candidate_window_is_refused():
+    # about 6e300 boundary crossings: listing them would fill any memory, so a
+    # regression under the 1 GiB address-space cap fails fast
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    proc = subprocess.run([sys.executable, "-m", "seatcalc", "paradox", "alabama",
+                           "--populations", "1,2,3", "--d-lo", "1e-300", "--d-hi", "1"],
+                          capture_output=True, text=True, preexec_fn=cap, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("seatcalc: the divisor window [1e-300, 1.0] spans more than ")
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
 
 @pytest.mark.parametrize("argv", [
     ("apportion", "--populations", "1e308,1e308", "--seats", "2"),

@@ -416,7 +416,7 @@ def test_lognormal_mean_test_is_pinned_bit_for_bit():
     for dist, d, f in lognormal_pin_grid():
         mu, sigma = dist.log_vg, dist.sigma
         want = plain_excess(mu, sigma, f, d, forms)
-        got = dist._excess(f, d)
+        got = dist._mean_test(f, d)
         assert (got is None) == (want is None), (dist, d, f)
         marks = DistributionMarks(dist)
         for k in range(0 if f else 1, 9):  # a quota of 0 has no log
@@ -427,7 +427,7 @@ def test_lognormal_mean_test_is_pinned_bit_for_bit():
             else:
                 margin = want(q * d)
                 bias = -want(q * d)
-                assert got(q * d) == margin, (dist, d, f, q)
+                assert dist._test_at(q * d, *got) == margin, (dist, d, f, q)
             assert marks.margin(q, f, d) == margin, (dist, d, f, q)
             assert expected_family_bias(dist, d, f, q) == bias, (dist, d, f, q)
         assert unbiased_mark(dist, f, d) == plain_mark(mu, sigma, f, d), (dist, d, f)
@@ -435,6 +435,92 @@ def test_lognormal_mean_test_is_pinned_bit_for_bit():
                      ((f + 1) * d, f * d)):
             assert dist.cdf_integral(a, b) == plain_tail_integral(mu, sigma, a, b, 1.0)[0]
     assert forms == {1.0, -1.0, None}  # CDF form, survival form, no mass
+
+
+# The bounded laws' mean test as a closure relative to I(fD), and the power
+# law's and the uniform law's own cdf_integral bodies, written out as they
+# were before the laws shared one; the program must agree with them bit for bit.
+
+def plain_bounded_cdf_integral(dist, a, b):
+    if b <= a:
+        return 0.0
+    total = 0.0
+    if b > dist.v_hi:
+        total += b - max(a, dist.v_hi)
+    lo = min(max(a, dist.v_lo), dist.v_hi)
+    hi = min(max(b, dist.v_lo), dist.v_hi)
+    if hi > lo:
+        if isinstance(dist, PowerLaw):
+            total += dist._cdf_antideriv(hi) - dist._cdf_antideriv(lo)
+        else:
+            width = dist.v_hi - dist.v_lo
+            anti = lambda v: 0.5 * (v - dist.v_lo) ** 2 / width
+            total += anti(hi) - anti(lo)
+    return total
+
+
+def plain_bounded_excess(dist, f, divisor):
+    a, b = f * divisor, (f + 1) * divisor
+    if dist.cdf_diff(a, b) <= 0.0:
+        return None
+    mean = plain_bounded_cdf_integral(dist, a, b) / divisor - dist.cdf(a)
+    return lambda v: dist.cdf_diff(a, v) - mean
+
+
+def plain_bounded_mark(dist, f, divisor):
+    a, b = f * divisor, (f + 1) * divisor
+    if isinstance(dist, PowerLaw) and dist.v_lo <= a and b <= dist.v_hi:
+        return power_law_mark(dist.beta, f)
+    excess = plain_bounded_excess(dist, f, divisor)
+    if excess is None:
+        if dist.cdf(a) >= 1.0:
+            return float(f + 1)
+        if dist.cdf(b) <= 0.0:
+            return float(f)
+        return f + 0.5
+    lo, hi = float(f), float(f + 1)
+    for _ in range(200):
+        if hi - lo <= 1e-12:
+            break
+        mid = 0.5 * (lo + hi)
+        if excess(mid * divisor) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+BOUNDED_PIN_LAWS = (
+    Uniform(0.0, 7.3), Uniform(2.2, 9.0), Uniform(0.1419505858826743, 0.3639698516820208),
+    PowerLaw(0.0, 1.5, 40.0), PowerLaw(-1.0, 1.5, 40.0), PowerLaw(-1.0, 2.0, math.inf),
+    PowerLaw(2.0, 0.0, 30.0), PowerLaw(2.0, 3.0, 30.0),
+)
+
+
+def test_bounded_mean_test_is_pinned_bit_for_bit():
+    straddled = set()
+    for dist in BOUNDED_PIN_LAWS:
+        marks = DistributionMarks(dist)
+        for d in (0.07, 0.7, 1.0, 2.5, 3.3):
+            for f in (*range(25), 60):
+                a, b = f * d, (f + 1) * d
+                straddled |= {(dist, edge) for edge in dist.support if a < edge < b}
+                excess = plain_bounded_excess(dist, f, d)
+                mark = plain_bounded_mark(dist, f, d)
+                for k in range(9):
+                    q = f + k / 8
+                    # a power law's margin reads its mark, as does a parked one
+                    margin = (q - mark if isinstance(dist, PowerLaw) or excess is None
+                              else excess(q * d))
+                    assert marks.margin(q, f, d) == margin, (dist, d, f, q)
+                    bias = 0.0 if excess is None else -excess(q * d)
+                    assert expected_family_bias(dist, d, f, q) == bias, (dist, d, f, q)
+                assert unbiased_mark(dist, f, d) == mark, (dist, d, f)
+                for lo, hi in ((a, b), (0.0, b), (-d, a), (-2 * d, -d), (b, a)):
+                    assert dist.cdf_integral(lo, hi) == plain_bounded_cdf_integral(dist, lo, hi)
+    # every finite support edge falls inside some interval of the grid
+    assert straddled == {(dist, edge) for dist in BOUNDED_PIN_LAWS for edge in dist.support
+                         if 0 < edge < math.inf}
 
 
 # --- expected family bias ---------------------------------------------------
