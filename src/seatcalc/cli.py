@@ -19,6 +19,7 @@ import sys
 from .census import log_moments, read_census_csv
 from .core import Apportionment, StateProfile, partition_families
 from .distributions import (
+    _MC_MAX_FAMILIES,
     DistributionMarks,
     LogNormal,
     PowerLaw,
@@ -43,7 +44,7 @@ from .paradoxes import (
     family_of_families_fixture,
     scan_alabama,
 )
-from .signposts import ADAMS, DEAN, HUNTINGTON_HILL, JEFFERSON, WEBSTER, power_law
+from .signposts import HUNTINGTON_HILL, WEBSTER, SignpostRule, power_law
 
 __all__ = ["main"]
 
@@ -52,14 +53,6 @@ EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 EXIT_CONFLICT = 4
 
-_NAMED_RULES = {
-    "adams": ADAMS,
-    "dean": DEAN,
-    "hill": HUNTINGTON_HILL,
-    "webster": WEBSTER,
-    "jefferson": JEFFERSON,
-}
-
 
 class _UsageError(Exception):
     def __init__(self, message: str, code: int = EXIT_PARSE):
@@ -67,97 +60,84 @@ class _UsageError(Exception):
         self.code = code
 
 
-def _parse_float(text: str, what: str) -> float:
+def _parse_float(text: str, what: str, finite: bool = True) -> float:
+    """``text`` as a float; NaN is refused, and so is infinity if ``finite``."""
     try:
         value = float(text)
     except ValueError:
         raise _UsageError(f"{what} must be a number, got {text!r}") from None
-    if not math.isfinite(value):
+    if math.isnan(value) or (finite and math.isinf(value)):
         raise _UsageError(f"{what} must be finite, got {text!r}")
     return value
 
 
-def _parse_lognormal(arg: str):
-    parts = [p.strip() for p in arg.split(",")] if arg else []
-    if len(parts) != 2:
-        raise _UsageError("lognormal needs two parameters, e.g. lognormal:5,1")
-    q_g = _parse_float(parts[0], "lognormal q_g")
-    sigma = _parse_float(parts[1], "lognormal sigma")
-    if q_g <= 0 or sigma <= 0:
-        raise _UsageError("lognormal q_g and sigma must be positive")
-    return ("lognormal", q_g, sigma)
-
-
-def _parse_method(text: str):
-    """Method grammar -> ('signpost', rule) | ('hamilton',) | ('lognormal', qg, sigma)."""
-    name, _, arg = text.partition(":")
-    name = name.strip().lower()
-    if name in _NAMED_RULES:
-        if arg:
-            raise _UsageError(f"method {name!r} takes no parameters")
-        return ("signpost", _NAMED_RULES[name])
-    if name == "hamilton":
-        if arg:
-            raise _UsageError("method 'hamilton' takes no parameters")
-        return ("hamilton",)
-    if name == "powerlaw":
-        if not arg:
-            raise _UsageError("powerlaw needs an exponent, e.g. powerlaw:1")
-        low = arg.strip().lower()
-        if low in ("inf", "+inf", "infinity"):
-            beta = math.inf
-        elif low in ("-inf", "-infinity"):
-            beta = -math.inf
-        else:
-            beta = _parse_float(arg, "powerlaw exponent")
-        return ("signpost", power_law(beta))
-    if name == "lognormal":
-        return _parse_lognormal(arg)
-    raise _UsageError(
-        f"unknown method {text!r}; expected adams|dean|hill|webster|jefferson|"
-        f"powerlaw:beta|hamilton|lognormal:qg,sigma"
-    )
+def _params(arg: str, names: tuple[str, ...], usage: str, finite: bool = True) -> list[float]:
+    """The comma-separated numbers after a grammar's ``name:``, one per name."""
+    parts = arg.split(",") if arg else []
+    if len(parts) != len(names):
+        raise _UsageError(usage)
+    return [_parse_float(part.strip(), what, finite) for part, what in zip(parts, names)]
 
 
 def _parse_distribution(text: str):
+    """Distribution grammar -> a function of the divisor that builds the law;
+    a lognormal's q_g is counted in divisors."""
     name, _, arg = text.partition(":")
     name = name.strip().lower()
     if name == "lognormal":
-        return _parse_lognormal(arg)
-    parts = [p.strip() for p in arg.split(",")] if arg else []
+        q_g, sigma = _params(arg, ("lognormal q_g", "lognormal sigma"),
+                             "lognormal needs two parameters, e.g. lognormal:5,1")
+        if q_g <= 0 or sigma <= 0:
+            raise _UsageError("lognormal q_g and sigma must be positive")
+        return lambda divisor: LogNormal(math.log(q_g * divisor), sigma)
     if name == "powerlaw":
-        if len(parts) != 3:
-            raise _UsageError("distribution powerlaw needs beta,v_lo,v_hi")
-        beta = _parse_float(parts[0], "beta")
-        v_lo = _parse_float(parts[1], "v_lo")
-        v_hi = _parse_float(parts[2], "v_hi")
-        return ("powerlaw", beta, v_lo, v_hi)
+        beta, v_lo, v_hi = _params(arg, ("beta", "v_lo", "v_hi"),
+                                   "distribution powerlaw needs beta,v_lo,v_hi")
+        return lambda divisor: PowerLaw(beta, v_lo, v_hi)
     if name == "uniform":
-        if len(parts) != 2:
-            raise _UsageError("distribution uniform needs v_lo,v_hi")
-        return ("uniform", _parse_float(parts[0], "v_lo"), _parse_float(parts[1], "v_hi"))
+        v_lo, v_hi = _params(arg, ("v_lo", "v_hi"), "distribution uniform needs v_lo,v_hi")
+        return lambda divisor: Uniform(v_lo, v_hi)
     raise _UsageError(f"unknown distribution {text!r}")
 
 
-def _build_distribution(parsed, divisor: float):
-    if parsed[0] == "lognormal":
-        _, q_g, sigma = parsed
-        return LogNormal(math.log(q_g * divisor), sigma)
-    if parsed[0] == "powerlaw":
-        _, beta, v_lo, v_hi = parsed
-        return PowerLaw(beta, v_lo, v_hi)
-    _, v_lo, v_hi = parsed
-    return Uniform(v_lo, v_hi)
+def _hamilton(anchor: float):
+    return HAMILTON
 
 
-def _rounding(parsed, anchor: float):
-    """The rounding a parsed method names: ``HAMILTON``, a signpost rule,
-    or lognormal marks whose q_g is measured in units of ``anchor``."""
-    if parsed[0] == "hamilton":
-        return HAMILTON
-    if parsed[0] == "signpost":
-        return parsed[1]
-    return DistributionMarks(_build_distribution(parsed, anchor))
+def _parse_method(text: str):
+    """Method grammar -> a function of the anchor divisor that builds the
+    rounding: ``HAMILTON`` (built by ``_hamilton``), a signpost rule, or
+    lognormal marks whose q_g is counted in anchors."""
+    name, _, arg = text.partition(":")
+    name = name.strip().lower()
+    if name == "lognormal":
+        law = _parse_distribution(text)
+        return lambda anchor: DistributionMarks(law(anchor))
+    if name == "hamilton":
+        _params(arg, (), "method 'hamilton' takes no parameters")
+        return _hamilton
+    if name == "powerlaw":
+        # float() reads every spelling of +-infinity; NaN is refused
+        (beta,) = _params(arg, ("powerlaw exponent",),
+                          "powerlaw needs an exponent, e.g. powerlaw:1", finite=False)
+        rule = power_law(beta)
+    else:
+        try:
+            rule = SignpostRule(name)  # the five named rules
+        except ValueError:
+            raise _UsageError(f"unknown method {text!r}; expected adams|dean|hill|webster|"
+                              "jefferson|powerlaw:beta|hamilton|lognormal:qg,sigma") from None
+        _params(arg, (), f"method {name!r} takes no parameters")
+    return lambda anchor: rule
+
+
+def _divisor_rounding(text: str, anchor: float, refusal: str = "paradox scans need a "
+                      "divisor-based method", code: int = EXIT_CONFLICT):
+    """The rounding method ``text`` builds at ``anchor``, Hamilton refused first."""
+    build = _parse_method(text)
+    if build is _hamilton:
+        raise _UsageError(refusal, code)
+    return build(anchor)
 
 
 def _total_population(states) -> float:
@@ -169,9 +149,12 @@ def _total_population(states) -> float:
 
 
 def _house_anchor(states, seats: int) -> float:
-    """v_T/N for a --seats N target, refusing N < 1 before dividing by it."""
+    """v_T/N for a --seats N target, refusing N < 1 or beyond the float
+    range before dividing by it."""
     if seats < 1:
         raise InfeasibleTarget(f"target house size must be >= 1, got {seats}")
+    if seats > sys.float_info.max:
+        raise InfeasibleTarget("target house size is beyond the float range")
     return _total_population(states) / seats
 
 
@@ -298,16 +281,15 @@ def _cmd_apportion(args) -> int:
     states = _load_states(args)
     if (args.divisor is None) == (args.seats is None):
         raise _UsageError("give exactly one of --divisor or --seats", EXIT_CONFLICT)
-    parsed = _parse_method(args.method)
+    build = _parse_method(args.method)
     if args.divisor is not None:
-        if parsed[0] == "hamilton":
+        if build is _hamilton:
             raise _UsageError("hamilton needs --seats, not --divisor", EXIT_CONFLICT)
         divisor = _parse_divisor(args.divisor, states)
-        method = MethodSpec(_rounding(parsed, divisor), args.mode)
+        method = MethodSpec(build(divisor), args.mode)
         solutions = [apportion_at_divisor(states, divisor, method)]
     else:
-        anchor = _house_anchor(states, args.seats)
-        method = MethodSpec(_rounding(parsed, anchor), args.mode)
+        method = MethodSpec(build(_house_anchor(states, args.seats)), args.mode)
         solutions = apportion_for_house_size(states, args.seats, method)
 
     if args.format == "json":
@@ -319,24 +301,23 @@ def _cmd_apportion(args) -> int:
 
 # --- marks --------------------------------------------------------------------
 
-def _mark_column(parsed, f_max: int) -> list[float]:
-    if parsed[0] == "hamilton":
-        raise _UsageError("hamilton has no rounding marks")
-    rounding = _rounding(parsed, 1.0)  # divisor 1: q_g is the quota scale
-    return [rounding.mark_at(f, 1.0) for f in range(f_max + 1)]
-
-
 def _cmd_marks(args) -> int:
     if args.fmax < 0:
         raise _UsageError("--fmax must be >= 0")
+    if args.fmax > _MC_MAX_FAMILIES:  # the family limit of bias, before a column is built
+        raise _UsageError(f"--fmax must be at most {_MC_MAX_FAMILIES:,}")
     if args.digits is not None and args.digits < 0:
         raise _UsageError("--digits must be >= 0")
     methods = args.method
-    parsed_list = [_parse_method(m) for m in methods]
+    roundings = []
+    for build in [_parse_method(m) for m in methods]:
+        if build is _hamilton:
+            raise _UsageError("hamilton has no rounding marks")
+        roundings.append(build(1.0))  # divisor 1: q_g is the quota scale
     digits = args.digits
     if digits is None:
-        digits = 3 if any(p[0] == "lognormal" for p in parsed_list) else 2
-    columns = [_mark_column(p, args.fmax) for p in parsed_list]
+        digits = 3 if any(isinstance(r, DistributionMarks) for r in roundings) else 2
+    columns = [[r.mark_at(f, 1.0) for f in range(args.fmax + 1)] for r in roundings]
     if args.format == "json":
         payload = {
             "fmax": args.fmax,
@@ -355,13 +336,6 @@ def _cmd_marks(args) -> int:
 
 
 # --- paradox ------------------------------------------------------------------
-
-def _method_spec_from_args(args, anchor: float) -> MethodSpec:
-    parsed = _parse_method(args.method)
-    if parsed[0] == "hamilton":
-        raise _UsageError("paradox scans need a divisor-based method", EXIT_CONFLICT)
-    return MethodSpec(_rounding(parsed, anchor), args.mode)
-
 
 def _report_json(report: ParadoxReport):
     witness = report.witness
@@ -402,7 +376,7 @@ def _print_reports(reports, fmt: str, empty_text: str) -> None:
 
 def _cmd_paradox_alabama(args) -> int:
     states = _load_states(args)
-    method = _method_spec_from_args(args, anchor=1.0)
+    method = MethodSpec(_divisor_rounding(args.method, 1.0), args.mode)
     d_lo = _parse_divisor(args.d_lo, states)
     d_hi = _parse_divisor(args.d_hi, states)
     if not d_lo < d_hi:
@@ -415,7 +389,7 @@ def _cmd_paradox_alabama(args) -> int:
 def _cmd_paradox_newstates(args) -> int:
     states = _load_states(args)
     divisor = _parse_divisor(args.divisor, states)
-    method = _method_spec_from_args(args, anchor=divisor)
+    method = MethodSpec(_divisor_rounding(args.method, divisor), args.mode)
     name, _, pop_text = args.add_state.partition(":")
     name = name.strip()
     if not name or not pop_text:
@@ -430,7 +404,8 @@ def _cmd_paradox_newstates(args) -> int:
 
 def _cmd_paradox_multisol(args) -> int:
     states = _load_states(args)
-    method = _method_spec_from_args(args, anchor=_house_anchor(states, args.seats))
+    anchor = _house_anchor(states, args.seats)
+    method = MethodSpec(_divisor_rounding(args.method, anchor), args.mode)
     solutions = apportion_for_house_size(states, args.seats, method)
     if args.format == "json":
         print(json.dumps({
@@ -454,12 +429,6 @@ def _cmd_paradox_multisol(args) -> int:
         vec = ", ".join(f"{name}={seats}" for name, seats in app.seats.items())
         print(f"solution {idx}: divisors ({lo:.10g}, {hi_text}]: {vec}")
     return EXIT_OK
-
-
-def _fof_json(report: ParadoxReport):
-    data = _report_json(report)
-    data["kind"] = "alabama(family-of-families)"
-    return data
 
 
 def _cmd_paradox_fixtures(args) -> int:
@@ -500,7 +469,8 @@ def _cmd_paradox_fixtures(args) -> int:
             },
             "new_states_webster_family": _report_json(ns_family) if ns_family else None,
             "new_states_webster_state": _report_json(ns_state) if ns_state else None,
-            "family_of_families": _fof_json(fof),
+            "family_of_families": {**_report_json(fof),
+                                   "kind": "alabama(family-of-families)"},
         }
         print(json.dumps(payload, indent=2))
         return EXIT_OK
@@ -568,19 +538,17 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_bias(args) -> int:
-    parsed_dist = _parse_distribution(args.dist)
+    build_dist = _parse_distribution(args.dist)
     divisor = _parse_float(args.divisor, "--divisor")
     if divisor <= 0:
         raise _UsageError("--divisor must be positive")
-    dist = _build_distribution(parsed_dist, divisor)
+    dist = build_dist(divisor)
     marks_text = args.marks.strip().lower()
     if marks_text == "matched":
         marks = DistributionMarks(dist)
     else:
-        parsed = _parse_method(marks_text)
-        if parsed[0] == "hamilton":
-            raise _UsageError("hamilton has no marks to test")
-        marks = _rounding(parsed, divisor)
+        marks = _divisor_rounding(marks_text, divisor, "hamilton has no marks to test",
+                                  EXIT_PARSE)
     if args.replications < 1 or args.n_states < 1:
         raise _UsageError("--replications and --n-states must be >= 1")
     rows = monte_carlo_bias(dist, divisor, marks, args.replications,

@@ -20,6 +20,7 @@ all of them instead of silently picking one.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
@@ -421,6 +422,10 @@ def _hamilton(direct: _Direct, target: int) -> Apportionment:
     quotas = compute_quotas(direct.states, divisor)
     base = {e.state.name: int(math.floor(e.quota)) for e in quotas}
     remaining = target - sum(base.values())
+    if not 0 <= remaining <= len(base):
+        # the quotas' float rounding has moved their floors past what n seats mend
+        raise InfeasibleTarget(f"target {target} is beyond float precision: Hamilton's "
+                               f"quotas floor to {target - remaining} seats")
     # largest fractional remainders win; ties by larger population, then name
     order = sorted(quotas, key=lambda e: (-e.fraction, -e.state.population, e.state.name))
     for entry in order[:remaining]:
@@ -867,10 +872,15 @@ def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,
     apportionment stays frozen for all larger divisors).  A length-2+
     list is the multiple-solution paradox surfaced, not an error.  A
     solution's piece and its neighbours are checked (``ApportionmentError``).
-    Hamilton returns a single apportionment at D = v_T/target.
+    Hamilton returns a single apportionment at D = v_T/target.  A target
+    so large that float rounding moves the quotas' floors by more than n
+    seats raises ``InfeasibleTarget``, as does, for every method, a
+    target beyond the float range.
     """
     if target_total < 1:
         raise InfeasibleTarget(f"target house size must be >= 1, got {target_total}")
+    if target_total > sys.float_info.max:
+        raise InfeasibleTarget("target house size is beyond the float range")
     direct = _Direct(states, method)
     n, floor_seats = len(direct.pops), direct.floor
     if method.is_hamilton:

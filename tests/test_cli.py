@@ -17,6 +17,12 @@ CENSUS_2020 = str(bundled_census_path(2020))
 CENSUS_1960 = str(bundled_census_path(1960))
 
 
+def cap_address_space():
+    """Child set-up: 1 GiB of address space, so that a run sized by its input
+    fails fast instead of exhausting the machine's memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -506,14 +512,10 @@ def test_closed_output_pipe_ends_quietly(unbuffered):
     ("--dist", "lognormal:5,10", "--replications", "1", "--seed", "1", "--marks", "webster"),
 ], ids=["beyond-int64", "beyond-memory"])
 def test_heavy_tail_bias_is_refused(args):
-    # in a child capped at 1 GiB of address space, so that a run sized by the
-    # tail fails fast instead of exhausting the machine's memory
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
-
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-m", "seatcalc", "bias", *args],
-                          capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120)
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=cap_address_space, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("seatcalc: a draw reaches family ")
@@ -523,12 +525,10 @@ def test_heavy_tail_bias_is_refused(args):
 def test_unbounded_candidate_window_is_refused():
     # about 6e300 boundary crossings: listing them would fill any memory, so a
     # regression under the 1 GiB address-space cap fails fast
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
-
     proc = subprocess.run([sys.executable, "-m", "seatcalc", "paradox", "alabama",
                            "--populations", "1,2,3", "--d-lo", "1e-300", "--d-hi", "1"],
-                          capture_output=True, text=True, preexec_fn=cap, timeout=120)
+                          capture_output=True, text=True, preexec_fn=cap_address_space,
+                          timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("seatcalc: the divisor window [1e-300, 1.0] spans more than ")
@@ -550,6 +550,57 @@ def test_overflowing_populations_and_quotas_are_refused(capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("seatcalc: the ") and " overflow" in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+BIAS = ("bias", "--dist", "lognormal:5,1")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("marks", "--method", "webster", "--fmax", "100000000000"),
+     "--fmax must be at most 1,048,576"),
+    (("marks", "--method", "webster", "--fmax", "1048577"), "--fmax must be at most "),
+    ((*BIAS, "--n-states", "1000000000000"), "a chunk of 4,096,000,000,000,000 draws"),
+    ((*BIAS, "--replications", "4096", "--n-states", "4097"), "a chunk of 16,781,312 draws"),
+    ((*BIAS, "--replications", str(10 ** 30)), "replications must be at most 2**53"),
+    ((*BIAS, "--replications", str(2 ** 53 + 1), "--n-states", "1"),
+     "replications must be at most 2**53"),
+], ids=["fmax", "fmax-edge", "n-states", "chunk-edge", "replications", "replications-edge"])
+def test_oversized_sizes_are_refused(argv, message):
+    # each is refused before anything is sized by it, in a capped child
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "seatcalc", *argv],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=cap_address_space, timeout=120)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"seatcalc: {message}")
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("method,seats,message", [
+    ("hamilton", 10 ** 18, "target 1000000000000000000 is beyond float precision"),
+    ("hamilton", 10 ** 21, "target 1000000000000000000000 is beyond float precision"),
+    ("hamilton", 10 ** 400, "target house size is beyond the float range"),
+    ("webster", 10 ** 400, "target house size is beyond the float range"),
+    ("lognormal:5,1", 10 ** 400, "target house size is beyond the float range"),
+], ids=["hamilton-1e18", "hamilton-1e21", "hamilton-1e400", "webster-1e400",
+        "lognormal-1e400"])
+def test_huge_house_sizes_are_refused(capsys, method, seats, message):
+    code, out, err = run(capsys, "apportion", "--populations", "1,2,3",
+                         "--method", method, "--seats", str(seats))
+    assert code == 3 and out == ""
+    assert err.startswith(f"seatcalc: {message}")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("beta", ["inf", "+inf", "infinity", "+infinity", "INF",
+                                  "-inf", "-infinity", "-Infinity"])
+def test_every_spelling_of_an_infinite_exponent(capsys, beta):
+    code, out, _ = run(capsys, "marks", "--method", f"powerlaw:{beta}", "--fmax", "3")
+    assert code == 0
+    shift = 0 if beta.startswith("-") else 1  # Adams marks at f, Jefferson at f + 1
+    assert [float(line.split(",")[1]) for line in out.splitlines()[1:]] == [
+        float(f + shift) for f in range(4)]
 
 
 def test_import_leaves_numpy_unloaded():

@@ -605,6 +605,16 @@ def test_immunity_grid_validation():
 
 # --- sampling and Monte Carlo ----------------------------------------------
 
+@pytest.mark.parametrize("replications,n_states,message", [
+    (10 ** 30, 50, "replications must be at most 2**53"),
+    (4096, 10 ** 12, "a chunk of 4,096,000,000,000,000 draws"),
+], ids=["replications", "chunk"])
+def test_monte_carlo_sizes_are_refused_up_front(replications, n_states, message):
+    with pytest.raises(ValueError) as info:
+        monte_carlo_bias(lognormal_qg(5.0), 1.0, WEBSTER, replications, n_states, 0)
+    assert str(info.value).startswith(message)
+
+
 def test_sample_states_validation_and_determinism():
     dist = lognormal_qg(5.0)
     with pytest.raises(ValueError):

@@ -196,6 +196,25 @@ def test_hamilton_ignores_mode():
         assert by_family == by_state
 
 
+def test_hamilton_refuses_targets_beyond_float_precision():
+    # the quota floors of (1, 2, 3) miss N by 64 seats at 1e18 and by 32,765 at
+    # 1e21, more than n largest remainders can mend: the total would be wrong
+    states = states_of(1.0, 2.0, 3.0)
+    app = apportion_for_house_size(states, 10 ** 17, MethodSpec(HAMILTON))[0]
+    assert app.total_seats == 10 ** 17
+    for target in (10 ** 18, 10 ** 21):
+        with pytest.raises(InfeasibleTarget, match="beyond float precision"):
+            apportion_for_house_size(states, target, MethodSpec(HAMILTON))
+
+
+@pytest.mark.parametrize("rounding", [
+    HAMILTON, WEBSTER, DistributionMarks(LogNormal(math.log(5.0), 1.0)),
+], ids=["hamilton", "webster", "lognormal"])
+def test_targets_beyond_the_float_range_are_refused(rounding):
+    with pytest.raises(InfeasibleTarget, match="beyond the float range"):
+        apportion_for_house_size(states_of(1.0, 2.0, 3.0), 10 ** 400, MethodSpec(rounding))
+
+
 def test_rounding_needs_both_decision_and_mark():
     class MarksOnly:
         def mark_at(self, f, divisor):
