@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_U = 2.0 ** -53  # unit roundoff
+_ERFC_ULPS = 8.0  # libm's erfc error taken for a margin error bound, in ulps
 
 
 def _phi(z: float) -> float:
@@ -122,6 +124,12 @@ class PopulationDistribution:
         """I(v) − (1/D)∫_{fD}^{(f+1)D} I, both sides taken relative to I(ref):
         >= 0 iff v/D rounds up past f."""
         return self.cdf_diff(ref, v) - mean
+
+    def _margin_error(self, value: float, d_min: float) -> float:
+        """A bound on the error of the computed mean test of population
+        ``value`` at every D >= ``d_min`` (see ``DistributionMarks.margin_error``);
+        none is declared here."""
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -311,6 +319,71 @@ class LogNormal(PopulationDistribution):
         return s * (0.5 * math.erfc(-(s * ((math.log(v) - self.log_vg) / self.sigma)) / _SQRT2)
                     - mean)
 
+    def _margin_error(self, value: float, d_min: float) -> float:
+        """ε >= |margin(fl(v/D), f, D) − M| for v = ``value``, every D >= ``d_min``
+        and f = floor(fl(v/D)), with M = I(v) − ∫₀¹ I((f+t)D) dt the exact mean
+        test; inf outside the domain below.
+
+        With u = 2⁻⁵³ and first-order error terms (the result is doubled for
+        the rest), over every family f <= F = floor(v/d_min):
+
+        - *z.*  A point x reaches ``log`` as fl(v/D)·D, f·D or (f+1)·D,
+          within 2u of exact; ``log`` (within an ulp, 2u·|log x|), the
+          subtraction of μ = log_vg and the division by σ then put z within
+          δz <= u·((2 + 2|μ|)/σ + 4|z|), using |log x| <= |μ| + σ|z|.
+        - *erfc.*  Each Φ(±z) = erfc(∓z/√2)/2 is off by at most
+          φ(z)·(δz + 2u|z|) (the division by a rounded √2) plus libm's
+          relative error, taken as ``_ERFC_ULPS`` = 8 ulps (glibc documents
+          5), E = 16u.  As φ <= 0.4 and |z|·φ(z) <= φ(1) < 0.25, that is
+          u·A, A = 0.8(1 + |μ|)/σ + 1.5 + E, on every Φ value.
+        - *shift.*  The mean shift = exp(μ + σ²/2) is within
+          u·(2 + |μ| + σ²) relative.  In an antiderivative term shift·Φ(±(z
+          − σ)), shift·φ(z − σ) = x·φ(z), so the argument error, with z − σ
+          rounded once more, adds x·u·B, B = 0.8(1 + |μ|)/σ + 1.75 + 1.2σ,
+          and the relative errors (erfc, shift, product, the subtraction
+          from x·Φ) add shift·Φ·u·G, G = E + 4 + |μ| + σ².
+        - *Cancellation in ``_tail_integral``.*  Its four terms are not
+          small against their difference: x·Φ <= x <= (f+1)D, and
+          shift·Φ(z − σ) <= x·Φ(z) in CDF form (the integral of I from 0
+          is not negative), shift·Φ(σ − z) <= shift in survival form, which
+          needs (f + ½)D >= the median, so shift/D <= C = min(shift/d_min,
+          (f + ½)·exp(σ²/2)).  Divided by D, the two ends add u·((2f + 1)(A
+          + B + 3) + 2(f + 1 + C)·G), the difference and the division by D
+          2u more.
+        - *The test.*  Φ at v adds u·A, its subtraction u.
+
+        ε = 2u·(A + 4 + (2f + 1)(A + B + 3) + 2(f + 1 + C)·G) at f = F; it
+        grows with f, so it bounds every lower family too.
+
+        *Domain.*  ``margin`` is the mean test only where the interval's
+        computed mass is positive, and falls back to quota − a parked mark
+        elsewhere, which no ε bounds.  That takes one of two things.  Both
+        of the interval's tail probabilities underflowing, which needs |z(v)|
+        > 37, as v lies in the interval and the larger is at least
+        Φ(−|z(v)|): |z(v)| > 30 is outside the domain.  Or an interval too narrow for
+        the two Φ values to differ: inside |z(v)| <= 30 the larger is a
+        normal float with relative error below ρ = u·(65(1 + |μ|)/σ + 5900 +
+        E) (φ/Φ <= 32.5 there), while they differ by a relative
+        0.14·min(Δz, 1) at least, Δz = log(1 + 1/f)/σ; a family with
+        min(Δz, 1) < 64ρ, past 10¹⁰ on the benchmark laws, is outside it.
+        """
+        if not 0.0 < value < math.inf or not abs(self._z(value)) <= 30.0:
+            return math.inf
+        if not math.isfinite(top := value / d_min):
+            return math.inf
+        f, mu, sigma = math.floor(top), abs(self.log_vg), self.sigma
+        e = 2.0 * _ERFC_ULPS
+        rho = _U * (65.0 * (1.0 + mu) / sigma + 5900.0 + e)
+        if f and min(math.log1p(1.0 / f) / sigma, 1.0) < 64.0 * rho:
+            return math.inf
+        a = 0.8 * (1.0 + mu) / sigma + 1.5 + e
+        b = 0.8 * (1.0 + mu) / sigma + 1.75 + 1.2 * sigma
+        g = e + 4.0 + mu + sigma ** 2
+        c = self._shift / d_min
+        if sigma ** 2 < 1400.0:  # exp(σ²/2) is finite
+            c = min(c, (f + 0.5) * math.exp(0.5 * sigma ** 2))
+        return 2.0 * _U * (a + 4.0 + (2 * f + 1) * (a + b + 3.0) + 2.0 * (f + 1 + c) * g)
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         import numpy as np
         return np.exp(rng.normal(self.log_vg, self.sigma, size=n))
@@ -499,6 +572,22 @@ class DistributionMarks:
             return quota - _degenerate_mark(dist, f, f * divisor, (f + 1) * divisor)
         ref, mean = test
         return dist._test_at(quota * divisor, ref, mean)
+
+    def margin_error(self, value: float, d_min: float) -> float:
+        """ε with |margin(fl(v/D), f, D) − M| <= ε at every D >= ``d_min``, for
+        population v = ``value``, f = floor(fl(v/D)) and M the exact mean test
+        I(v) − ∫₀¹ I((f+t)D) dt; ``math.inf`` where the law declares none
+        (every law but the lognormal, and custom ``marks``).
+
+        M does not increase with D, as ∫₀¹ I((f+t)D) dt cannot fall.  So a
+        margin >= 2ε at D means v/D' rounds up past f at every D' in
+        [d_min, D] where floor(fl(v/D')) is still f, and one < −2ε that it
+        rounds down at every D' >= D where it is: the engine's state-mode
+        seat bounds count only those decisions.
+        """
+        if self.marks is not None:
+            return math.inf
+        return self.distribution._margin_error(value, d_min)
 
     def rounds_up(self, quota: float, f: int, divisor: float) -> bool:
         return self.margin(quota, f, divisor) >= 0.0

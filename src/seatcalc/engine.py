@@ -108,6 +108,11 @@ class MethodSpec:
     move.  One whose marks move with D declares ``divisor_dependent = True`` and
     must also provide ``margin(quota, f, divisor)``: a float that is >= 0
     exactly when ``rounds_up`` is true, on which mark crossings are root-found.
+    It may also provide ``margin_error(value, d_min)``: an ε (``math.inf``
+    for none) such that a margin >= 2ε of population ``value`` at D keeps it
+    rounding up at every D' in [d_min, D], and one < −2ε keeps it rounding
+    down at every D' >= D, while floor(value/D') stays the same; the
+    state-mode house-size window counts only such decisions.
     ``min_seat_floor``, when set, raises every state to at least that
     many seats after rounding.  Hamilton has no family mode: it ignores
     ``mode`` and always apportions by state.
@@ -722,8 +727,8 @@ def _exact_floor(terms: list[float]) -> int:
 
 
 def _seat_bounds(direct: _Direct, top: float):
-    """``bounds(D) -> (L, U)`` with L(D) <= total(D) <= U(D), both non-increasing
-    in D while the quotas total at most ``top`` (see ``_search_window``)."""
+    """``bounds(d) -> (L, U)``: L(d) <= total(D) at every D in [v_T/``top``, d]
+    and U(d) >= total(D) at every D >= d (see ``_search_window``)."""
     floor_seats = direct.floor
     if not direct.by_family and not direct.moving:
         def exact(d: float) -> tuple[int, int]:
@@ -731,10 +736,27 @@ def _seat_bounds(direct: _Direct, top: float):
             return total, total
         return exact
     if not direct.by_family:
+        margin = direct.rounding.margin
+        margin_error = getattr(direct.rounding, "margin_error", None)
+        d_min, pops = direct.v_t / top, direct.pops
+        # what a margin must clear to decide: twice each state's margin error
+        # bound over D >= d_min, inf where none is declared
+        bars = [2 * margin_error(v, d_min) if margin_error else math.inf for v in pops]
+
         def per_state(d: float) -> tuple[int, int]:
-            floors = [math.floor(v / d) for v in direct.pops]
-            return (sum(max(f, floor_seats) for f in floors),
-                    sum(max(f + 1, floor_seats) for f in floors))
+            lower = upper = 0
+            for v, bar in zip(pops, bars):
+                f = math.floor(q := v / d)
+                lo = hi = f
+                if bar == math.inf:  # undecided, with no margin evaluated
+                    hi += 1
+                elif q != f:
+                    m = margin(q, f, d)
+                    lo += m >= bar
+                    hi += m >= -bar
+                lower += max(lo, floor_seats)
+                upper += max(hi, floor_seats)
+            return lower, upper
         return per_state
     eta = (len(direct.pops) + 2) * 2.0 ** -52 * top  # covers sum()'s error, naive or compensated
 
@@ -779,15 +801,24 @@ def _search_window(direct: _Direct, target: int) -> tuple[list[_Piece], bool]:
     apportionment is constant for all D above the last piece, so a
     solution on it extends to infinity.
 
-    *Bounds.*  Two seat totals L(D) <= total(D) <= U(D) on D >= cap_lo,
-    both non-increasing in D, with m = min_seat_floor:
+    *Bounds.*  Two seat totals with L(d) <= total(D) at every D in
+    [cap_lo, d] and U(d) >= total(D) at every D >= d, with m =
+    min_seat_floor:
 
     - state mode with constant marks: L = U = the exact total, that of
       ``_Direct.seats_at(D)``.  fl(v/D) is monotone in D, and floor and
       the test q >= r(f) are monotone in q, so the total is too;
-    - state mode with divisor-dependent marks: L = sum max(floor(v/D), m)
-      and U = sum max(floor(v/D) + 1, m), as every rounding gives a state
-      floor(q) or floor(q) + 1 of its float quota;
+    - state mode with divisor-dependent marks: L = sum max(l_i, m) and U =
+      sum max(u_i, m), where with q = v/D and f = floor(q) a state whose
+      rounding declares ε = ``margin_error(v, v_T/(target + slack + 2))``
+      counts l_i = f + 1 only where ``margin(q, f, D)`` >= 2ε and u_i = f + 1
+      where it is >= −2ε (f both if q is integral).  By that method's
+      contract l_i = f + 1 is a round-up at every smaller D and u_i = f a
+      round-down at every larger one while floor(q) stays f, and a higher
+      floor there (a lower one) gives at least f + 1 seats (at most f).
+      Without a bound (ε = inf: every rounding but the lognormal's) l_i =
+      f and u_i = f + 1, as every rounding gives a state floor(q) or
+      floor(q) + 1 of its float quota, and no margin is evaluated;
     - family mode: L = sum_f max(floor(X_f − η), k_f·f) and
       U = sum_f min(ceil(X_f + η), k_f·(f+1)) (m·k_f each if f < m), with
       X_f the exact sum of family f's k_f float quotas and η = (n+2)·2⁻⁵²·
@@ -799,10 +830,13 @@ def _search_window(direct: _Direct, target: int) -> tuple[list[_Piece], bool]:
       takes them.  As D grows the quotas fl(v/D) fall, X_f with them, and
       a member leaving f (quota >= f) for a lower g (quota < g + 1 <= f)
       lowers f's terms by at least what it adds to g's, as an integer
-      shift commutes with floor(· − η) and ceil(· + η).
+      shift commutes with floor(· − η) and ceil(· + η).  (Under moving
+      marks rounding does not commute with that shift, so the family
+      terms take no margin error bound.)
 
     So if L(d_lo) > target, no D in [cap_lo, d_lo] reaches it (nor, by the
-    slack below, any D < cap_lo); if U(d_hi) < target, no D >= d_hi does.
+    slack below, any D < cap_lo); if U(d_hi) < target, no D >= d_hi does,
+    and then d_lo < d_hi, as L(d_lo) <= total(d_hi) <= U(d_hi) otherwise.
 
     *Probing.*  From D_0 = v_T/target each end takes secant steps on v_T/D:
     the lower end probes v_T/(2·target − L(D_0) + 1 + margin) until L
@@ -814,7 +848,13 @@ def _search_window(direct: _Direct, target: int) -> tuple[list[_Piece], bool]:
     state.  For small targets (target − (n·(1 + m) + 1) < 1) the upper cap
     is instead the freeze divisor, just above the last divisor where seats
     change, state boundaries and r(0, D) crossings included, for every
-    rounding; only there is frozen_above set.
+    rounding; only there is frozen_above set.  That freeze divisor may lie
+    below v_T/target, and a decided L may exceed the target there, so a
+    lower probe at or above cap_hi is skipped; an upper probe is not below
+    cap_lo, as U(D_0) is at least the total there, itself at least target −
+    n.  So every end stays inside the caps.  A target whose caps round to
+    one float (from 10^17 seats over populations 1, 2 and 3) raises
+    ``InfeasibleTarget``.
 
     *Edge checks.*  A probe is a float, not a candidate divisor, so a
     solution piece touching it would end at the probe instead of at its
@@ -830,6 +870,9 @@ def _search_window(direct: _Direct, target: int) -> tuple[list[_Piece], bool]:
     cap_lo = v_t / (target + slack)
     if target - slack >= 1:
         cap_hi, frozen_above = v_t / (target - slack), False
+        if not cap_lo < cap_hi:
+            raise InfeasibleTarget(f"target {target} is beyond float precision: its divisor "
+                                   f"window v_T/(target ± {slack}) is one float")
     else:
         cap_hi, frozen_above = _freeze_divisor(direct, cap_lo), True
     bounds = _seat_bounds(direct, target + slack + 2)
@@ -838,16 +881,16 @@ def _search_window(direct: _Direct, target: int) -> tuple[list[_Piece], bool]:
     def lower_end() -> float:
         margin = 1
         while (k := 2 * target - l_0 + 1 + margin) < target + slack:
-            if k > 0 and bounds(v_t / k)[0] > target:
-                return v_t / k
+            if k > 0 and (d := v_t / k) < cap_hi and bounds(d)[0] > target:
+                return d
             margin *= 2
         return cap_lo
 
     def upper_end() -> float:
         margin = 1
-        while (k := 2 * target - u_0 - 1 - margin) > 0 and v_t / k < cap_hi:
-            if bounds(v_t / k)[1] < target:
-                return v_t / k
+        while (k := 2 * target - u_0 - 1 - margin) > 0 and (d := v_t / k) < cap_hi:
+            if bounds(d)[1] < target:
+                return d
             margin *= 2
         return cap_hi
 

@@ -580,11 +580,13 @@ def test_oversized_sizes_are_refused(argv, message):
 @pytest.mark.parametrize("method,seats,message", [
     ("hamilton", 10 ** 18, "target 1000000000000000000 is beyond float precision"),
     ("hamilton", 10 ** 21, "target 1000000000000000000000 is beyond float precision"),
+    ("webster", 10 ** 17, "target 100000000000000000 is beyond float precision"),
+    ("lognormal:5,1", 10 ** 18, "target 1000000000000000000 is beyond float precision"),
     ("hamilton", 10 ** 400, "target house size is beyond the float range"),
     ("webster", 10 ** 400, "target house size is beyond the float range"),
     ("lognormal:5,1", 10 ** 400, "target house size is beyond the float range"),
-], ids=["hamilton-1e18", "hamilton-1e21", "hamilton-1e400", "webster-1e400",
-        "lognormal-1e400"])
+], ids=["hamilton-1e18", "hamilton-1e21", "webster-1e17", "lognormal-1e18",
+        "hamilton-1e400", "webster-1e400", "lognormal-1e400"])
 def test_huge_house_sizes_are_refused(capsys, method, seats, message):
     code, out, err = run(capsys, "apportion", "--populations", "1,2,3",
                          "--method", method, "--seats", str(seats))

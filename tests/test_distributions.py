@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -569,6 +570,91 @@ def test_bias_sign_webster_under_inverse_square_power_law():
 def test_bias_rejects_mark_outside_interval():
     with pytest.raises(ValueError):
         expected_family_bias(lognormal_qg(5.0), 1.0, 1, 2.5)
+
+
+# --- the lognormal margin's declared error bound ---------------------------
+
+def exact_mean_test(dist, v, f, divisor):
+    """M = I(v) − (1/D)∫_{fD}^{(f+1)D} I at 40 digits, v and D taken exactly."""
+    with mpmath.workdps(40):
+        mu, sigma = mpmath.mpf(dist.log_vg), mpmath.mpf(dist.sigma)
+        shift = mpmath.exp(mu + sigma ** 2 / 2)
+
+        def integral(x):  # of I over [0, x]
+            if x == 0:
+                return mpmath.mpf(0)
+            z = (mpmath.log(x) - mu) / sigma
+            return x * mpmath.ncdf(z) - shift * mpmath.ncdf(z - sigma)
+
+        d = mpmath.mpf(divisor)
+        mean = (integral((f + 1) * d) - integral(f * d)) / d
+        return mpmath.ncdf((mpmath.log(mpmath.mpf(v)) - mu) / sigma) - mean
+
+
+def decision_flip(marks, f, divisor):
+    """The first float quota in (f, f + 1) that rounds up, by bisection on
+    the sign of the margin (f + 1 if none does)."""
+    lo, hi = f, float(f + 1)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if marks.margin(mid, f, divisor) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def nearby(q, k):
+    for _ in range(abs(k)):
+        q = math.nextafter(q, math.copysign(math.inf, k))
+    return q
+
+
+def test_lognormal_margin_error_bounds_the_mean_test():
+    # each interval's middle at z = zc: CDF form below the median, survival
+    # form above, out to both tails; quotas the 3 floats on either side of
+    # the decision flip and three far from it; d_min = D, the tightest
+    checked = 0
+    for sigma in (0.3, 1.0, 2.0):
+        for log_vg in (0.0, 15.0):
+            dist = LogNormal(log_vg, sigma)
+            marks = DistributionMarks(dist)
+            for f in (0, 1, 3, 37, 2 ** 10):
+                for zc in (-25.0, -8.0, -1.5, 0.0, 1.5, 8.0, 25.0):
+                    divisor = math.exp(log_vg + sigma * zc) / (f + 0.5)
+                    flip = decision_flip(marks, f, divisor)
+                    for q in [*(nearby(flip, k) for k in range(-3, 4)), f + 0.1, f + 0.5, f + 0.9]:
+                        v = q * divisor
+                        q = v / divisor
+                        if not f < q < f + 1:
+                            continue
+                        eps = marks.margin_error(v, divisor)
+                        if abs(dist._z(v)) > 30.0:
+                            assert eps == math.inf
+                            continue
+                        assert eps < 1e-9 and dist._mean_test(f, divisor) is not None
+                        err = abs(mpmath.mpf(marks.margin(q, f, divisor))
+                                  - exact_mean_test(dist, v, f, divisor))
+                        assert err <= eps, (sigma, log_vg, f, zc, q, float(err), eps)
+                        checked += 1
+    assert checked > 1000
+
+
+def test_lognormal_margin_error_is_declared_only_inside_its_domain():
+    # a population beyond 30 sigma from the median, where a Phi value may be
+    # subnormal and the margin a parked mark's, gets no bound; nor does a
+    # family whose interval is too narrow to resolve; other laws declare none
+    dist = LogNormal(0.0, 1.0)
+    marks = DistributionMarks(dist)
+    assert marks.margin_error(math.exp(29.9), math.exp(29.9) / 3) < 1e-9
+    assert marks.margin_error(math.exp(30.1), math.exp(30.1) / 3) == math.inf
+    assert marks.margin_error(math.exp(-29.9), math.exp(-29.9) / 3) < 1e-9
+    assert marks.margin_error(math.exp(-30.1), math.exp(-30.1) / 3) == math.inf
+    assert marks.margin_error(1.0, 1e-10) < 1e-2  # family 1e10 is resolved
+    assert marks.margin_error(1.0, 1e-11) == math.inf  # 1e11 is not
+    assert marks.margin_error(1.0, 1.0) <= marks.margin_error(1.0, 0.5)  # grows with f
+    for other in (DistributionMarks(Uniform(0.0, 3.0)), DistributionMarks(PowerLaw(2.0, 0.0, 5.0)),
+                  DistributionMarks(dist, marks=lambda f, d: f + 0.5)):
+        assert other.margin_error(1.0, 1.0) == math.inf
 
 
 # --- Alabama immunity of rD ------------------------------------------------

@@ -19,7 +19,7 @@ from seatcalc.core import (
     compute_quotas,
     partition_families,
 )
-from seatcalc.distributions import DistributionMarks, LogNormal, Uniform
+from seatcalc.distributions import DistributionMarks, LogNormal, PowerLaw, Uniform
 from seatcalc.engine import (
     BY_FAMILY,
     BY_STATE,
@@ -205,6 +205,21 @@ def test_hamilton_refuses_targets_beyond_float_precision():
     for target in (10 ** 18, 10 ** 21):
         with pytest.raises(InfeasibleTarget, match="beyond float precision"):
             apportion_for_house_size(states, target, MethodSpec(HAMILTON))
+
+
+@pytest.mark.parametrize("method", [
+    MethodSpec(WEBSTER), MethodSpec(WEBSTER, BY_FAMILY),
+    MethodSpec(DistributionMarks(LogNormal(math.log(5.0), 1.0))),
+], ids=["webster-state", "webster-family", "lognormal-state"])
+def test_divisor_methods_refuse_targets_beyond_float_precision(method):
+    # v_T/(N ± 4) rounds to one float from N = 1e17 on (an ulp of 1e17 is
+    # 16): the window collapses, and the target gets one typed refusal
+    states = states_of(1.0, 2.0, 3.0)
+    for target in (10 ** 17, 10 ** 18, 10 ** 21):
+        with pytest.raises(InfeasibleTarget, match="beyond float precision"):
+            apportion_for_house_size(states, target, method)
+    with pytest.raises(TargetUnachievable):  # 1e16 ± 4 are still distinct floats
+        apportion_for_house_size(states, 10 ** 16, method)
 
 
 @pytest.mark.parametrize("rounding", [
@@ -892,9 +907,10 @@ def test_mark_crossings_test_only_the_families_the_window_reads():
 
 def test_every_mark_crossing_is_a_decision_flip(monkeypatch):
     # every crossing the root finder returns on the lognormal-house windows,
-    # widened by the house sizes 425 and 445 (and on a uniform law's), checked
-    # at float resolution; bisection takes about 48 interior decisions per
-    # lognormal crossing, the solver about 12
+    # widened by the house sizes 425 and 445, and by state on the fixed-slack
+    # windows v_T/(N ± (n + 1)) the decided seat bounds narrow (and on a
+    # uniform law's), checked at float resolution; bisection takes about 48
+    # interior decisions per lognormal crossing, the solver about 12
     calls, steps = [], []
     solve = engine._mark_times_d_crossing
 
@@ -916,6 +932,10 @@ def test_every_mark_crossing_is_a_decision_flip(monkeypatch):
             for mode in (BY_STATE, BY_FAMILY):
                 for target in (435, 430, 440, 425, 445):
                     apportion_for_house_size(states, target, MethodSpec(marks, mode))
+            for target in (435, 430, 440, 425, 445):
+                slack = len(states) + 1
+                breakpoints(states, MethodSpec(marks), v_t / (target + slack),
+                            v_t / (target - slack))
     states = bundled_census(2020)
     uniform = DistributionMarks(Uniform(0.0, 1.2 * max(s.population for s in states)))
     for mode in (BY_STATE, BY_FAMILY):
@@ -1286,8 +1306,9 @@ def fixed_slack_solutions(states, target, method):
     Every state or family rounds within (quota − 1, quota + 1] and the
     floor adds at most min_seat_floor per state, so the window is
     v_T/(target ± (n·(1 + floor) + 1)).  For small targets it runs to the
-    divisor beyond which no crossing is possible (constant marks only),
-    and a solution on its last piece extends to infinity.  Returns
+    divisor beyond which no crossing is possible (written out for constant
+    marks, the engine's freeze divisor for moving ones), and a solution on
+    its last piece extends to infinity.  Returns
     ``[(seats, d_interval)]`` by descending upper end, or raises
     ``TargetUnachievable`` with the nearest totals over the window.
     """
@@ -1295,7 +1316,12 @@ def fixed_slack_solutions(states, target, method):
     slack = len(states) * (1 + (method.min_seat_floor or 0)) + 1
     lo = v_t / (target + slack)
     frozen = target - slack < 1
-    hi = frozen_upper_end(states, method, lo) if frozen else v_t / (target - slack)
+    if not frozen:
+        hi = v_t / (target - slack)
+    elif method.divisor_dependent:  # the engine's own, checked by the small-target tests
+        hi = engine._freeze_divisor(engine._Direct(states, method), lo)
+    else:
+        hi = frozen_upper_end(states, method, lo)
     pieces = _sweep(engine._Direct(states, method), lo, hi)
     solutions, seen = [], set()
     for idx, p in enumerate(pieces):
@@ -1567,6 +1593,141 @@ def test_census_house_round_sweeps_under_1500_pieces(monkeypatch):
                 apportion_for_house_size(states, houses[i % 3], MethodSpec(rule, mode))
     assert sum(swept.values()) < 1500
     assert swept[(tuple(bundled_census(2020)), MethodSpec(WEBSTER, BY_FAMILY))] <= 29
+
+
+# --- decided state-mode seat bounds under moving marks ----------------------
+
+LOGNORMAL_HOUSE_SIGMAS = (0.3, 1.0, 2.0)
+
+
+def lognormal_house_marks(states, sigma):
+    """The lognormal-house law: geometric-mean quota 5 at the 435-seat divisor."""
+    v_t = math.fsum(s.population for s in states)
+    return DistributionMarks(LogNormal(math.log(5.0 * v_t / 435), sigma))
+
+
+def test_lognormal_house_round_sweeps_under_700_state_mode_pieces(monkeypatch):
+    # a lognormal-house-shaped round by state: 2000 and 2020, each law solved
+    # at 435, 430 and 440 seats; per-state floor and ceiling bounds swept 985
+    # pieces, as their window stays n seats wide
+    swept = Counter()
+    sweep = engine._sweep
+
+    def counting(direct, d_lo, d_hi):
+        pieces = sweep(direct, d_lo, d_hi)
+        swept[direct.method.mode] += len(pieces)
+        return pieces
+
+    monkeypatch.setattr(engine, "_sweep", counting)
+    for year in (2000, 2020):
+        states = tuple(bundled_census(year))
+        for sigma in LOGNORMAL_HOUSE_SIGMAS:
+            method = MethodSpec(lognormal_house_marks(states, sigma))
+            for target in (435, 430, 440):
+                apportion_for_house_size(states, target, method)
+    assert swept[BY_STATE] < 700, swept
+
+
+def decided_bound_cases():
+    """(states, method, target): the lognormal-house laws at 435 seats, and
+    the small lognormal instances at every target up to n + 2."""
+    for year in (2000, 2020):
+        states = tuple(bundled_census(year))
+        for sigma in LOGNORMAL_HOUSE_SIGMAS:
+            yield states, MethodSpec(lognormal_house_marks(states, sigma)), 435
+    for i, (states, marks) in enumerate(moving_marks_instances(20261018, 40)):
+        if i % 2:
+            for floor in (None, 1):
+                for target in range(1, len(states) + 3):
+                    yield states, MethodSpec(marks, min_seat_floor=floor), target
+
+
+def test_decided_state_seat_bounds_hold_over_the_swept_pieces():
+    # over the fixed-slack window's pieces, at each piece's ends and divisor:
+    # L(d) is at most every total at D <= d, and U(d) at least every total
+    # at D >= d.  On the census they are tight at each piece's divisor, with
+    # at most two states undecided: sigma = 0.3 puts California and Texas in
+    # the far right tail, where margins of 1e-17 to 4e-13 do not clear
+    # bounds of about 3e-12
+    for states, method, target in decided_bound_cases():
+        direct = engine._Direct(states, method)
+        slack = len(states) * (1 + (method.min_seat_floor or 0)) + 1
+        lo = direct.v_t / (target + slack)
+        hi = (direct.v_t / (target - slack) if target - slack >= 1
+              else engine._freeze_divisor(direct, lo))
+        pieces = _sweep(direct, lo, hi)
+        bounds = engine._seat_bounds(direct, target + slack + 2)
+        for d in sorted({x for p in pieces for x in (p.lo, p.divisor, p.hi)}):
+            lower, upper = bounds(d)
+            assert lower <= min((p.total for p in pieces if p.lo < d), default=math.inf), \
+                (states, method, d)
+            assert upper >= max(p.total for p in pieces if p.hi >= d), (states, method, d)
+        if len(states) == 50:
+            for p in pieces:
+                lower, upper = bounds(p.divisor)
+                assert upper - lower <= 2 and lower <= p.total <= upper, (method, p)
+
+
+@pytest.mark.parametrize("dist, marks", [
+    (Uniform(0.0, 3.0), None),
+    (LogNormal(0.5, 1.0), lambda f, d: f + 0.5),
+    (PowerLaw(2.0, 0.0, 50.0), None),
+], ids=["uniform", "custom-marks", "powerlaw"])
+def test_roundings_without_a_margin_error_bound_keep_floor_and_ceiling_bounds(dist, marks):
+    # no bound declared: L and U are sum max(floor(q), m) and sum max(floor(q)
+    # + 1, m), as before, and no margin is evaluated for them
+    states = states_of(0.7, 2.5, 3.0, 6.25, 11.0)
+    for floor in (None, 1):
+        method = MethodSpec(CountingMarks(dist, marks), min_seat_floor=floor)
+        direct = engine._Direct(states, method)
+        bounds = engine._seat_bounds(direct, 40.0)
+        for d in (0.5, 0.9, 1.0, 1.7, 4.0, 12.5):
+            floors = [math.floor(s.population / d) for s in states]
+            m = floor or 0
+            assert bounds(d) == (sum(max(f, m) for f in floors),
+                                 sum(max(f + 1, m) for f in floors))
+        assert method.rounding.margins == 0
+
+
+def test_four_equal_states_under_a_narrow_lognormal_match_the_fixed_slack_window():
+    # every state lies far above the law's median e^-5, so at v_T/N all four
+    # round up and L(v_T/N) = 4 > N for N < 4: the lower end's secant probe
+    # is v_T/N itself for N = 1 and 2; each outcome, seats or nearest
+    # totals, is the fixed-slack window's
+    states = states_of(1.0, 1.0, 1.0, 1.0)
+    for mode in (BY_STATE, BY_FAMILY):
+        method = MethodSpec(DistributionMarks(LogNormal(-5.0, 1.0)), mode)
+        assert_same_as_fixed_slack(states, method, range(1, 8), _EVENT_BAND)
+
+
+def test_house_window_probes_stay_inside_the_fixed_slack_caps(monkeypatch):
+    # moving_marks_instances #14 at N = 1 by state: its freeze divisor 4.99
+    # lies below v_T/N, and a uniform law with a declared margin error bound
+    # puts L above N at the lower probe 11.52; a probe beyond cap_hi is
+    # skipped, so the window is never inverted, and the nearest totals are
+    # those without a bound
+    class Bounded(DistributionMarks):
+        def margin_error(self, value, d_min):
+            return 1e-9
+
+    windows = []
+    sweep = engine._sweep
+
+    def recording(direct, d_lo, d_hi):
+        windows.append((d_lo, d_hi))
+        return sweep(direct, d_lo, d_hi)
+
+    monkeypatch.setattr(engine, "_sweep", recording)
+    states, marks = list(moving_marks_instances(20261018, 40))[14]
+    for rounding in (marks, Bounded(marks.distribution)):
+        with pytest.raises(TargetUnachievable) as err:
+            apportion_for_house_size(states, 1, MethodSpec(rounding))
+        assert (err.value.nearest_below, err.value.nearest_above) == (None, 3)
+    direct = engine._Direct(states, MethodSpec(marks))
+    cap_lo = direct.v_t / (1 + len(states) + 1)
+    cap_hi = engine._freeze_divisor(direct, cap_lo)
+    assert cap_hi < direct.v_t
+    assert all(cap_lo <= lo < hi <= cap_hi for lo, hi in windows), windows
 
 
 # --- small house sizes under marks that move with D ------------------------
