@@ -308,6 +308,8 @@ def _cmd_marks(args) -> int:
         raise _UsageError(f"--fmax must be at most {_MC_MAX_FAMILIES:,}")
     if args.digits is not None and args.digits < 0:
         raise _UsageError("--digits must be >= 0")
+    if args.digits is not None and args.digits > 1074:  # where every double's expansion ends
+        raise _UsageError("--digits must be at most 1,074")
     methods = args.method
     roundings = []
     for build in [_parse_method(m) for m in methods]:

@@ -5,7 +5,9 @@ divisor ``D``: the per-state quota table (``q_c = v_c / D``) and its
 partition into families, where family ``f`` collects the states whose
 quota has integer part ``f``.  Family ``f``'s quota is the sum of its
 members' quotas, and under family-quota rounding the family as a whole
-is rounded before seats are split among members by size.
+is rounded before seats are split among members by size.  Quota and
+population sums are ``math.fsum``'s: correctly rounded, so the same float
+on every Python, and inf beyond the float range, as rounding gives it.
 """
 
 from __future__ import annotations
@@ -89,11 +91,19 @@ class QuotaTable:
 
     @property
     def total_population(self) -> float:
-        return sum(e.state.population for e in self.entries)
+        """Sum of the populations; inf beyond the float range."""
+        try:
+            return math.fsum(e.state.population for e in self.entries)
+        except OverflowError:
+            return math.inf
 
     @property
     def total_quota(self) -> float:
-        return sum(e.quota for e in self.entries)
+        """Sum of the quotas; inf beyond the float range."""
+        try:
+            return math.fsum(e.quota for e in self.entries)
+        except OverflowError:
+            return math.inf
 
     def __iter__(self):
         return iter(self.entries)
@@ -116,8 +126,11 @@ class Family:
 
     @property
     def quota(self) -> float:
-        """Family quota Q_f: the sum of members' quotas."""
-        return sum(e.quota for e in self.members)
+        """Family quota Q_f: the sum of members' quotas; inf beyond the float range."""
+        try:
+            return math.fsum(e.quota for e in self.members)
+        except OverflowError:
+            return math.inf
 
     @property
     def size(self) -> int:
@@ -125,7 +138,11 @@ class Family:
 
     @property
     def population(self) -> float:
-        return sum(e.state.population for e in self.members)
+        """Sum of the members' populations; inf beyond the float range."""
+        try:
+            return math.fsum(e.state.population for e in self.members)
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)

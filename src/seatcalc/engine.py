@@ -224,7 +224,7 @@ class _Direct:
     ``seats_at(D)`` rounds with the float operations of ``compute_quotas``
     and ``partition_families``: q = v/D per state, a family as a run of
     equal floor(q) in (population, name) order with its quota summed by
-    ``sum()`` in that order, ``round`` (``round_quota``'s rule),
+    ``math.fsum``, ``round`` (``round_quota``'s rule),
     ``positional_split`` and the seat floor.  A state's quota, and that of
     a family of one, is decided inline as q >= r(f) on the table's mark;
     ``round`` takes it only when the table lacks f (it then fills it) or q
@@ -266,11 +266,11 @@ class _Direct:
             self.rank = sorted(range(len(states)), key=self.order.__getitem__)  # order's inverse
 
     def refuse_overflow(self, divisor: float) -> None:
-        """Raise ``ValueError`` unless max(v)/D (by state) or v_T/D (by family)
-        is finite: it bounds every quota, or every family quota sum up to the
-        error of ``sum()``, at D >= ``divisor``."""
-        top = self.v_t if self.by_family else max(self.pops)
-        if not math.isfinite(top / divisor):
+        """Raise ``ValueError`` unless max(v)/D (by state) or v_T/D·(1 + 2⁻⁵⁰)
+        (by family, covering the rounding of v_T and of each quota) is finite:
+        it bounds every quota, or every family quota's ``fsum``, at D >= ``divisor``."""
+        top = self.v_t / divisor * (1 + 2 ** -50) if self.by_family else max(self.pops) / divisor
+        if not math.isfinite(top):
             raise ValueError(f"the quotas overflow a float at divisor {divisor!r}")
 
     def mark(self, f: int, divisor: float) -> float:
@@ -319,7 +319,8 @@ class _Direct:
                     seats[order[lo]] = (round_(q, divisor) if mark is None or q == f
                                         else f + 1 if q >= mark else f)
                 else:
-                    m_low, _ = positional_split(f, hi - lo, round_(sum(quotas[lo:hi]), divisor))
+                    quota = math.fsum(quotas[lo:hi])
+                    m_low, _ = positional_split(f, hi - lo, round_(quota, divisor))
                     for i in order[lo:lo + m_low]:
                         seats[i] = f
                     for i in order[lo + m_low:hi]:
@@ -370,8 +371,7 @@ class _Direct:
             hi = bisect_right(family, f, lo)
             if lo == hi:
                 continue
-            # summed in member order, exactly as Family.quota does
-            quota = sum([v / divisor for v in sorted_pops[lo:hi]])
+            quota = math.fsum([v / divisor for v in sorted_pops[lo:hi]])  # as Family.quota
             try:
                 m_low, _ = positional_split(f, hi - lo, self.round(quota, divisor))
             except ValueError as err:  # a stale member put the family's seats out of range
@@ -596,10 +596,7 @@ def _crossing_events(direct: _Direct, d_lo: float, d_hi: float,
             cuts = sorted({d_lo, d_hi, *(d for d in bounds if d_lo < d < d_hi)})
             for a, b in zip(cuts, cuts[1:]):
                 mid = 0.5 * (a + b)
-                vol = 0.0  # added in input order; sum() compensates on Python 3.12+
-                for v in pops:
-                    if math.floor(v / mid) == f:
-                        vol += v
+                vol = math.fsum(v for v in pops if math.floor(v / mid) == f)
                 if vol:  # populations are positive, so the family has members
                     span(vol, a, b)
                     tag(_boundary_crossings(vol, a, b), 1, f)
@@ -758,7 +755,7 @@ def _seat_bounds(direct: _Direct, top: float):
                 upper += max(hi, floor_seats)
             return lower, upper
         return per_state
-    eta = (len(direct.pops) + 2) * 2.0 ** -52 * top  # covers sum()'s error, naive or compensated
+    eta = (len(direct.pops) + 2) * 2.0 ** -52 * top  # bounds fsum's rounding error on X_f
 
     def per_family(d: float) -> tuple[int, int]:
         quotas, ends = direct.runs(d)
@@ -823,14 +820,14 @@ def _search_window(direct: _Direct, target: int) -> tuple[list[_Piece], bool]:
       U = sum_f min(ceil(X_f + η), k_f·(f+1)) (m·k_f each if f < m), with
       X_f the exact sum of family f's k_f float quotas and η = (n+2)·2⁻⁵²·
       (target + slack + 2) a bound, on [cap_lo, ∞), on the error of the
-      evaluator's ``sum()`` of them, naive or compensated.  It rounds that
-      sum to its floor or floor + 1 in [k_f·f, k_f·(f+1)], so L and U
-      bracket the total.  Unless an integer lies within 2η of ``fsum``'s
-      X_f, the two terms are its floor and floor + 1; else ``_exact_floor``
-      takes them.  As D grows the quotas fl(v/D) fall, X_f with them, and
-      a member leaving f (quota >= f) for a lower g (quota < g + 1 <= f)
-      lowers f's terms by at least what it adds to g's, as an integer
-      shift commutes with floor(· − η) and ceil(· + η).  (Under moving
+      evaluator's ``fsum`` of them.  It rounds that sum to its floor or
+      floor + 1 in [k_f·f, k_f·(f+1)], so L and U bracket the total.
+      Unless an integer lies within 2η of that sum, the two terms are its
+      floor and floor + 1; else ``_exact_floor`` takes them.  As D grows
+      the quotas fl(v/D) fall, X_f with them, and a member leaving f
+      (quota >= f) for a lower g (quota < g + 1 <= f) lowers f's terms by
+      at least what it adds to g's, as an integer shift commutes with
+      floor(· − η) and ceil(· + η).  (Under moving
       marks rounding does not commute with that shift, so the family
       terms take no margin error bound.)
 

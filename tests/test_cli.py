@@ -552,6 +552,16 @@ def test_overflowing_populations_and_quotas_are_refused(capsys, argv):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_a_family_quota_beyond_the_float_range_prints_as_inf(capsys):
+    # by state each quota, 1e308, is a float; the family row sums both
+    code, out, err = run(capsys, "apportion", "--populations", "1e307,1e307",
+                         "--divisor", "0.1", "--mode", "state")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[lines.index("family,quota,seats") + 1].split(",")[1] == "inf"
+    assert lines[-1].split(",")[1] == "inf"
+
+
 BIAS = ("bias", "--dist", "lognormal:5,1")
 
 
@@ -559,12 +569,18 @@ BIAS = ("bias", "--dist", "lognormal:5,1")
     (("marks", "--method", "webster", "--fmax", "100000000000"),
      "--fmax must be at most 1,048,576"),
     (("marks", "--method", "webster", "--fmax", "1048577"), "--fmax must be at most "),
+    # 2e9 digits of one mark ended in a MemoryError; past 1,074 they are only zeros
+    (("marks", "--method", "webster", "--fmax", "0", "--digits", "2000000000"),
+     "--digits must be at most 1,074"),
+    (("marks", "--method", "webster", "--fmax", "0", "--digits", "1075"),
+     "--digits must be at most 1,074"),
     ((*BIAS, "--n-states", "1000000000000"), "a chunk of 4,096,000,000,000,000 draws"),
     ((*BIAS, "--replications", "4096", "--n-states", "4097"), "a chunk of 16,781,312 draws"),
     ((*BIAS, "--replications", str(10 ** 30)), "replications must be at most 2**53"),
     ((*BIAS, "--replications", str(2 ** 53 + 1), "--n-states", "1"),
      "replications must be at most 2**53"),
-], ids=["fmax", "fmax-edge", "n-states", "chunk-edge", "replications", "replications-edge"])
+], ids=["fmax", "fmax-edge", "digits", "digits-edge", "n-states", "chunk-edge", "replications",
+        "replications-edge"])
 def test_oversized_sizes_are_refused(argv, message):
     # each is refused before anything is sized by it, in a capped child
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")

@@ -16,10 +16,12 @@ and review the diff of ``tests/golden_cli.json``.
 
 from __future__ import annotations
 
+import builtins
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -255,6 +257,52 @@ def test_cli_output_matches_golden(entry):
     assert code == entry["exit"]
     assert digest == entry["stdout_sha256"]
     assert err == CHANGED_STDERR.get(entry["id"], entry["stderr"])
+
+
+_SUM = builtins.sum
+
+
+def _naive_sum(items, start=0):
+    """``sum()`` of floats as Python 3.11 and earlier take it: left to right."""
+    items = list(items)
+    if not items or any(type(x) is not float for x in items):
+        return _SUM(items, start)
+    total = start
+    for x in items:
+        total += x
+    return total
+
+
+def _compensated_sum(items, start=0):
+    """``sum()`` of floats as Python 3.12 takes it: Neumaier's loop, with the
+    compensation added at the end when it is finite and non-zero."""
+    items = list(items)
+    if not items or any(type(x) is not float for x in items):
+        return _SUM(items, start)
+    total, c = start + items[0], 0.0
+    for x in items[1:]:
+        t = total + x
+        if abs(total) >= abs(x):
+            c += (total - t) + x
+        else:
+            c += (x - t) + total
+        total = t
+    if c and math.isfinite(c):
+        total += c
+    return total
+
+
+@pytest.mark.parametrize("stand_in", [_naive_sum, _compensated_sum], ids=["naive", "compensated"])
+@pytest.mark.parametrize("entry", [e for e in _load()
+                                   if e["argv"][0] == "apportion" and "json" in e["argv"]],
+                         ids=lambda e: e["id"])
+def test_apportion_json_is_the_same_under_every_float_sum(monkeypatch, entry, stand_in):
+    # sum() of floats is naive up to Python 3.11 and compensated from 3.12 on:
+    # the printed family quotas must not depend on which one runs
+    assert stand_in([0.1] * 10) == (0.9999999999999999 if stand_in is _naive_sum else 1.0)
+    monkeypatch.setattr(builtins, "sum", stand_in)
+    code, digest, _ = _run(entry["argv"])
+    assert (code, digest) == (entry["exit"], entry["stdout_sha256"])
 
 
 def test_changed_stderr_cases_are_in_manifest():

@@ -1,6 +1,7 @@
 """Quota computation and family partitioning."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -135,3 +136,21 @@ def test_quota_entry_fraction():
     entry = table.entries[0]
     assert entry.family == 6
     assert entry.fraction == pytest.approx(0.608)
+
+
+def test_sums_are_correctly_rounded_and_inf_beyond_the_float_range():
+    # these four sum to 2⁻¹⁰⁸ below a rounding midpoint: sum() gives 0.5 left
+    # to right (Python < 3.12) and compensated (3.12 on), math.fsum the float
+    # below, as the exact sum rounds
+    pops = (1.3877787807814454e-17, 0.24450428398615617, 0.012017280131425098,
+            0.2434784358824187)
+    table = compute_quotas(states_of(*pops), 1.0)
+    [fam] = partition_families(table)
+    exact = float(sum(map(Fraction, pops)))
+    assert exact == 0.49999999999999994
+    assert fam.quota == fam.population == table.total_quota == table.total_population == exact
+    # two quotas of 1e308 in one family: their sum rounds to inf, where
+    # math.fsum itself raises OverflowError
+    table = compute_quotas(states_of(1e308, 1e308), 1.0)
+    [fam] = partition_families(table)
+    assert fam.quota == fam.population == table.total_quota == table.total_population == math.inf
