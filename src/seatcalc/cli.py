@@ -258,11 +258,11 @@ def _apportion_json(solutions, method_text: str, mode: str):
             "d_interval": _interval_json(app.d_interval),
             "total": app.total_seats,
             "states": [
-                {"name": n, "quota": q, "seats": s, "family": f}
+                {"name": n, "quota": _json_number(q), "seats": s, "family": f}
                 for n, q, s, f in state_rows
             ],
             "families": [
-                {"f": f, "quota": q, "seats": s, "size": size}
+                {"f": f, "quota": _json_number(q), "seats": s, "size": size}
                 for f, q, s, size in family_rows
             ],
         })

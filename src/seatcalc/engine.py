@@ -112,10 +112,11 @@ class MethodSpec:
     for none) such that a margin >= 2ε of population ``value`` at D keeps it
     rounding up at every D' in [d_min, D], and one < −2ε keeps it rounding
     down at every D' >= D, while floor(value/D') stays the same; the
-    state-mode house-size window counts only such decisions.
-    ``min_seat_floor``, when set, raises every state to at least that
-    many seats after rounding.  Hamilton has no family mode: it ignores
-    ``mode`` and always apportions by state.
+    state-mode house-size window counts only such decisions.  Constant marks
+    r(f) = f + c may declare ``mark_offset = c``, which family-mode house-size
+    bounds then round with.  ``min_seat_floor``, when set, raises every state
+    to at least that many seats after rounding.  Hamilton has no family mode:
+    it ignores ``mode`` and always apportions by state.
     """
 
     rounding: object
@@ -723,6 +724,12 @@ def _exact_floor(terms: list[float]) -> int:
     return floor
 
 
+def _exact_round(terms: list[float], c: float) -> int:
+    """R_c of the exact sum x of ``terms``: g = floor(x), plus one if x > g and
+    x − g >= c (the ceiling for c = 0, the floor for c = 1)."""
+    return _exact_floor([*terms, -c]) + 1 if c else -_exact_floor([-t for t in terms])
+
+
 def _seat_bounds(direct: _Direct, top: float):
     """``bounds(d) -> (L, U)``: L(d) <= total(D) at every D in [v_T/``top``, d]
     and U(d) >= total(D) at every D >= d (see ``_search_window``)."""
@@ -756,18 +763,22 @@ def _seat_bounds(direct: _Direct, top: float):
             return lower, upper
         return per_state
     eta = (len(direct.pops) + 2) * 2.0 ** -52 * top  # bounds fsum's rounding error on X_f
+    # the rule's own rounding R_c where its marks are f + c, else floor and ceiling
+    c = None if floor_seats else getattr(direct.rounding, "mark_offset", None)
+    c_lo, c_hi = (1.0, 0.0) if c is None else (c, c)
 
     def per_family(d: float) -> tuple[int, int]:
         quotas, ends = direct.runs(d)
         lower = upper = 0
         for lo, hi in zip([0, *ends], ends):
             f, k, run = math.floor(quotas[lo]), hi - lo, quotas[lo:hi]
-            floor = math.floor(x := math.fsum(run))  # X_f, correctly rounded: within η/6
-            ceil = floor + 1
-            if not (floor <= x - 2 * eta and x + 2 * eta < ceil):  # an integer within 2η of x
-                floor, ceil = _exact_floor([*run, -eta]), -_exact_floor([-q for q in run] + [-eta])
-            lower += max(floor, k * max(f, floor_seats))  # a seat floor m lifts f < m to m·k
-            upper += max(min(ceil, k * (f + 1)), k * floor_seats)
+            g = math.floor(x := math.fsum(run))  # X_f, correctly rounded: within η/6
+            if math.floor(x - c_hi - 2 * eta) == math.floor(x - c_hi + 2 * eta):
+                low, high = g + (x - g >= c_lo), g + (x - g >= c_hi)  # no step of R_c within 2η
+            else:
+                low, high = _exact_round([*run, -eta], c_lo), _exact_round([*run, eta], c_hi)
+            lower += max(low, k * max(f, floor_seats))  # a seat floor m lifts f < m to m·k
+            upper += max(min(high, k * (f + 1)), k * floor_seats)
         return lower, upper
     return per_family
 
@@ -816,20 +827,25 @@ def _search_window(direct: _Direct, target: int) -> tuple[list[_Piece], bool]:
       Without a bound (ε = inf: every rounding but the lognormal's) l_i =
       f and u_i = f + 1, as every rounding gives a state floor(q) or
       floor(q) + 1 of its float quota, and no margin is evaluated;
-    - family mode: L = sum_f max(floor(X_f − η), k_f·f) and
-      U = sum_f min(ceil(X_f + η), k_f·(f+1)) (m·k_f each if f < m), with
-      X_f the exact sum of family f's k_f float quotas and η = (n+2)·2⁻⁵²·
-      (target + slack + 2) a bound, on [cap_lo, ∞), on the error of the
-      evaluator's ``fsum`` of them.  It rounds that sum to its floor or
-      floor + 1 in [k_f·f, k_f·(f+1)], so L and U bracket the total.
-      Unless an integer lies within 2η of that sum, the two terms are its
-      floor and floor + 1; else ``_exact_floor`` takes them.  As D grows
-      the quotas fl(v/D) fall, X_f with them, and a member leaving f
-      (quota >= f) for a lower g (quota < g + 1 <= f) lowers f's terms by
-      at least what it adds to g's, as an integer shift commutes with
-      floor(· − η) and ceil(· + η).  (Under moving
-      marks rounding does not commute with that shift, so the family
-      terms take no margin error bound.)
+    - family mode: L = sum_f R_cL(max(X_f − η, k_f·f)) and U = sum_f
+      R_cU(min(X_f + η, k_f·(f+1))) (m·k_f each if f < m), with X_f the
+      exact sum of family f's k_f float quotas, η = (n+2)·2⁻⁵²·(target +
+      slack + 2) a bound, on [cap_lo, ∞), on the error of the evaluator's
+      ``fsum`` of them, and R_c(x) = g + [x > g and x − g >= c], g = floor(x).
+      A rule whose marks are f + c (``mark_offset``: Adams 0, Webster ½,
+      Jefferson 1) takes c_L = c_U = c, its own rounding, unless m is set;
+      every other takes (1, 0), floor and ceiling.  The evaluator rounds
+      that ``fsum``, within η of X_f and in [k_f·f, k_f·(f+1)], by R_c (any
+      other rule by a rounding between R_1, the floor, and R_0, the
+      ceiling), and R_c is non-decreasing, so L and U bracket the total.  Unless a step of R_c (a point of Z + c) lies within 2η of
+      that sum, each term is R_c of the sum; else ``_exact_floor`` takes
+      it.  As D grows the quotas fl(v/D) fall, and with members fixed each
+      term with them.  A member leaving f for f − 1 does so in three steps:
+      its quota falls to exactly f inside f; the integer f moves across,
+      which raises no sum, as R_c(x ± f) = R_c(x) ± f and each clamp shifts
+      with it or falls by one; its quota falls further inside f − 1 (and on,
+      family by family).  (Under moving marks rounding does not commute
+      with that shift, so the family terms take no margin error bound.)
 
     So if L(d_lo) > target, no D in [cap_lo, d_lo] reaches it (nor, by the
     slack below, any D < cap_lo); if U(d_hi) < target, no D >= d_hi does,

@@ -128,6 +128,13 @@ class SignpostRule:
             raise ValueError(f"family index must be >= 0, got {f}")
         return f * (f + 1) / (f + 0.5)  # harmonic mean of f and f+1
 
+    @property
+    def mark_offset(self) -> float | None:
+        """c where every mark is r(f) = f + c (Adams 0, Webster ½, Jefferson 1), else None."""
+        if self.beta is None or (self.beta != 1.0 and abs(self.beta) < _BETA_INF_CUTOFF):
+            return None
+        return 0.5 if self.beta == 1.0 else float(self.beta > 0)
+
     def mark_at(self, f: int, divisor: float) -> float:
         """Mark r(f, D); the divisor is ignored for signpost rules."""
         return self.mark(f)

@@ -562,6 +562,20 @@ def test_a_family_quota_beyond_the_float_range_prints_as_inf(capsys):
     assert lines[-1].split(",")[1] == "inf"
 
 
+def test_an_infinite_family_quota_is_strict_json(capsys):
+    # strict parsers reject the bare Infinity and NaN that json.dumps writes
+    # by default: the quota is written as the string "inf" instead
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    code, out, err = run(capsys, "apportion", "--populations", "1e307,1e307",
+                         "--divisor", "0.1", "--mode", "state", "--format", "json")
+    assert code == 0 and err == ""
+    data = json.loads(out, parse_constant=refuse)
+    assert [fam["quota"] for fam in data["families"]] == ["inf"]
+    assert [s["quota"] for s in data["states"]] == [1e308, 1e308]
+
+
 BIAS = ("bias", "--dist", "lognormal:5,1")
 
 

@@ -459,7 +459,7 @@ def clear_of_rounding_boundaries(states, divisor, rule):
         if abs(e.quota - round(e.quota)) < 1e-9 * max(1.0, e.quota):
             return False
     for fam in partition_families(entries):
-        mark = rule.mark_at(fam.index, divisor)
+        mark = rule.mark_at(math.floor(fam.quota), divisor)  # the mark Q_f is rounded against
         if abs(fam.quota - mark) < 1e-9 * max(1.0, fam.quota):
             return False
     return True
@@ -1501,8 +1501,15 @@ def family_bound_instances(draw):
     return states, math.fsum(s.population for s in states) / draw(st.integers(1, 60))
 
 
-BOUND_RULES = (WEBSTER, JEFFERSON, HUNTINGTON_HILL,
+BOUND_RULES = (ADAMS, WEBSTER, JEFFERSON, power_law(1.0), power_law(math.inf), HUNTINGTON_HILL,
                DistributionMarks(LogNormal(math.log(2.0), 1.0)))
+
+
+def exact_rounding(x, c):
+    """R_c(x) = g + [x > g and x − g >= c], g = floor(x), in exact arithmetic:
+    ceiling for c = 0, floor for c = 1."""
+    g = math.floor(x)
+    return g + (x > g and x - g >= c)
 
 
 @given(instance=family_bound_instances(), rule=st.sampled_from(BOUND_RULES),
@@ -1513,7 +1520,9 @@ def test_family_seat_bounds_bracket_the_total_and_never_rise(instance, rule, flo
     # over a grid holding every membership cut v/k at and above d_min, with
     # its neighbouring floats, and a few points beyond: L <= total <= U, and
     # neither bound rises with D; a family leaves at most 2 seats between
-    # them, and none when the seat floor lifts all its members
+    # them, and none when the seat floor lifts all its members.  A rule with
+    # marks f + c and no seat floor rounds X_f ∓ η by its own R_c, any other
+    # takes the floor of X_f − η and the ceiling of X_f + η
     states, d_min = instance
     method = MethodSpec(rule, BY_FAMILY, floor)
     v_t = math.fsum(s.population for s in states)
@@ -1526,6 +1535,8 @@ def test_family_seat_bounds_bracket_the_total_and_never_rise(instance, rule, flo
     bounds = engine._seat_bounds(direct, top)
     eta = Fraction((len(states) + 2) * 2.0 ** -52 * top)
     m = floor or 0
+    c = getattr(rule, "mark_offset", None)
+    c_lo, c_hi = (1, 0) if c is None or floor else (c, c)
     last = None
     for d in grid:
         lower, upper = bounds(d)
@@ -1534,8 +1545,8 @@ def test_family_seat_bounds_bracket_the_total_and_never_rise(instance, rule, flo
         exact_lower = exact_upper = 0  # the bounds' formula in exact arithmetic
         for lo, hi in zip([0, *ends], ends):
             f, k, x = math.floor(quotas[lo]), hi - lo, sum(map(Fraction, quotas[lo:hi]))
-            exact_lower += max(math.floor(x - eta), k * max(f, m))
-            exact_upper += max(min(math.ceil(x + eta), k * (f + 1)), k * m)
+            exact_lower += max(exact_rounding(x - eta, c_lo), k * max(f, m))
+            exact_upper += max(min(exact_rounding(x + eta, c_hi), k * (f + 1)), k * m)
         assert (lower, upper) == (exact_lower, exact_upper), d
         families = [math.floor(quotas[lo]) for lo in [0, *ends[:-1]]]
         assert upper - lower <= sum(2 for f in families if f >= m)
@@ -1560,19 +1571,59 @@ def test_family_seat_bounds_allow_for_the_error_of_sum():
 
 def test_family_seat_bounds_are_exact_just_below_an_integer():
     # the last quota 8 floats below 3.6 puts the family's exact sum X 2⁻⁴⁸
-    # below 13, closer than η = 6·2⁻⁵²·15 ≈ 2e-14, so ceil(X + η) is 14 and
-    # floor(X − η) is 12: a sum() within η of X may exceed 13, where Adams
-    # gives 14.  fsum's 12.999999999999996 lies below 13 as well, so floor + 1
-    # of it would give 13; the integer within 2η must send it to the exact path
+    # below 13, closer than η = 6·2⁻⁵²·15 ≈ 2e-14.  Adams rounds up, so its
+    # bounds are ceil(X − η) = 13 and ceil(X + η) = 14; Jefferson rounds down,
+    # so its are floor(X − η) = 12 and floor(X + η) = 13: a sum within η of X
+    # may reach 13.  fsum's 12.999999999999996 lies below 13 as well, so
+    # rounding it alone would give 13 and 12; the integer within 2η must send
+    # it to the exact path
     last = 3.6
     for _ in range(8):
         last = math.nextafter(last, 0.0)
     states = states_of(3.05, 3.15, 3.2, last)
     assert sum(map(Fraction, (3.05, 3.15, 3.2, last))) == 13 - Fraction(2) ** -48
-    for rule in (ADAMS, JEFFERSON):
+    for rule, bounds in ((ADAMS, (13, 14)), (JEFFERSON, (12, 13))):
         method = MethodSpec(rule, BY_FAMILY)
-        assert engine._seat_bounds(engine._Direct(states, method), 15.0)(1.0) == (12, 14)
-        assert 12 <= sum(engine._Direct(states, method).seats_at(1.0)) <= 14
+        lower, upper = engine._seat_bounds(engine._Direct(states, method), 15.0)(1.0)
+        assert (lower, upper) == bounds
+        assert lower <= sum(engine._Direct(states, method).seats_at(1.0)) <= upper
+
+
+@st.composite
+def ulp_close_families(draw):
+    """``(states, rule)``: one family of 2–6 quotas at D = 1 under a rule with
+    marks f + c, whose exact sum lies within a few ulps of an integer g or of
+    g + c, where that rule's rounding steps."""
+    rule = draw(st.sampled_from((ADAMS, WEBSTER, JEFFERSON)))
+    f = draw(st.integers(0, 30))
+    others = draw(st.lists(st.floats(f + 0.01, f + 0.99), min_size=1, max_size=5))
+    step = draw(st.sampled_from((0.0, rule.mark_offset)))
+    target = math.ceil(math.fsum(others) + f - step) + step  # puts last in [f, f + 1]
+    last = target - math.fsum(others)
+    ulps = draw(st.integers(-4, 4))
+    for _ in range(abs(ulps)):
+        last = math.nextafter(last, math.copysign(math.inf, ulps))
+    assume(max(f, 0.01) <= last < f + 1)
+    return states_of(*others, last), rule, target
+
+
+@given(instance=ulp_close_families())
+@settings(max_examples=300, deadline=None)
+def test_family_seat_bounds_hold_at_ulp_close_family_sums(instance):
+    # where X_f is within a few ulps of a step of R_c, the bounds take the
+    # exact path: L(1) is at most the total at 1 and at the floats below it,
+    # and U(1) at least the total at 1 and at the floats above it
+    states, rule, target = instance
+    x = sum(Fraction(s.population) for s in states)
+    assert abs(x - Fraction(target)) <= 16 * Fraction(math.ulp(target + 1))
+    direct = engine._Direct(states, MethodSpec(rule, BY_FAMILY))
+    below, above = [1.0], [1.0]
+    for _ in range(4):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    lower, upper = engine._seat_bounds(direct, direct.v_t / below[-1] + 2)(1.0)
+    assert lower <= min(sum(direct.seats_at(d)) for d in below), (lower, upper)
+    assert upper >= max(sum(direct.seats_at(d)) for d in above), (lower, upper)
 
 
 def test_census_house_round_sweeps_under_1500_pieces(monkeypatch):
@@ -1597,6 +1648,34 @@ def test_census_house_round_sweeps_under_1500_pieces(monkeypatch):
                 apportion_for_house_size(states, houses[i % 3], MethodSpec(rule, mode))
     assert sum(swept.values()) < 1500
     assert swept[(tuple(bundled_census(2020)), MethodSpec(WEBSTER, BY_FAMILY))] <= 29
+
+
+def test_offset_rules_sweep_few_family_pieces_in_a_census_house_round(monkeypatch):
+    # the round above: Adams, Webster and Jefferson by family round X_f ∓ η
+    # by their own R_c, so a family term is decided unless X_f lies within 2η
+    # of a step; floor and ceiling bounds swept 185–190 pieces for each of
+    # them, and 29 (totals 421–449) for 2020 Webster at 435
+    swept = Counter()
+    sweep = engine._sweep
+
+    def counting(direct, d_lo, d_hi):
+        pieces = sweep(direct, d_lo, d_hi)
+        swept[direct.states, direct.method] += len(pieces)
+        return pieces
+
+    monkeypatch.setattr(engine, "_sweep", counting)
+    houses = (435, 485, 385)
+    for i, year in enumerate(sorted(CENSUS_YEARS, reverse=True)):
+        states = tuple(bundled_census(year))
+        for rule in SWEEP_RULES:
+            for mode in (BY_STATE, BY_FAMILY):
+                apportion_for_house_size(states, houses[i % 3], MethodSpec(rule, mode))
+    assert sum(swept.values()) < 1100
+    for rule in (ADAMS, WEBSTER, JEFFERSON):
+        by_rule = sum(n for (_, method), n in swept.items()
+                      if method == MethodSpec(rule, BY_FAMILY))
+        assert by_rule <= 60, (rule, by_rule)
+    assert swept[(tuple(bundled_census(2020)), MethodSpec(WEBSTER, BY_FAMILY))] <= 8
 
 
 # --- decided state-mode seat bounds under moving marks ----------------------

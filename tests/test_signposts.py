@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seatcalc.distributions import DistributionMarks, LogNormal
 from seatcalc.signposts import (
     ADAMS,
     DEAN,
@@ -44,6 +45,23 @@ def test_named_rules_are_power_law_members():
         SignpostRule("powerlaw")
     with pytest.raises(ValueError):
         SignpostRule("banzhaf")
+
+
+# every f below 1,000, and each power of two up to 2**20 with its neighbours
+OFFSET_FAMILIES = [*range(1000), *(2 ** e + j for e in range(10, 21) for j in (-1, 0, 1))]
+
+
+def test_rules_with_marks_f_plus_c_declare_c():
+    # the engine's family bounds round with R_c when a rule declares c, so
+    # c must be exact: Adams 0, Webster 1/2, Jefferson 1, and their betas
+    for rule, c in ((ADAMS, 0.0), (WEBSTER, 0.5), (JEFFERSON, 1.0), (power_law(-math.inf), 0.0),
+                    (power_law(-1e9), 0.0), (power_law(1.0), 0.5), (power_law(1e9), 1.0),
+                    (power_law(math.inf), 1.0)):
+        assert rule.mark_offset == c, rule
+        assert all(rule.mark(f) - f == c for f in OFFSET_FAMILIES), rule
+    for rule in (HUNTINGTON_HILL, DEAN, power_law(2.0), power_law(0.5), power_law(-0.99e9),
+                 DistributionMarks(LogNormal(0.0, 1.0))):
+        assert getattr(rule, "mark_offset", None) is None, rule
 
 
 def test_nan_beta_is_rejected():
