@@ -152,7 +152,8 @@ def read_census_csv(path) -> tuple[StateProfile, ...]:
     rejected.  The parse is locale-independent (plain ASCII integers).
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheets write in "CSV UTF-8"
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

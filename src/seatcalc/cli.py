@@ -36,6 +36,8 @@ from .engine import (
     TargetUnachievable,
     apportion_at_divisor,
     apportion_for_house_size,
+    house_divisor,
+    total_population,
 )
 from .paradoxes import (
     ParadoxReport,
@@ -140,24 +142,6 @@ def _divisor_rounding(text: str, anchor: float, refusal: str = "paradox scans ne
     return build(anchor)
 
 
-def _total_population(states) -> float:
-    """v_T, refused as a usage error when it overflows a float."""
-    try:
-        return math.fsum(s.population for s in states)
-    except OverflowError:
-        raise _UsageError("the total population overflows a float") from None
-
-
-def _house_anchor(states, seats: int) -> float:
-    """v_T/N for a --seats N target, refusing N < 1 or beyond the float
-    range before dividing by it."""
-    if seats < 1:
-        raise InfeasibleTarget(f"target house size must be >= 1, got {seats}")
-    if seats > sys.float_info.max:
-        raise InfeasibleTarget("target house size is beyond the float range")
-    return _total_population(states) / seats
-
-
 def _parse_divisor(text: str, states) -> float:
     """A positive number, or 'vt/N' for total population over N."""
     text = text.strip().lower()
@@ -165,7 +149,7 @@ def _parse_divisor(text: str, states) -> float:
         n = _parse_float(text[3:], "divisor denominator")
         if n <= 0:
             raise _UsageError("divisor denominator must be positive")
-        return _total_population(states) / n
+        return total_population(s.population for s in states) / n
     value = _parse_float(text, "divisor")
     if value <= 0:
         raise _UsageError("divisor must be positive")
@@ -289,7 +273,7 @@ def _cmd_apportion(args) -> int:
         method = MethodSpec(build(divisor), args.mode)
         solutions = [apportion_at_divisor(states, divisor, method)]
     else:
-        method = MethodSpec(build(_house_anchor(states, args.seats)), args.mode)
+        method = MethodSpec(build(house_divisor(states, args.seats)), args.mode)
         solutions = apportion_for_house_size(states, args.seats, method)
 
     if args.format == "json":
@@ -406,7 +390,7 @@ def _cmd_paradox_newstates(args) -> int:
 
 def _cmd_paradox_multisol(args) -> int:
     states = _load_states(args)
-    anchor = _house_anchor(states, args.seats)
+    anchor = house_divisor(states, args.seats)
     method = MethodSpec(_divisor_rounding(args.method, anchor), args.mode)
     solutions = apportion_for_house_size(states, args.seats, method)
     if args.format == "json":

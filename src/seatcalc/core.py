@@ -27,6 +27,14 @@ __all__ = [
 ]
 
 
+def fsum_or_inf(values) -> float:
+    """``math.fsum`` of ``values``: correctly rounded, and inf beyond the float range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class StateProfile:
     """A state with a name and a positive population (or vote count)."""
@@ -92,18 +100,12 @@ class QuotaTable:
     @property
     def total_population(self) -> float:
         """Sum of the populations; inf beyond the float range."""
-        try:
-            return math.fsum(e.state.population for e in self.entries)
-        except OverflowError:
-            return math.inf
+        return fsum_or_inf(e.state.population for e in self.entries)
 
     @property
     def total_quota(self) -> float:
         """Sum of the quotas; inf beyond the float range."""
-        try:
-            return math.fsum(e.quota for e in self.entries)
-        except OverflowError:
-            return math.inf
+        return fsum_or_inf(e.quota for e in self.entries)
 
     def __iter__(self):
         return iter(self.entries)
@@ -127,10 +129,7 @@ class Family:
     @property
     def quota(self) -> float:
         """Family quota Q_f: the sum of members' quotas; inf beyond the float range."""
-        try:
-            return math.fsum(e.quota for e in self.members)
-        except OverflowError:
-            return math.inf
+        return fsum_or_inf(e.quota for e in self.members)
 
     @property
     def size(self) -> int:
@@ -139,10 +138,7 @@ class Family:
     @property
     def population(self) -> float:
         """Sum of the members' populations; inf beyond the float range."""
-        try:
-            return math.fsum(e.state.population for e in self.members)
-        except OverflowError:
-            return math.inf
+        return fsum_or_inf(e.state.population for e in self.members)
 
 
 @dataclass(frozen=True)

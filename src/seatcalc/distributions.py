@@ -156,6 +156,13 @@ class PowerLaw(PopulationDistribution):
             raise ValueError("v_lo = 0 requires beta > 0")
         if math.isinf(self.v_hi) and self.beta >= 0:
             raise ValueError("v_hi = inf requires beta < 0")
+        try:
+            norm = self._norm if self.beta else math.log(self.v_hi / self.v_lo)
+        except OverflowError:
+            norm = math.inf
+        if norm == 0 or not math.isfinite(norm):
+            raise ValueError(f"the density does not normalize in floats on "
+                             f"[{self.v_lo}, {self.v_hi}]: its normalizer is {norm!r}")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -198,17 +205,26 @@ class PowerLaw(PopulationDistribution):
             return math.log(b / a) / math.log(self.v_hi / self.v_lo)
         if a == 0:
             return self._pow(b, self.beta) / self._norm
-        # a^beta * ((b/a)^beta - 1), full relative precision in the tail
-        return self._pow(a, self.beta) * math.expm1(self.beta * math.log(b / a)) / self._norm
+        # a^beta * ((b/a)^beta - 1), full relative precision in the tail; where
+        # (b/a)^beta = exp(e) is beyond the float range (e > 709), a^beta is
+        # nothing beside b^beta
+        ratio = b / a
+        e = self.beta * (math.log(ratio) if ratio < math.inf else math.log(b) - math.log(a))
+        if e > 709.0:
+            return self._pow(b, self.beta) / self._norm
+        return self._pow(a, self.beta) * math.expm1(e) / self._norm
 
     def _cdf_antideriv(self, v: float) -> float:
         if self.beta == 0:
             return (v * math.log(v / self.v_lo) - v) / math.log(self.v_hi / self.v_lo)
         b1 = self.beta + 1.0
-        lo_term = self._pow(self.v_lo, self.beta) * v
+        lo_b = self._pow(self.v_lo, self.beta)
         if self.beta == -1.0:
-            return (math.log(v) - lo_term) / self._norm
-        return (self._pow(v, b1) / b1 - lo_term) / self._norm
+            return (math.log(v) - lo_b * v) / self._norm
+        try:
+            return (self._pow(v, b1) / b1 - lo_b * v) / self._norm
+        except OverflowError:  # v^(beta+1) is beyond the float range, v·(v^beta/b1 − lo_b) not
+            return v * ((self._pow(v, self.beta) / b1 - lo_b) / self._norm)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         import numpy as np
@@ -424,7 +440,11 @@ class Uniform(PopulationDistribution):
         return max(b - a, 0.0) / (self.v_hi - self.v_lo)
 
     def _cdf_antideriv(self, v: float) -> float:
-        return 0.5 * (v - self.v_lo) ** 2 / (self.v_hi - self.v_lo)
+        width = self.v_hi - self.v_lo
+        try:
+            return 0.5 * (v - self.v_lo) ** 2 / width
+        except OverflowError:  # (v − v_lo)^2 is beyond the float range, the antiderivative not
+            return 0.5 * (v - self.v_lo) * ((v - self.v_lo) / width)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.v_lo, self.v_hi, size=n)
@@ -740,8 +760,10 @@ def monte_carlo_bias(dist: PopulationDistribution, divisor: float, marks,
         # each chunk's stream is spawned as it starts; k calls of spawn(1)
         # give the children of one spawn(k)
         rng = np.random.default_rng(master.spawn(1)[0])
-        v = dist.sample(rng, reps * n_states)
-        q = v / divisor
+        # a draw or a quota beyond the float range is inf, which is refused below
+        with np.errstate(over="ignore"):
+            v = dist.sample(rng, reps * n_states)
+            q = v / divisor
         if not (q_max := float(q.max())) < _MC_MAX_FAMILIES:
             raise ValueError(f"a draw reaches family {np.floor(q_max):.0f}, beyond the "
                              f"limit of {_MC_MAX_FAMILIES:,} families")

@@ -31,6 +31,7 @@ from .core import (
     QuotaTable,
     StateProfile,
     compute_quotas,
+    fsum_or_inf,
 )
 
 __all__ = [
@@ -42,6 +43,8 @@ __all__ = [
     "ApportionmentError",
     "InfeasibleTarget",
     "TargetUnachievable",
+    "total_population",
+    "house_divisor",
     "round_quota",
     "positional_split",
     "family_splits",
@@ -161,13 +164,9 @@ class FamilySplit:
     m_high: int  # members receiving f+1 seats each (the largest)
 
     def __post_init__(self) -> None:
-        if self.m_low < 0 or self.m_high < 0:
-            raise ValueError(
-                f"family {self.f}: seats {self.seats} outside "
-                f"[{self.f * self.size}, {(self.f + 1) * self.size}]"
-            )
-        if self.m_low + self.m_high != self.size:
-            raise ValueError(f"family {self.f}: split does not cover all members")
+        if positional_split(self.f, self.size, self.seats) != (self.m_low, self.m_high):
+            raise ValueError(f"family {self.f}: ({self.m_low}, {self.m_high}) is not the "
+                             f"positional split of {self.seats} seats over {self.size} members")
 
 
 def round_quota(quota: float, rounding, divisor: float) -> int:
@@ -208,6 +207,28 @@ def family_splits(partition: FamilyPartition, rounding, divisor: float) -> tuple
         m_low, m_high = positional_split(fam.index, fam.size, seats)
         splits.append(FamilySplit(fam.index, fam.size, fam.quota, seats, m_low, m_high))
     return tuple(splits)
+
+
+def total_population(populations: Iterable[float]) -> float:
+    """v_T, the sum of ``populations``; ``ValueError`` beyond the float range."""
+    if (v_t := fsum_or_inf(populations)) == math.inf:
+        raise ValueError("the total population overflows a float")
+    return v_t
+
+
+def _refuse_target(target: int) -> None:
+    """``InfeasibleTarget`` for a house size below one seat or beyond the float range."""
+    if target < 1:
+        raise InfeasibleTarget(f"target house size must be >= 1, got {target}")
+    if target > sys.float_info.max:
+        raise InfeasibleTarget("target house size is beyond the float range")
+
+
+def house_divisor(states: Iterable[StateProfile], target: int) -> float:
+    """v_T/``target``, with the target refused first as ``apportion_for_house_size``
+    refuses it, and then v_T as every engine call refuses it."""
+    _refuse_target(target)
+    return total_population(s.population for s in states) / target
 
 
 class _Direct:
@@ -252,10 +273,7 @@ class _Direct:
         self.method = method
         self.names = [s.name for s in states]
         self.pops = [s.population for s in states]
-        try:
-            self.v_t = math.fsum(self.pops)
-        except OverflowError:
-            raise ValueError("the total population overflows a float") from None
+        self.v_t = total_population(self.pops)
         self.rounding = method.rounding
         self.moving = method.divisor_dependent
         self.marks: dict[int, float] = {}  # constant marks r(f), each read once
@@ -866,7 +884,8 @@ def _search_window(direct: _Direct, target: int) -> tuple[list[_Piece], bool]:
     lower probe at or above cap_hi is skipped; an upper probe is not below
     cap_lo, as U(D_0) is at least the total there, itself at least target −
     n.  So every end stays inside the caps.  A target whose caps round to
-    one float (from 10^17 seats over populations 1, 2 and 3) raises
+    one float (from 10^17 seats over populations 1, 2 and 3), or whose
+    lower cap underflows to 0 (from subnormal populations), raises
     ``InfeasibleTarget``.
 
     *Edge checks.*  A probe is a float, not a candidate divisor, so a
@@ -883,11 +902,11 @@ def _search_window(direct: _Direct, target: int) -> tuple[list[_Piece], bool]:
     cap_lo = v_t / (target + slack)
     if target - slack >= 1:
         cap_hi, frozen_above = v_t / (target - slack), False
-        if not cap_lo < cap_hi:
-            raise InfeasibleTarget(f"target {target} is beyond float precision: its divisor "
-                                   f"window v_T/(target ± {slack}) is one float")
     else:
         cap_hi, frozen_above = _freeze_divisor(direct, cap_lo), True
+    if not 0 < cap_lo < cap_hi:
+        raise InfeasibleTarget(f"target {target} is beyond float precision: its divisor "
+                               f"window [{cap_lo!r}, {cap_hi!r}] is one float or starts at 0")
     bounds = _seat_bounds(direct, target + slack + 2)
     l_0, u_0 = bounds(v_t / target)
 
@@ -933,10 +952,7 @@ def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,
     seats raises ``InfeasibleTarget``, as does, for every method, a
     target beyond the float range.
     """
-    if target_total < 1:
-        raise InfeasibleTarget(f"target house size must be >= 1, got {target_total}")
-    if target_total > sys.float_info.max:
-        raise InfeasibleTarget("target house size is beyond the float range")
+    _refuse_target(target_total)
     direct = _Direct(states, method)
     n, floor_seats = len(direct.pops), direct.floor
     if method.is_hamilton:

@@ -6,6 +6,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from seatcalc.cli import main
 from seatcalc.census import (
     BUNDLED_YEARS,
     bundled_census,
@@ -49,6 +50,16 @@ def test_moments_reject_degenerate_input():
         log_moments([Row(e), Row(e), Row(e), Row(e)])
     with pytest.raises(ValueError):
         log_moments([Row(5.0)])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_moments_of_too_few_states_are_nan(n):
+    # skew needs three states and kurtosis four
+    m = log_moments([Row(float(10 ** k)) for k in range(1, n + 1)])
+    assert m.mean == pytest.approx(math.log(10.0) * (n + 1) / 2)
+    assert m.std > 0
+    assert math.isnan(m.skew) == (n < 3)
+    assert math.isnan(m.excess_kurtosis)
 
 
 def test_moments_scale_equivariance():
@@ -235,3 +246,18 @@ def test_read_census_rejects_structure_problems(tmp_path):
         read_census_csv(write(tmp_path, "state,population\nAlpha\n"))
     with pytest.raises(ValueError, match=r":2:"):
         read_census_csv(write(tmp_path, "state,population\n ,100\n"))
+
+
+def test_a_census_csv_with_a_byte_order_mark_reads_in_every_command(tmp_path, capsys):
+    # spreadsheets that save "CSV UTF-8" start the file with a BOM
+    path = tmp_path / "bom.csv"
+    path.write_text("state,population\nAlpha,100\nBeta,200\nGamma,200\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbfstate,")
+    assert read_census_csv(path) == (StateProfile("Alpha", 100.0), StateProfile("Beta", 200.0),
+                                     StateProfile("Gamma", 200.0))
+    assert main(["apportion", "--input", str(path), "--seats", "5"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines()[-1].endswith(",5")
+    assert main(["stats", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines()[1].startswith("bom,")

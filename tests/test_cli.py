@@ -1,5 +1,6 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -7,8 +8,11 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seatcalc.census import bundled_census_path
 from seatcalc.cli import main
@@ -21,6 +25,23 @@ def cap_address_space():
     """Child set-up: 1 GiB of address space, so that a run sized by its input
     fails fast instead of exhausting the machine's memory."""
     resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+def run_capped(*argv):
+    """``python -m seatcalc *argv`` in a child with one BLAS thread, under
+    ``cap_address_space``."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "seatcalc", *argv], capture_output=True,
+                          text=True, env=env, preexec_fn=cap_address_space, timeout=120)
+
+
+def assert_refused(proc, code, message):
+    """The child exited ``code`` with no output and one ``seatcalc: message...``
+    line on stderr, no traceback."""
+    assert proc.returncode == code, proc.stderr[-2000:]
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"seatcalc: {message}")
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
 def run(capsys, *argv):
@@ -512,27 +533,33 @@ def test_closed_output_pipe_ends_quietly(unbuffered):
     ("--dist", "lognormal:5,10", "--replications", "1", "--seed", "1", "--marks", "webster"),
 ], ids=["beyond-int64", "beyond-memory"])
 def test_heavy_tail_bias_is_refused(args):
+    assert_refused(run_capped("bias", *args), 2, "a draw reaches family ")
+
+
+def test_heavy_tail_bias_memory_is_sized_by_the_draws():
+    # lognormal:5,2 reaches family 30,170 in one 4,096-replication chunk, so a dense
+    # replications x families table would take about 0.9 GiB; the accumulation must
+    # stay under 256 MB.  A fresh launcher reads RUSAGE_CHILDREN, which then covers
+    # this one child and nothing else the test process ran.
+    launcher = ("import resource, subprocess, sys\n"
+                "subprocess.run([sys.executable, '-m', 'seatcalc', 'bias', '--dist', "
+                "'lognormal:5,2', '--marks', 'webster', '--replications', '4096', '--seed', "
+                "'1'], check=True, stdout=subprocess.DEVNULL)\n"
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-m", "seatcalc", "bias", *args],
-                          capture_output=True, text=True, env=env,
-                          preexec_fn=cap_address_space, timeout=120)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("seatcalc: a draw reaches family ")
-    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    proc = subprocess.run([sys.executable, "-c", launcher], capture_output=True, text=True,
+                          env=env, preexec_fn=cap_address_space, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    peak_mb = int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb <= 256, f"bias peaked at {peak_mb:.0f} MB RSS"
 
 
 def test_unbounded_candidate_window_is_refused():
     # about 6e300 boundary crossings: listing them would fill any memory, so a
     # regression under the 1 GiB address-space cap fails fast
-    proc = subprocess.run([sys.executable, "-m", "seatcalc", "paradox", "alabama",
-                           "--populations", "1,2,3", "--d-lo", "1e-300", "--d-hi", "1"],
-                          capture_output=True, text=True, preexec_fn=cap_address_space,
-                          timeout=120)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("seatcalc: the divisor window [1e-300, 1.0] spans more than ")
-    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    proc = run_capped("paradox", "alabama", "--populations", "1,2,3", "--d-lo", "1e-300",
+                      "--d-hi", "1")
+    assert_refused(proc, 2, "the divisor window [1e-300, 1.0] spans more than ")
 
 
 
@@ -597,14 +624,7 @@ BIAS = ("bias", "--dist", "lognormal:5,1")
         "replications-edge"])
 def test_oversized_sizes_are_refused(argv, message):
     # each is refused before anything is sized by it, in a capped child
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-m", "seatcalc", *argv],
-                          capture_output=True, text=True, env=env,
-                          preexec_fn=cap_address_space, timeout=120)
-    assert proc.returncode == 2, proc.stderr[-2000:]
-    assert proc.stdout == ""
-    assert proc.stderr.startswith(f"seatcalc: {message}")
-    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert_refused(run_capped(*argv), 2, message)
 
 
 @pytest.mark.parametrize("method,seats,message", [
@@ -617,12 +637,11 @@ def test_oversized_sizes_are_refused(argv, message):
     ("lognormal:5,1", 10 ** 400, "target house size is beyond the float range"),
 ], ids=["hamilton-1e18", "hamilton-1e21", "webster-1e17", "lognormal-1e18",
         "hamilton-1e400", "webster-1e400", "lognormal-1e400"])
-def test_huge_house_sizes_are_refused(capsys, method, seats, message):
-    code, out, err = run(capsys, "apportion", "--populations", "1,2,3",
-                         "--method", method, "--seats", str(seats))
-    assert code == 3 and out == ""
-    assert err.startswith(f"seatcalc: {message}")
-    assert len(err.splitlines()) == 1
+def test_huge_house_sizes_are_refused(method, seats, message):
+    # in a capped child: a window sized by the target would fail fast
+    proc = run_capped("apportion", "--populations", "1,2,3", "--method", method,
+                      "--seats", str(seats))
+    assert_refused(proc, 3, message)
 
 
 @pytest.mark.parametrize("beta", ["inf", "+inf", "infinity", "+infinity", "INF",
@@ -640,3 +659,147 @@ def test_import_leaves_numpy_unloaded():
     code = "import sys, seatcalc, seatcalc.cli; sys.exit('numpy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# --- every input ends in an exit code ------------------------------------------
+
+POSITIVE = ("5e-324", "1e-300", "0.5", "1", "2.5", "7", "62.4375", "435", "1e17", "1e300",
+            "1e308")
+NOT_POSITIVE = ("0", "-1", "inf", "-inf", "nan", "x", "")
+HOUSE_SIZES = ("-3", "0", "1", "2", "3", "5", "65", "435", "100000000000000000", "1" + "0" * 400)
+RULES = ("adams", "dean", "hill", "webster", "jefferson", "hamilton", "powerlaw:2",
+         "powerlaw:-inf", "powerlaw:inf", "Webster", "webster:1", "banzhaf")
+
+
+# three numbers in four are positive and finite, so most argvs get past parsing
+_NUMBER = st.integers(0, 3).flatmap(lambda k: st.sampled_from(POSITIVE if k else NOT_POSITIVE))
+
+
+def _grammar(name, arity):
+    """``name:p1,...`` texts with parameters from ``_NUMBER``."""
+    params = st.lists(_NUMBER, min_size=arity, max_size=arity)
+    return params.map(lambda ps: f"{name}:{','.join(ps)}")
+
+
+_METHODS = st.one_of(st.sampled_from(RULES), _grammar("powerlaw", 1), _grammar("lognormal", 2))
+_LAWS = st.one_of(_grammar("lognormal", 2), _grammar("powerlaw", 3), _grammar("uniform", 2))
+_DIVISORS = st.one_of(_NUMBER, _NUMBER.map(lambda n: f"vt/{n}"))
+_SIZES = st.sampled_from(("-1", "0", "1", "2", "10"))
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of apportion, marks, paradox alabama|newstates|multisol or bias,
+    each value given as ``--flag=value`` so that argparse reads a leading minus
+    as a value."""
+    command = draw(st.sampled_from(("apportion", "marks", "alabama", "newstates", "multisol",
+                                    "bias")))
+    if command == "marks":
+        methods = draw(st.lists(_METHODS, min_size=1, max_size=2))
+        return ["marks", *[f"--method={m}" for m in methods],
+                f"--fmax={draw(st.sampled_from(('-1', '0', '3', '10')))}"]
+    if command == "bias":
+        marks = draw(st.one_of(st.just("matched"), _METHODS))
+        return ["bias", f"--dist={draw(_LAWS)}", f"--marks={marks}",
+                f"--divisor={draw(_NUMBER)}", f"--replications={draw(_SIZES)}",
+                f"--n-states={draw(_SIZES)}", "--seed=1"]
+    pops = ",".join(draw(st.lists(_NUMBER, min_size=1, max_size=5)))
+    scenario = [f"--populations={pops}", f"--method={draw(_METHODS)}",
+                f"--mode={draw(st.sampled_from(('state', 'family')))}"]
+    if command == "apportion":
+        if draw(st.booleans()):
+            return ["apportion", *scenario, f"--seats={draw(st.sampled_from(HOUSE_SIZES))}"]
+        return ["apportion", *scenario, f"--divisor={draw(_DIVISORS)}"]
+    if command == "multisol":
+        return ["paradox", "multisol", *scenario,
+                f"--seats={draw(st.sampled_from(HOUSE_SIZES))}"]
+    if command == "alabama":
+        return ["paradox", "alabama", *scenario, f"--d-lo={draw(_DIVISORS)}",
+                f"--d-hi={draw(_DIVISORS)}"]
+    return ["paradox", "newstates", *scenario, f"--divisor={draw(_DIVISORS)}",
+            f"--add-state=added:{draw(_NUMBER)}"]
+
+
+# inputs that once ended in a traceback (exit 1) or wrote a warning to stderr, with
+# the exit code and the one seatcalc: line they end in now
+SUBNORMAL = ("is beyond float precision: its divisor window [0.0, 5e-324] is one float "
+             "or starts at 0")
+REFUSED = {
+    # a subnormal total: the lower cap of the house-size window underflowed to 0
+    "subnormal-family": (("apportion", "--populations", "4.9e-324", "--method", "jefferson",
+                          "--mode", "family", "--seats", "3"), 3, f"target 3 {SUBNORMAL}"),
+    "subnormal-state": (("apportion", "--populations", "5e-324,4.9e-324", "--method",
+                         "jefferson", "--seats", "5"), 3, f"target 5 {SUBNORMAL}"),
+    "subnormal-multisol": (("paradox", "multisol", "--populations", "4.9e-324", "--method",
+                            "adams", "--seats", "3"), 3, f"target 3 {SUBNORMAL}"),
+    # a power law whose normalizer is 0 (its draws were all 1.0) or beyond the float range
+    "powerlaw-norm-zero": (("bias", "--dist", "powerlaw:1e-320,2.5,7", "--divisor", "435",
+                            "--replications", "2", "--n-states", "5", "--seed", "1"), 2,
+                           "the density does not normalize in floats on [2.5, 7.0]: its "
+                           "normalizer is 0.0"),
+    "powerlaw-norm-inf": (("bias", "--dist", "powerlaw:2.5,1,1e300", "--replications", "10",
+                           "--n-states", "2", "--seed", "1"), 2,
+                          "the density does not normalize in floats on [1.0, 1e+300]: its "
+                          "normalizer is inf"),
+    # a quota or a draw beyond the float range: numpy warned of the overflow
+    "bias-quota-inf": (("bias", "--dist", "uniform:0,1e308", "--divisor", "1e-300",
+                        "--replications", "2", "--n-states", "2", "--seed", "1"), 2,
+                       "a draw reaches family inf, beyond the limit of 1,048,576 families"),
+    "bias-draw-inf": (("bias", "--dist", "lognormal:0.999,1", "--divisor", "1e308",
+                       "--marks", "jefferson", "--replications", "10", "--n-states", "1",
+                       "--seed", "1"), 2,
+                      "a draw reaches family inf, beyond the limit of 1,048,576 families"),
+}
+# laws out of float range that now compute: (b/a)^beta and (v - v_lo)^2 beyond it
+COMPUTED = {
+    "powerlaw-wide": ("bias", "--dist", "powerlaw:3,1e-300,1", "--divisor", "62.4375",
+                      "--replications", "10", "--n-states", "2", "--seed", "1"),
+    "uniform-wide": ("bias", "--dist", "uniform:0,1e300", "--divisor", "1e308",
+                     "--replications", "10", "--n-states", "2", "--seed", "1"),
+}
+
+
+def _run_quietly(argv):
+    """(exit code, stdout, stderr) of one in-process run, and the warnings it
+    raised, each of which a child would write to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+@settings(max_examples=800, deadline=None)
+@given(_argvs())
+@example(list(REFUSED["subnormal-family"][0]))
+@example(list(REFUSED["subnormal-state"][0]))
+@example(list(REFUSED["subnormal-multisol"][0]))
+@example(list(REFUSED["powerlaw-norm-zero"][0]))
+@example(list(REFUSED["powerlaw-norm-inf"][0]))
+@example(list(REFUSED["bias-quota-inf"][0]))
+@example(list(REFUSED["bias-draw-inf"][0]))
+@example(list(COMPUTED["powerlaw-wide"]))
+@example(list(COMPUTED["uniform-wide"]))
+def test_every_input_ends_in_an_exit_code(argv):
+    code, _, err, caught = _run_quietly(argv)
+    assert code in (0, 2, 3, 4)
+    assert caught == []
+    if code:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("seatcalc: "), err
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_totals_and_laws_out_of_float_range_are_refused(case):
+    argv, code, message = REFUSED[case]
+    proc = run_capped(*argv)
+    assert_refused(proc, code, message)
+    assert proc.stderr == f"seatcalc: {message}\n"
+
+
+@pytest.mark.parametrize("case", COMPUTED)
+def test_bias_on_laws_out_of_float_range_computes(case):
+    proc = run_capped(*COMPUTED[case])
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("f,mean_bias,std_error\n")

@@ -89,6 +89,30 @@ def test_distribution_validation():
         Uniform(3.0, 2.0)
 
 
+@pytest.mark.parametrize("beta, v_lo, v_hi, norm", [
+    (1e-320, 2.5, 7.0, "0.0"),  # 7^beta − 2.5^beta rounds to 0: every draw was 1.0
+    (2.5, 1.0, 1e300, "inf"),   # v_hi^2.5 is beyond the float range
+    (-2.0, 1e-300, 1.0, "inf"),
+    (0.0, 1e-300, 1e300, "inf"),  # ln(v_hi/v_lo)
+])
+def test_a_power_law_must_normalize_in_floats(beta, v_lo, v_hi, norm):
+    with pytest.raises(ValueError, match=f"does not normalize in floats.*normalizer is {norm}$"):
+        PowerLaw(beta, v_lo, v_hi)
+
+
+def test_laws_out_of_float_range_compute():
+    # (b/a)^3 = 1e900: a^3 is nothing beside b^3, and the CDF difference is b^3
+    law = PowerLaw(3.0, 1e-300, 1.0)
+    assert law.cdf_diff(1e-300, 0.5) == 0.125
+    assert law.cdf_diff(1e-300, 1.0) == 1.0
+    # v^(beta+1) beyond the float range inside the support, the antiderivative not
+    law = PowerLaw(0.5, 1.0, 1e300)
+    assert law.cdf_integral(0.0, 1e300) == pytest.approx(2e300 / 3, rel=1e-12)
+    # (v − v_lo)^2 beyond the float range: the integral of I over [0, 1e308]
+    law = Uniform(0.0, 1e300)
+    assert law.cdf_integral(0.0, 1e308) == pytest.approx(1e308 - 0.5e300, rel=1e-15)
+
+
 def test_cdf_integral_matches_quadrature():
     dists = [
         PowerLaw(2.0, 0.0, 100.0),
@@ -719,13 +743,15 @@ def test_sample_states_match_target_log_mean():
     assert abs(log_mean - 15.218) <= 3 * 1.024 / math.sqrt(50)
 
 
-def test_power_law_sampling_matches_cdf():
-    dist = PowerLaw(2.0, 0.0, 10.0)
+@pytest.mark.parametrize("dist, v_half", [
+    (PowerLaw(2.0, 0.0, 10.0), 10.0 * 0.5 ** (1 / 2.0)),
+    (PowerLaw(0.0, 0.5, 50.0), 5.0),  # log-uniform: the geometric mean of the ends
+])
+def test_power_law_sampling_matches_cdf(dist, v_half):
     rng = np.random.default_rng(5)
     draws = dist.sample(rng, 20000)
-    assert float(draws.min()) >= 0.0 and float(draws.max()) <= 10.0
+    assert float(draws.min()) >= dist.v_lo and float(draws.max()) <= dist.v_hi
     # empirical CDF at the median of the law
-    v_half = 10.0 * 0.5 ** (1 / 2.0)
     assert abs(float(np.mean(draws <= v_half)) - 0.5) < 0.02
 
 
@@ -737,6 +763,12 @@ def test_monte_carlo_single_draw():
     assert len(nonzero) <= 1
     for row in nonzero:
         assert -1.0 < row.mean_bias < 1.0
+
+
+def test_monte_carlo_reads_a_law_as_its_unbiased_marks():
+    dist = lognormal_qg(5.0)
+    assert (monte_carlo_bias(dist, 1.0, dist, 300, 10, seed=4)
+            == monte_carlo_bias(dist, 1.0, DistributionMarks(dist), 300, 10, seed=4))
 
 
 def test_monte_carlo_determinism():

@@ -28,6 +28,7 @@ from seatcalc.engine import (
     _ILLINOIS_SLACK,
     ApportionmentError,
     InfeasibleTarget,
+    FamilySplit,
     MethodSpec,
     TargetUnachievable,
     _EVENT_BAND,
@@ -189,6 +190,31 @@ def test_hamilton_matches_largest_remainder():
         assert app.total_seats == target
 
 
+@pytest.mark.parametrize("pops, target, floor, want", [
+    ((3.0, 3.0, 4.0), 10, 2, (3, 3, 4)),  # the floor does not bind
+    ((1.0, 2.0, 3.0), 5, 2, "target 5 below the 6-seat floor"),
+    # seats (1, 1, 8) lifted to (2, 2, 8): 12 seats, not 10
+    ((1.0, 1.0, 8.0), 10, 2, "min_seat_floor is incompatible with Hamilton's fixed total"),
+], ids=["not-binding", "below-floor", "binding"])
+def test_hamilton_with_a_seat_floor(pops, target, floor, want):
+    method = MethodSpec(HAMILTON, min_seat_floor=floor)
+    if isinstance(want, str):
+        with pytest.raises(InfeasibleTarget, match=want):
+            apportion_for_house_size(states_of(*pops), target, method)
+    else:
+        (app,) = apportion_for_house_size(states_of(*pops), target, method)
+        assert seats_tuple(app, len(pops)) == want
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"mode": "county"}, "mode must be 'state' or 'family', got 'county'"),
+    ({"min_seat_floor": -1}, "min_seat_floor must be non-negative"),
+])
+def test_method_spec_refuses_an_unknown_mode_or_a_negative_floor(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        MethodSpec(WEBSTER, **kwargs)
+
+
 def test_hamilton_ignores_mode():
     # Hamilton has no family mode: BY_FAMILY gives the BY_STATE result
     for states, target in ((bundled_census(2020), 435), (states_of(1.4, 1.4, 1.2, 7.3), 9)):
@@ -289,6 +315,24 @@ def test_unachievable_nearest_totals_beyond_the_probed_window(pops, target, meth
         apportion_for_house_size(states_of(*pops), target, method)
     assert err.value.nearest_below == below
     assert err.value.nearest_above == above
+
+
+@pytest.mark.parametrize("pops, target, method", [
+    ((5e-324,), 3, MethodSpec(JEFFERSON, BY_FAMILY)),
+    ((5e-324, 5e-324), 5, MethodSpec(JEFFERSON)),
+    ((5e-324,), 3, MethodSpec(ADAMS, BY_FAMILY)),
+    ((5e-324,), 3, MethodSpec(DistributionMarks(LogNormal(0.0, 1.0)))),
+], ids=["jefferson-family", "jefferson-state", "adams-family", "lognormal-state"])
+def test_a_window_whose_lower_cap_underflows_is_refused(pops, target, method):
+    # v_T/(target + slack) rounds to 0, where every quota would be infinite
+    with pytest.raises(InfeasibleTarget, match="is one float or starts at 0"):
+        apportion_for_house_size(states_of(*pops), target, method)
+
+
+@pytest.mark.parametrize("call", ["piecewise_apportionments", "breakpoints", "scan_alabama"])
+def test_sweeps_refuse_hamilton(call):
+    with pytest.raises(ApportionmentError, match="Hamilton's method has no divisor sweep"):
+        STATE_CHECK_CALLS[call](states_of(1.0, 2.0), MethodSpec(HAMILTON))
 
 
 def test_target_validation():
@@ -1201,6 +1245,17 @@ def test_positional_split():
     for seats in (5, 10):
         with pytest.raises(ValueError, match="outside"):
             positional_split(2, 3, seats)
+
+
+@pytest.mark.parametrize("seats, m_low, m_high, message", [
+    (7, 1, 2, "not the positional split"),  # covers all members, but implies 8 seats
+    (7, 2, 2, "not the positional split"),
+    (10, -1, 4, "outside"),
+])
+def test_a_family_split_is_the_positional_split(seats, m_low, m_high, message):
+    assert FamilySplit(2, 3, 7.0, 7, 2, 1).m_high == 1
+    with pytest.raises(ValueError, match=message):
+        FamilySplit(2, 3, 7.0, seats, m_low, m_high)
 
 
 def test_sweep_matches_oracle_on_random_instances():
