@@ -91,7 +91,13 @@ def _parse_distribution(text: str):
                              "lognormal needs two parameters, e.g. lognormal:5,1")
         if q_g <= 0 or sigma <= 0:
             raise _UsageError("lognormal q_g and sigma must be positive")
-        return lambda divisor: LogNormal(math.log(q_g * divisor), sigma)
+
+        def lognormal(divisor: float) -> LogNormal:
+            if (v_g := q_g * divisor) == 0.0:  # q_g > 0: the product or the divisor underflowed
+                raise _UsageError(f"lognormal q_g * divisor = {q_g!r} * {divisor!r} "
+                                  "underflows to 0")
+            return LogNormal(math.log(v_g), sigma)
+        return lognormal
     if name == "powerlaw":
         beta, v_lo, v_hi = _params(arg, ("beta", "v_lo", "v_hi"),
                                    "distribution powerlaw needs beta,v_lo,v_hi")

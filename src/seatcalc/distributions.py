@@ -216,7 +216,10 @@ class PowerLaw(PopulationDistribution):
 
     def _cdf_antideriv(self, v: float) -> float:
         if self.beta == 0:
-            return (v * math.log(v / self.v_lo) - v) / math.log(self.v_hi / self.v_lo)
+            log_v, spread = math.log(v / self.v_lo), math.log(self.v_hi / self.v_lo)
+            if math.isfinite(plain := v * log_v):
+                return (plain - v) / spread
+            return v * ((log_v - 1.0) / spread)  # v·ln(v/v_lo) is beyond the float range
         b1 = self.beta + 1.0
         lo_b = self._pow(self.v_lo, self.beta)
         if self.beta == -1.0:

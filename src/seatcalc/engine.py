@@ -116,10 +116,12 @@ class MethodSpec:
     rounding up at every D' in [d_min, D], and one < −2ε keeps it rounding
     down at every D' >= D, while floor(value/D') stays the same; the
     state-mode house-size window counts only such decisions.  Constant marks
-    r(f) = f + c may declare ``mark_offset = c``, which family-mode house-size
-    bounds then round with.  ``min_seat_floor``, when set, raises every state
-    to at least that many seats after rounding.  Hamilton has no family mode:
-    it ignores ``mode`` and always apportions by state.
+    may declare ``mark_offsets(f, g_max)``: (lo, hi) in [0, 1] with lo <=
+    r(g) − g <= hi, for the float mark, at every integer g in [f, g_max], or
+    None; family-mode house-size bounds then round with them.
+    ``min_seat_floor``, when set, raises every state to at least that many
+    seats after rounding.  Hamilton has no family mode: it ignores ``mode``
+    and always apportions by state.
     """
 
     rounding: object
@@ -781,20 +783,27 @@ def _seat_bounds(direct: _Direct, top: float):
             return lower, upper
         return per_state
     eta = (len(direct.pops) + 2) * 2.0 ** -52 * top  # bounds fsum's rounding error on X_f
-    # the rule's own rounding R_c where its marks are f + c, else floor and ceiling
-    c = None if floor_seats else getattr(direct.rounding, "mark_offset", None)
-    c_lo, c_hi = (1.0, 0.0) if c is None else (c, c)
+    # (c_U, c_L) at every family index, else (0, 1); read per index where not exact
+    offsets = None if floor_seats or direct.moving else getattr(
+        direct.rounding, "mark_offsets", None)
+    whole = offsets(0, top) if offsets else None
+    fixed = whole or (0.0, 1.0)
+    cs = {} if whole and whole[0] != whole[1] else None
 
     def per_family(d: float) -> tuple[int, int]:
         quotas, ends = direct.runs(d)
         lower = upper = 0
         for lo, hi in zip([0, *ends], ends):
             f, k, run = math.floor(quotas[lo]), hi - lo, quotas[lo:hi]
+            c_u, c_l = fixed if cs is None else (
+                cs.get(f) or cs.setdefault(f, offsets(f, top) or whole))
             g = math.floor(x := math.fsum(run))  # X_f, correctly rounded: within η/6
-            if math.floor(x - c_hi - 2 * eta) == math.floor(x - c_hi + 2 * eta):
-                low, high = g + (x - g >= c_lo), g + (x - g >= c_hi)  # no step of R_c within 2η
+            if math.floor(x - c_u - 2 * eta) == math.floor(x - c_u + 2 * eta) and (
+                    c_l - c_u in (0.0, 1.0)  # both step on Z + c_U
+                    or math.floor(x - c_l - 2 * eta) == math.floor(x - c_l + 2 * eta)):
+                low, high = g + (x - g >= c_l), g + (x - g >= c_u)  # no step within 2η
             else:
-                low, high = _exact_round([*run, -eta], c_lo), _exact_round([*run, eta], c_hi)
+                low, high = _exact_round([*run, -eta], c_l), _exact_round([*run, eta], c_u)
             lower += max(low, k * max(f, floor_seats))  # a seat floor m lifts f < m to m·k
             upper += max(min(high, k * (f + 1)), k * floor_seats)
         return lower, upper
@@ -849,21 +858,24 @@ def _search_window(direct: _Direct, target: int) -> tuple[list[_Piece], bool]:
       R_cU(min(X_f + η, k_f·(f+1))) (m·k_f each if f < m), with X_f the
       exact sum of family f's k_f float quotas, η = (n+2)·2⁻⁵²·(target +
       slack + 2) a bound, on [cap_lo, ∞), on the error of the evaluator's
-      ``fsum`` of them, and R_c(x) = g + [x > g and x − g >= c], g = floor(x).
-      A rule whose marks are f + c (``mark_offset``: Adams 0, Webster ½,
-      Jefferson 1) takes c_L = c_U = c, its own rounding, unless m is set;
-      every other takes (1, 0), floor and ceiling.  The evaluator rounds
-      that ``fsum``, within η of X_f and in [k_f·f, k_f·(f+1)], by R_c (any
-      other rule by a rounding between R_1, the floor, and R_0, the
-      ceiling), and R_c is non-decreasing, so L and U bracket the total.  Unless a step of R_c (a point of Z + c) lies within 2η of
-      that sum, each term is R_c of the sum; else ``_exact_floor`` takes
-      it.  As D grows the quotas fl(v/D) fall, and with members fixed each
-      term with them.  A member leaving f for f − 1 does so in three steps:
-      its quota falls to exactly f inside f; the integer f moves across,
-      which raises no sum, as R_c(x ± f) = R_c(x) ± f and each clamp shifts
-      with it or falls by one; its quota falls further inside f − 1 (and on,
-      family by family).  (Under moving marks rounding does not commute
-      with that shift, so the family terms take no margin error bound.)
+      ``fsum`` x of them, and R_c(x) = g + [x > g and x − g >= c], g =
+      floor(x).  Family f takes (c_L, c_U) = (hi, lo) of the rule's
+      ``mark_offsets(f, target + slack + 2)`` unless m is set or marks move,
+      else (1, 0), floor and ceiling; offsets exact at f = 0 hold at every f
+      (Adams, Webster, Jefferson: (c, c), their own rounding).  The
+      evaluator rounds x, in [k_f·f, k_f·(f+1)], to G + [x > G and x >=
+      fl(r(G))], G = floor(x) in [f, target + slack + 2]: between R_hi(x)
+      and R_lo(x) (any rule between R_1 and R_0).  R_c is non-decreasing and
+      x within η of X_f, so L and U bracket the total.  Unless a step of
+      R_cL or R_cU (a point of Z + c) lies within 2η of x, each term is R_c
+      of x; else ``_exact_floor`` takes it.
+      As D grows the quotas fl(v/D) fall, and with members fixed each term
+      with them.  A member leaving f for f − 1 does so in three steps: its
+      quota falls to exactly f inside f; the integer f moves across, which
+      raises no sum, as each family keeps its own c and R_c(x ± f) = R_c(x)
+      ± f, and each clamp shifts with it or falls by one; its quota falls
+      further inside f − 1 (and on, family by family).  (No offsets bound a
+      moving mark's r(G, D) − G over every D, so those take floor and ceiling.)
 
     So if L(d_lo) > target, no D in [cap_lo, d_lo] reaches it (nor, by the
     slack below, any D < cap_lo); if U(d_hi) < target, no D >= d_hi does,

@@ -128,12 +128,20 @@ class SignpostRule:
             raise ValueError(f"family index must be >= 0, got {f}")
         return f * (f + 1) / (f + 0.5)  # harmonic mean of f and f+1
 
-    @property
-    def mark_offset(self) -> float | None:
-        """c where every mark is r(f) = f + c (Adams 0, Webster ½, Jefferson 1), else None."""
-        if self.beta is None or (self.beta != 1.0 and abs(self.beta) < _BETA_INF_CUTOFF):
+    def mark_offsets(self, f: int, g_max: int) -> tuple[float, float] | None:
+        """(lo, hi) in [0, 1] with lo <= fl(r(g)) − g <= hi at every integer g in
+        [f, g_max], or None.  Adams, Webster and Jefferson: (c, c), exactly.
+        Dean's and Hill's r(g) − g rise toward ½, β = 2's falls toward it: r(f) − f
+        and ½, widened by δ = 2⁻²⁵.  While g < 2²⁶, g(g+1) is exact and fl(r(g)) is
+        within 2⁻²⁶ of r(g) (a rounded division or sqrt, and for β = 2 a rounded
+        g(g+1) + ⅓), so δ covers the error at f and at g."""
+        beta = -2.0 if self.kind == "dean" else self.beta  # Dean's r(g) − g rises as Hill's
+        if beta == 1.0 or abs(beta) >= _BETA_INF_CUTOFF:
+            return (0.5, 0.5) if beta == 1.0 else (float(beta > 0),) * 2
+        if g_max >= 2 ** 26 or beta not in (-2.0, 2.0):
             return None
-        return 0.5 if self.beta == 1.0 else float(self.beta > 0)
+        c, delta = self.mark(f) - f, 2.0 ** -25  # c ± δ exact: multiples of 2⁻⁵³ below 1
+        return (max(c - delta, 0.0), 0.5 + delta) if beta == -2.0 else (0.5 - delta, c + delta)
 
     def mark_at(self, f: int, divisor: float) -> float:
         """Mark r(f, D); the divisor is ignored for signpost rules."""

@@ -732,6 +732,13 @@ REFUSED = {
                          "jefferson", "--seats", "5"), 3, f"target 5 {SUBNORMAL}"),
     "subnormal-multisol": (("paradox", "multisol", "--populations", "4.9e-324", "--method",
                             "adams", "--seats", "3"), 3, f"target 3 {SUBNORMAL}"),
+    # a lognormal whose v_g = q_g × divisor underflows: the anchor v_T/3 is 0, or the product
+    "lognormal-anchor-zero": (("apportion", "--populations", "5e-324", "--method",
+                               "lognormal:5,1", "--seats", "3"), 2,
+                              "lognormal q_g * divisor = 5.0 * 0.0 underflows to 0"),
+    "lognormal-vg-zero": (("apportion", "--populations", "1e-300", "--method",
+                           "lognormal:1e-300,1", "--divisor", "1e-300"), 2,
+                          "lognormal q_g * divisor = 1e-300 * 1e-300 underflows to 0"),
     # a power law whose normalizer is 0 (its draws were all 1.0) or beyond the float range
     "powerlaw-norm-zero": (("bias", "--dist", "powerlaw:1e-320,2.5,7", "--divisor", "435",
                             "--replications", "2", "--n-states", "5", "--seed", "1"), 2,
@@ -775,6 +782,8 @@ def _run_quietly(argv):
 @example(list(REFUSED["subnormal-family"][0]))
 @example(list(REFUSED["subnormal-state"][0]))
 @example(list(REFUSED["subnormal-multisol"][0]))
+@example(list(REFUSED["lognormal-anchor-zero"][0]))
+@example(list(REFUSED["lognormal-vg-zero"][0]))
 @example(list(REFUSED["powerlaw-norm-zero"][0]))
 @example(list(REFUSED["powerlaw-norm-inf"][0]))
 @example(list(REFUSED["bias-quota-inf"][0]))

@@ -108,6 +108,11 @@ def test_laws_out_of_float_range_compute():
     # v^(beta+1) beyond the float range inside the support, the antiderivative not
     law = PowerLaw(0.5, 1.0, 1e300)
     assert law.cdf_integral(0.0, 1e300) == pytest.approx(2e300 / 3, rel=1e-12)
+    # v·ln(v/v_lo) beyond the float range at beta = 0: the first interval's
+    # unbiased mark is 1/e however far the law reaches, as for the one scaled down
+    for v_hi, divisor in ((1e300, 1e298), (1e308, 1e306)):
+        law = PowerLaw(0.0, 1.0, v_hi)
+        assert unbiased_mark(law, 0, divisor) == pytest.approx(1 / math.e, rel=1e-9)
     # (v − v_lo)^2 beyond the float range: the integral of I over [0, 1e308]
     law = Uniform(0.0, 1e300)
     assert law.cdf_integral(0.0, 1e308) == pytest.approx(1e308 - 0.5e300, rel=1e-15)

@@ -1557,7 +1557,7 @@ def family_bound_instances(draw):
 
 
 BOUND_RULES = (ADAMS, WEBSTER, JEFFERSON, power_law(1.0), power_law(math.inf), HUNTINGTON_HILL,
-               DistributionMarks(LogNormal(math.log(2.0), 1.0)))
+               DEAN, power_law(2.0), power_law(0.5), DistributionMarks(LogNormal(math.log(2.0), 1.0)))
 
 
 def exact_rounding(x, c):
@@ -1565,6 +1565,24 @@ def exact_rounding(x, c):
     ceiling for c = 0, floor for c = 1."""
     g = math.floor(x)
     return g + (x > g and x - g >= c)
+
+
+def exact_family_bounds(direct, d, top):
+    """The family bounds' formula at ``d`` in exact arithmetic: per family,
+    R_hi(X_f − η) and R_lo(X_f + η) with (lo, hi) its rule's mark offsets
+    and no seat floor, else the floor of X_f − η and the ceiling of X_f + η,
+    each clamped to the family's range and lifted to the seat floor m."""
+    m, eta = direct.floor, Fraction((len(direct.pops) + 2) * 2.0 ** -52 * top)
+    offsets = None if m else getattr(direct.rounding, "mark_offsets", None)
+    quotas, ends = direct.runs(d)
+    lower = upper = 0
+    for lo, hi in zip([0, *ends], ends):
+        f, k, x = math.floor(quotas[lo]), hi - lo, sum(map(Fraction, quotas[lo:hi]))
+        declared = offsets(f, top) if offsets else None
+        c_l, c_u = (1, 0) if declared is None else declared[::-1]
+        lower += max(exact_rounding(x - eta, c_l), k * max(f, m))
+        upper += max(min(exact_rounding(x + eta, c_u), k * (f + 1)), k * m)
+    return lower, upper
 
 
 @given(instance=family_bound_instances(), rule=st.sampled_from(BOUND_RULES),
@@ -1575,9 +1593,10 @@ def test_family_seat_bounds_bracket_the_total_and_never_rise(instance, rule, flo
     # over a grid holding every membership cut v/k at and above d_min, with
     # its neighbouring floats, and a few points beyond: L <= total <= U, and
     # neither bound rises with D; a family leaves at most 2 seats between
-    # them, and none when the seat floor lifts all its members.  A rule with
-    # marks f + c and no seat floor rounds X_f ∓ η by its own R_c, any other
-    # takes the floor of X_f − η and the ceiling of X_f + η
+    # them, and none when the seat floor lifts all its members.  Without a
+    # seat floor, family f of a rule declaring mark offsets (lo, hi) takes
+    # R_hi(X_f − η) and R_lo(X_f + η) (a rule with marks f + c its own R_c);
+    # any other takes the floor of X_f − η and the ceiling of X_f + η
     states, d_min = instance
     method = MethodSpec(rule, BY_FAMILY, floor)
     v_t = math.fsum(s.population for s in states)
@@ -1588,21 +1607,13 @@ def test_family_seat_bounds_bracket_the_total_and_never_rise(instance, rule, flo
     top = v_t / d_min + 2
     direct = engine._Direct(states, method)
     bounds = engine._seat_bounds(direct, top)
-    eta = Fraction((len(states) + 2) * 2.0 ** -52 * top)
     m = floor or 0
-    c = getattr(rule, "mark_offset", None)
-    c_lo, c_hi = (1, 0) if c is None or floor else (c, c)
     last = None
     for d in grid:
         lower, upper = bounds(d)
         assert lower <= sum(direct.seats_at(d)) <= upper, (d, lower, upper)
+        assert (lower, upper) == exact_family_bounds(direct, d, top), d
         quotas, ends = direct.runs(d)
-        exact_lower = exact_upper = 0  # the bounds' formula in exact arithmetic
-        for lo, hi in zip([0, *ends], ends):
-            f, k, x = math.floor(quotas[lo]), hi - lo, sum(map(Fraction, quotas[lo:hi]))
-            exact_lower += max(exact_rounding(x - eta, c_lo), k * max(f, m))
-            exact_upper += max(min(exact_rounding(x + eta, c_hi), k * (f + 1)), k * m)
-        assert (lower, upper) == (exact_lower, exact_upper), d
         families = [math.floor(quotas[lo]) for lo in [0, *ends[:-1]]]
         assert upper - lower <= sum(2 for f in families if f >= m)
         if last is not None:
@@ -1646,13 +1657,13 @@ def test_family_seat_bounds_are_exact_just_below_an_integer():
 
 @st.composite
 def ulp_close_families(draw):
-    """``(states, rule)``: one family of 2–6 quotas at D = 1 under a rule with
-    marks f + c, whose exact sum lies within a few ulps of an integer g or of
-    g + c, where that rule's rounding steps."""
-    rule = draw(st.sampled_from((ADAMS, WEBSTER, JEFFERSON)))
+    """``(states, rule)``: one family of 2–6 quotas at D = 1 under a rule that
+    declares mark offsets (lo, hi), whose exact sum lies within a few ulps of
+    an integer g, of g + lo or of g + hi, where the bounds' roundings step."""
+    rule = draw(st.sampled_from((ADAMS, WEBSTER, JEFFERSON, HUNTINGTON_HILL, DEAN, power_law(2.0))))
     f = draw(st.integers(0, 30))
     others = draw(st.lists(st.floats(f + 0.01, f + 0.99), min_size=1, max_size=5))
-    step = draw(st.sampled_from((0.0, rule.mark_offset)))
+    step = draw(st.sampled_from((0.0, *rule.mark_offsets(f, 200))))
     target = math.ceil(math.fsum(others) + f - step) + step  # puts last in [f, f + 1]
     last = target - math.fsum(others)
     ulps = draw(st.integers(-4, 4))
@@ -1665,9 +1676,10 @@ def ulp_close_families(draw):
 @given(instance=ulp_close_families())
 @settings(max_examples=300, deadline=None)
 def test_family_seat_bounds_hold_at_ulp_close_family_sums(instance):
-    # where X_f is within a few ulps of a step of R_c, the bounds take the
-    # exact path: L(1) is at most the total at 1 and at the floats below it,
-    # and U(1) at least the total at 1 and at the floats above it
+    # where X_f is within a few ulps of a step of R_lo or R_hi, the bounds take the
+    # exact path: they equal their formula in exact arithmetic, L(1) is at
+    # most the total at 1 and at the floats below it, and U(1) at least the
+    # total at 1 and at the floats above it
     states, rule, target = instance
     x = sum(Fraction(s.population) for s in states)
     assert abs(x - Fraction(target)) <= 16 * Fraction(math.ulp(target + 1))
@@ -1676,15 +1688,18 @@ def test_family_seat_bounds_hold_at_ulp_close_family_sums(instance):
     for _ in range(4):
         below.append(math.nextafter(below[-1], 0.0))
         above.append(math.nextafter(above[-1], math.inf))
-    lower, upper = engine._seat_bounds(direct, direct.v_t / below[-1] + 2)(1.0)
+    top = direct.v_t / below[-1] + 2
+    lower, upper = engine._seat_bounds(direct, top)(1.0)
+    assert (lower, upper) == exact_family_bounds(direct, 1.0, top)
     assert lower <= min(sum(direct.seats_at(d)) for d in below), (lower, upper)
     assert upper >= max(sum(direct.seats_at(d)) for d in above), (lower, upper)
 
 
-def test_census_house_round_sweeps_under_1500_pieces(monkeypatch):
+def test_census_house_round_sweeps_under_600_pieces(monkeypatch):
     # a census-house-shaped round: every census year, rule and mode, the years
     # taking 435, 485 and 385 seats in turn from 2020 down; per-state bounds
-    # in family mode swept 2,643 pieces, 54 of them for 2020 Webster at 435
+    # in family mode swept 2,643 pieces, 54 of them for 2020 Webster at 435,
+    # and floor and ceiling bounds for Dean, Hill and β = 2 by family 1,006
     swept = {}
     sweep = engine._sweep
 
@@ -1701,15 +1716,16 @@ def test_census_house_round_sweeps_under_1500_pieces(monkeypatch):
         for rule in SWEEP_RULES:
             for mode in (BY_STATE, BY_FAMILY):
                 apportion_for_house_size(states, houses[i % 3], MethodSpec(rule, mode))
-    assert sum(swept.values()) < 1500
+    assert sum(swept.values()) < 600
     assert swept[(tuple(bundled_census(2020)), MethodSpec(WEBSTER, BY_FAMILY))] <= 29
 
 
 def test_offset_rules_sweep_few_family_pieces_in_a_census_house_round(monkeypatch):
-    # the round above: Adams, Webster and Jefferson by family round X_f ∓ η
-    # by their own R_c, so a family term is decided unless X_f lies within 2η
-    # of a step; floor and ceiling bounds swept 185–190 pieces for each of
-    # them, and 29 (totals 421–449) for 2020 Webster at 435
+    # the round above: every rule by family rounds X_f ∓ η by the roundings
+    # its mark offsets bound (Adams, Webster and Jefferson by their own R_c),
+    # so a family term is decided unless X_f lies within 2η of a step or
+    # between the two; floor and ceiling bounds swept 185–190 pieces for
+    # each rule, and 29 (totals 421–449) for 2020 Webster at 435
     swept = Counter()
     sweep = engine._sweep
 
@@ -1725,8 +1741,8 @@ def test_offset_rules_sweep_few_family_pieces_in_a_census_house_round(monkeypatc
         for rule in SWEEP_RULES:
             for mode in (BY_STATE, BY_FAMILY):
                 apportion_for_house_size(states, houses[i % 3], MethodSpec(rule, mode))
-    assert sum(swept.values()) < 1100
-    for rule in (ADAMS, WEBSTER, JEFFERSON):
+    assert sum(swept.values()) < 600
+    for rule in SWEEP_RULES:
         by_rule = sum(n for (_, method), n in swept.items()
                       if method == MethodSpec(rule, BY_FAMILY))
         assert by_rule <= 60, (rule, by_rule)

@@ -47,21 +47,36 @@ def test_named_rules_are_power_law_members():
         SignpostRule("banzhaf")
 
 
-# every f below 1,000, and each power of two up to 2**20 with its neighbours
-OFFSET_FAMILIES = [*range(1000), *(2 ** e + j for e in range(10, 21) for j in (-1, 0, 1))]
+# every f below 1,000, and each power of two up to 2**26 with its neighbours
+OFFSET_FAMILIES = [*range(1000), *(2 ** e + j for e in range(10, 27) for j in (-1, 0, 1))]
 
 
-def test_rules_with_marks_f_plus_c_declare_c():
-    # the engine's family bounds round with R_c when a rule declares c, so
-    # c must be exact: Adams 0, Webster 1/2, Jefferson 1, and their betas
+def test_declared_mark_offsets_hold_for_every_float_mark():
+    # the engine's family bounds round family f with R_hi and R_lo when its
+    # rule declares (lo, hi) = mark_offsets(f, g_max), so lo <= r(g) − g <= hi
+    # must hold for the float mark at every g in [f, g_max]: exactly c for
+    # Adams 0, Webster 1/2 and Jefferson 1, within δ = 2⁻²⁵ for the rest
+    g_max = 2 ** 26 - 1
+    families = [g for g in OFFSET_FAMILIES if g <= g_max]
     for rule, c in ((ADAMS, 0.0), (WEBSTER, 0.5), (JEFFERSON, 1.0), (power_law(-math.inf), 0.0),
                     (power_law(-1e9), 0.0), (power_law(1.0), 0.5), (power_law(1e9), 1.0),
                     (power_law(math.inf), 1.0)):
-        assert rule.mark_offset == c, rule
-        assert all(rule.mark(f) - f == c for f in OFFSET_FAMILIES), rule
-    for rule in (HUNTINGTON_HILL, DEAN, power_law(2.0), power_law(0.5), power_law(-0.99e9),
+        assert all(rule.mark_offsets(f, 2 ** 60) == (c, c) for f in (0, 1, 2 ** 40)), rule
+        assert all(rule.mark(g) - g == c for g in OFFSET_FAMILIES), rule
+    for rule in (HUNTINGTON_HILL, power_law(-2.0), DEAN, SignpostRule("dean", 1.0), power_law(2.0)):
+        offsets = [rule.mark(g) - g for g in families]
+        least, most = offsets[:], offsets[:]  # over every g >= families[i]
+        for i in reversed(range(len(families) - 1)):
+            least[i], most[i] = min(least[i], least[i + 1]), max(most[i], most[i + 1])
+        for f, low, high in zip(families, least, most):
+            lo, hi = rule.mark_offsets(f, g_max)
+            assert 0.0 <= lo <= low and high <= hi <= 1.0, (rule, f)
+            assert hi - lo <= 0.5 + 2 ** -24, (rule, f)
+        assert rule.mark_offsets(0, 2 ** 26) is None, rule
+    for rule in (power_law(0.5), power_law(0.0), power_law(-1.0), power_law(-0.99e9),
                  DistributionMarks(LogNormal(0.0, 1.0))):
-        assert getattr(rule, "mark_offset", None) is None, rule
+        declared = getattr(rule, "mark_offsets", None)
+        assert declared is None or declared(0, 100) is None, rule
 
 
 def test_nan_beta_is_rejected():
