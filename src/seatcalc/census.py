@@ -137,6 +137,8 @@ def powerlaw_loglik_scan(states, beta_set, support: tuple[float, float],
     n = len(states)
     out = []
     for beta in beta_set:
+        if not math.isfinite(beta):
+            raise ValueError(f"beta must be finite, got {beta!r}")
         log_norm = _log_norm_constant(beta, v_lo, v_hi)
         loglik = (beta - 1.0) * sum_log_v - n * log_norm
         out.append((beta, loglik))

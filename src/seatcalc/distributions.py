@@ -26,6 +26,7 @@ with D, so the induced method is not a homogeneous divisor method.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -505,8 +506,9 @@ def unbiased_mark(dist: PopulationDistribution, f: int, divisor: float,
     with no mass parks the mark at f + 1 (all mass below it), f (all
     mass above it) or f + 1/2.
     """
-    if f < 0 or f != int(f):
-        raise ValueError(f"family index must be a non-negative integer, got {f}")
+    if not 0 <= f <= sys.float_info.max or f != int(f):  # NaN fails the first test
+        raise ValueError(f"family index must be a non-negative integer within the "
+                         f"float range, got {f}")
     f = int(f)
     if not (divisor > 0) or not math.isfinite(divisor):
         raise ValueError(f"divisor must be positive and finite, got {divisor!r}")
@@ -740,9 +742,12 @@ def monte_carlo_bias(dist: PopulationDistribution, divisor: float, marks,
                          f"the limit of {_MC_MAX_DRAWS:,}")
     if not (divisor > 0) or not math.isfinite(divisor):
         raise ValueError(f"divisor must be positive and finite, got {divisor!r}")
-    import numpy as np
     if isinstance(marks, PopulationDistribution):
         marks = DistributionMarks(marks)
+    if not hasattr(marks, "mark_at"):
+        raise TypeError(f"marks must be a signpost rule, marks object or distribution, "
+                        f"got {marks!r}")
+    import numpy as np
 
     marks_of = np.zeros(0)  # mark of family f, NaN until a draw reaches f
     sum_t: np.ndarray = np.zeros(1)

@@ -136,8 +136,11 @@ class MethodSpec:
             raise TypeError("rounding must be HAMILTON or provide rounds_up and mark_at")
         if self.divisor_dependent and not hasattr(self.rounding, "margin"):
             raise TypeError("a divisor-dependent rounding must provide margin")
-        if self.min_seat_floor is not None and self.min_seat_floor < 0:
-            raise ValueError("min_seat_floor must be non-negative")
+        if self.min_seat_floor is not None:
+            if not isinstance(self.min_seat_floor, int) or isinstance(self.min_seat_floor, bool):
+                raise TypeError(f"min_seat_floor must be an int, got {self.min_seat_floor!r}")
+            if self.min_seat_floor < 0:
+                raise ValueError("min_seat_floor must be non-negative")
 
     @property
     def is_hamilton(self) -> bool:
@@ -179,8 +182,12 @@ def round_quota(quota: float, rounding, divisor: float) -> int:
     exactly at the mark rounds up).  An exactly integral quota needs no
     rounding and is returned as is, which keeps integer quotas stable
     even when the mark sits on the interval's left edge (beta <= -1 rules).
+    A quota that is inf or NaN raises ``ValueError``.
     """
-    f = math.floor(quota)
+    try:
+        f = math.floor(quota)
+    except (OverflowError, ValueError):  # inf, NaN
+        raise ValueError(f"quota must be finite, got {quota!r}") from None
     if quota == f:
         return int(f)
     if rounding.rounds_up(quota, f, divisor):
@@ -736,20 +743,6 @@ def breakpoints(states: Iterable[StateProfile], method: MethodSpec,
     return [p.hi for p in pieces[:-1]]
 
 
-def _exact_floor(terms: list[float]) -> int:
-    """Floor of the exact sum of ``terms`` (``fsum`` rounds it correctly)."""
-    total = math.fsum(terms)
-    if total == (floor := math.floor(total)) and math.fsum([*terms, -total]) < 0.0:
-        return floor - 1
-    return floor
-
-
-def _exact_round(terms: list[float], c: float) -> int:
-    """R_c of the exact sum x of ``terms``: g = floor(x), plus one if x > g and
-    x − g >= c (the ceiling for c = 0, the floor for c = 1)."""
-    return _exact_floor([*terms, -c]) + 1 if c else -_exact_floor([-t for t in terms])
-
-
 def _seat_bounds(direct: _Direct, top: float):
     """``bounds(d) -> (L, U)``: L(d) <= total(D) at every D in [v_T/``top``, d]
     and U(d) >= total(D) at every D >= d (see ``_search_window``)."""
@@ -782,7 +775,7 @@ def _seat_bounds(direct: _Direct, top: float):
                 upper += max(hi, floor_seats)
             return lower, upper
         return per_state
-    eta = (len(direct.pops) + 2) * 2.0 ** -52 * top  # bounds fsum's rounding error on X_f
+    eta = 2.0 ** -51 * top  # 4u·top, u = 2⁻⁵³: fsum's error and that of x ∓ η, with room
     # (c_U, c_L) at every family index, else (0, 1); read per index where not exact
     offsets = None if floor_seats or direct.moving else getattr(
         direct.rounding, "mark_offsets", None)
@@ -794,16 +787,14 @@ def _seat_bounds(direct: _Direct, top: float):
         quotas, ends = direct.runs(d)
         lower = upper = 0
         for lo, hi in zip([0, *ends], ends):
-            f, k, run = math.floor(quotas[lo]), hi - lo, quotas[lo:hi]
+            f, k = math.floor(quotas[lo]), hi - lo
             c_u, c_l = fixed if cs is None else (
                 cs.get(f) or cs.setdefault(f, offsets(f, top) or whole))
-            g = math.floor(x := math.fsum(run))  # X_f, correctly rounded: within η/6
-            if math.floor(x - c_u - 2 * eta) == math.floor(x - c_u + 2 * eta) and (
-                    c_l - c_u in (0.0, 1.0)  # both step on Z + c_U
-                    or math.floor(x - c_l - 2 * eta) == math.floor(x - c_l + 2 * eta)):
-                low, high = g + (x - g >= c_l), g + (x - g >= c_u)  # no step within 2η
-            else:
-                low, high = _exact_round([*run, -eta], c_l), _exact_round([*run, eta], c_u)
+            x = math.fsum(quotas[lo:hi])  # X_f, correctly rounded
+            g = math.floor(y := x - eta)  # R_c(y) = g + [y > g and y − g >= c], exact on a float
+            low = g + (y > g and y - g >= c_l)
+            g = math.floor(y := x + eta)
+            high = g + (y > g and y - g >= c_u)
             lower += max(low, k * max(f, floor_seats))  # a seat floor m lifts f < m to m·k
             upper += max(min(high, k * (f + 1)), k * floor_seats)
         return lower, upper
@@ -854,28 +845,33 @@ def _search_window(direct: _Direct, target: int) -> tuple[list[_Piece], bool]:
       Without a bound (ε = inf: every rounding but the lognormal's) l_i =
       f and u_i = f + 1, as every rounding gives a state floor(q) or
       floor(q) + 1 of its float quota, and no margin is evaluated;
-    - family mode: L = sum_f R_cL(max(X_f − η, k_f·f)) and U = sum_f
-      R_cU(min(X_f + η, k_f·(f+1))) (m·k_f each if f < m), with X_f the
-      exact sum of family f's k_f float quotas, η = (n+2)·2⁻⁵²·(target +
-      slack + 2) a bound, on [cap_lo, ∞), on the error of the evaluator's
-      ``fsum`` x of them, and R_c(x) = g + [x > g and x − g >= c], g =
-      floor(x).  Family f takes (c_L, c_U) = (hi, lo) of the rule's
-      ``mark_offsets(f, target + slack + 2)`` unless m is set or marks move,
-      else (1, 0), floor and ceiling; offsets exact at f = 0 hold at every f
-      (Adams, Webster, Jefferson: (c, c), their own rounding).  The
-      evaluator rounds x, in [k_f·f, k_f·(f+1)], to G + [x > G and x >=
-      fl(r(G))], G = floor(x) in [f, target + slack + 2]: between R_hi(x)
-      and R_lo(x) (any rule between R_1 and R_0).  R_c is non-decreasing and
-      x within η of X_f, so L and U bracket the total.  Unless a step of
-      R_cL or R_cU (a point of Z + c) lies within 2η of x, each term is R_c
-      of x; else ``_exact_floor`` takes it.
-      As D grows the quotas fl(v/D) fall, and with members fixed each term
+    - family mode: L = sum_f max(R_cL(fl(x − η)), k_f·f) and U = sum_f
+      min(R_cU(fl(x + η)), k_f·(f+1)) (m·k_f each if f < m), with x the
+      evaluator's ``fsum`` of family f's k_f float quotas, u = 2⁻⁵³, T =
+      target + slack + 2, η = 4u·T, and R_c(y) = g + [y > g and y − g >=
+      c], g = floor(y), exact on a float y.  Family f takes (c_L, c_U) =
+      (hi, lo) of the rule's ``mark_offsets(f, T)`` unless m is set or marks
+      move, else (1, 0), floor and ceiling; offsets exact at f = 0 hold at
+      every f (Adams, Webster, Jefferson: (c, c), their own rounding).
+      L and U need be neither exact nor monotone; two exact sums between
+      them are.  On [cap_lo, ∞) every quota sum is below T, so x is within
+      u·T of the exact sum X_f of the float quotas and fl(x ∓ η) within
+      1.01·u·T of x ∓ η: fl(x − η) <= X_f − η′ and fl(x + η) >= X_f + η′
+      with η′ = η − 2.01·u·T > u·T.  Let Λ and Υ be L and U with X_f ∓ η′
+      in place of fl(x ∓ η), in exact arithmetic; R_c is non-decreasing, so
+      L <= Λ and U >= Υ.  Λ <= total <= Υ: the evaluator rounds x, in
+      [k_f·f, k_f·(f+1)], to G + [x > G and x >= fl(r(G))], G = floor(x) in
+      [f, T], which lies between R_hi(x) and R_lo(x) (any rule between R_1
+      and R_0), and x is within η′ of X_f.  Neither Λ nor Υ rises with D:
+      as D grows the quotas fl(v/D) fall, and with members fixed each term
       with them.  A member leaving f for f − 1 does so in three steps: its
       quota falls to exactly f inside f; the integer f moves across, which
-      raises no sum, as each family keeps its own c and R_c(x ± f) = R_c(x)
+      raises no sum, as each family keeps its own c and R_c(X ± f) = R_c(X)
       ± f, and each clamp shifts with it or falls by one; its quota falls
-      further inside f − 1 (and on, family by family).  (No offsets bound a
-      moving mark's r(G, D) − G over every D, so those take floor and ceiling.)
+      further inside f − 1 (and on, family by family).  So L(d) <= Λ(d) <=
+      Λ(D) <= total(D) for D <= d and U(d) >= Υ(d) >= Υ(D) >= total(D) for
+      D >= d.  (No offsets bound a moving mark's r(G, D) − G over every D,
+      so those take floor and ceiling.)
 
     So if L(d_lo) > target, no D in [cap_lo, d_lo] reaches it (nor, by the
     slack below, any D < cap_lo); if U(d_hi) < target, no D >= d_hi does,

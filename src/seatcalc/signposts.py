@@ -13,6 +13,7 @@ a power law and is kept as its own kind.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -32,6 +33,12 @@ __all__ = [
 _BETA_ZERO_BAND = 1e-9
 _BETA_NEG1_BAND = 1e-9
 _BETA_INF_CUTOFF = 1e9
+
+
+def _check_index(f: int) -> None:
+    # a NaN fails both tests; an int past the float range overflows every formula
+    if not 0 <= f <= sys.float_info.max:
+        raise ValueError(f"family index must be >= 0 and within the float range, got {f}")
 
 
 def _mark_beta_zero(f: int) -> float:
@@ -55,8 +62,7 @@ def power_law_mark(beta: float, f: int) -> float:
     formulas are substituted inside narrow guard bands around the
     removable singularities at 0 and -1.
     """
-    if f < 0:
-        raise ValueError(f"family index must be >= 0, got {f}")
+    _check_index(f)
     # exact member formulas first: Webster, Huntington-Hill and the rms-like
     # beta = 2 are the hot named rules
     if beta == 1.0:
@@ -124,8 +130,7 @@ class SignpostRule:
         """Mark r(f) in [f, f+1]."""
         if self.kind != "dean":
             return power_law_mark(self.beta, f)
-        if f < 0:
-            raise ValueError(f"family index must be >= 0, got {f}")
+        _check_index(f)
         return f * (f + 1) / (f + 0.5)  # harmonic mean of f and f+1
 
     def mark_offsets(self, f: int, g_max: int) -> tuple[float, float] | None:

@@ -293,6 +293,34 @@ def test_degenerate_interval_conventions():
     # for these distributions, so only the two one-sided cases apply
 
 
+def test_a_mark_with_no_mass_resolved_in_floats_is_parked_at_the_middle():
+    # σ = 30 spreads the law so thin that [10¹⁵·D, (10¹⁵ + 1)·D] at D = 10⁻¹⁵,
+    # [1, 1.000000000000001] at the median, carries no mass in floats: the CDF is
+    # ½ at both ends, neither all mass below nor all above.  The mark is
+    # parked at f + ½, the family's expected bias there is 0, and a quota's
+    # margin is its distance to that mark
+    dist, f, d = LogNormal(0.0, 30.0), 10 ** 15, 1e-15
+    assert dist.cdf(f * d) == dist.cdf((f + 1) * d) == 0.5
+    assert unbiased_mark(dist, f, d) == f + 0.5
+    assert expected_family_bias(dist, d, f, f + 0.5) == 0.0
+    assert DistributionMarks(dist).margin(f + 0.75, f, d) == 0.25
+
+
+@pytest.mark.parametrize("dist, below, above", [
+    (PowerLaw(2.0, 1.0, 5.0), 0.5, 9.0),
+    (PowerLaw(-2.0, 0.7, math.inf), 0.5, None),
+    (LogNormal(0.0, 1.0), -1.0, None),
+    (Uniform(1.0, 5.0), 0.5, 9.0),
+])
+def test_density_and_mass_are_zero_outside_the_support(dist, below, above):
+    assert dist.pdf(below) == 0.0
+    assert dist.cdf_diff(below - 1.0, below) == 0.0
+    if above is not None:
+        assert dist.pdf(above) == 0.0
+        assert dist.cdf_diff(above, above + 1.0) == 0.0
+    assert dist.cdf_diff(3.0, 2.0) == 0.0  # an empty interval
+
+
 def test_uniform_rounding_decision_agrees_with_its_mark():
     # rounds_up evaluates the mean test at the quota instead of solving the
     # mark; away from the mark it decides as quota >= mark_at does, also on

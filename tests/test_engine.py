@@ -206,13 +206,34 @@ def test_hamilton_with_a_seat_floor(pops, target, floor, want):
         assert seats_tuple(app, len(pops)) == want
 
 
-@pytest.mark.parametrize("kwargs, message", [
-    ({"mode": "county"}, "mode must be 'state' or 'family', got 'county'"),
-    ({"min_seat_floor": -1}, "min_seat_floor must be non-negative"),
+@pytest.mark.parametrize("kwargs, error, message", [
+    ({"mode": "county"}, ValueError, "mode must be 'state' or 'family', got 'county'"),
+    ({"min_seat_floor": -1}, ValueError, "min_seat_floor must be non-negative"),
+    # a floor of 1.5 gave a state 1.5 seats and "nearest achievable totals:
+    # 3.5, 4.5"; True gave a seat count of True
+    *(({"min_seat_floor": floor}, TypeError, f"min_seat_floor must be an int, got {floor!r}")
+      for floor in (1.5, 1.0, True, False, "1")),
 ])
-def test_method_spec_refuses_an_unknown_mode_or_a_negative_floor(kwargs, message):
-    with pytest.raises(ValueError, match=message):
+def test_method_spec_refuses_an_unknown_mode_or_a_bad_floor(kwargs, error, message):
+    with pytest.raises(error) as err:
         MethodSpec(WEBSTER, **kwargs)
+    assert str(err.value) == message
+
+
+def test_labels_of_methods_and_marks():
+    assert (str(HAMILTON), repr(HAMILTON)) == ("hamilton", "HAMILTON")
+    assert str(MethodSpec(HAMILTON, BY_FAMILY)) == "hamilton"
+    assert str(MethodSpec(WEBSTER, BY_FAMILY)) == "webster/family"
+    marks = DistributionMarks(LogNormal(0.0, 1.0))
+    assert str(marks) == "marks(lognormal)"
+    assert str(MethodSpec(marks)) == "marks(lognormal)/state"
+
+
+def test_an_apportionment_reads_seats_by_state_name():
+    app = apportion_at_divisor(states_of(2.4, 0.6), 1.0, MethodSpec(WEBSTER))
+    assert (app["s0"], app["s1"]) == (2, 1)
+    with pytest.raises(KeyError):
+        app["s2"]
 
 
 def test_hamilton_ignores_mode():
@@ -1536,15 +1557,6 @@ def test_house_window_widens_an_end_a_solution_touches(pops, target, method, end
 
 # --- family-quota seat bounds ----------------------------------------------
 
-def test_floor_of_a_sum_is_exact():
-    # 13 − 2⁻⁶⁰, ten 0.1s (exactly 1 + 5.55e-17) and its negation all
-    # round to integers
-    assert engine._exact_floor([13.0, -2.0 ** -60]) == 12
-    assert engine._exact_floor([13.0]) == 13
-    assert engine._exact_floor([0.1] * 10) == 1
-    assert engine._exact_floor([-0.1] * 10) == -2
-
-
 @st.composite
 def family_bound_instances(draw):
     """``(states, d_min)``: 1–12 states with real, integer or half-integer
@@ -1567,12 +1579,20 @@ def exact_rounding(x, c):
     return g + (x > g and x - g >= c)
 
 
-def exact_family_bounds(direct, d, top):
-    """The family bounds' formula at ``d`` in exact arithmetic: per family,
-    R_hi(X_f − η) and R_lo(X_f + η) with (lo, hi) its rule's mark offsets
-    and no seat floor, else the floor of X_f − η and the ceiling of X_f + η,
-    each clamped to the family's range and lifted to the seat floor m."""
-    m, eta = direct.floor, Fraction((len(direct.pops) + 2) * 2.0 ** -52 * top)
+def family_etas(top):
+    """The engine's η = 4u·top, u = 2⁻⁵³, and η′ = η − 2.01·u·top: what is left
+    of η after the rounding of fsum's x and of x ∓ η, each at most 1.01·u·top
+    while the quotas sum to less than top."""
+    u = Fraction(1, 2 ** 53) * Fraction(top)
+    return 4 * u, 4 * u - Fraction(201, 100) * u
+
+
+def exact_family_bounds(direct, d, top, eta):
+    """The family bounds' formula at ``d`` in exact arithmetic, Λ and Υ: per
+    family, R_hi(X_f − η) and R_lo(X_f + η) with (lo, hi) its rule's mark
+    offsets and no seat floor, else the floor of X_f − η and the ceiling of
+    X_f + η, each clamped to the family's range and lifted to the seat floor m."""
+    m = direct.floor
     offsets = None if m else getattr(direct.rounding, "mark_offsets", None)
     quotas, ends = direct.runs(d)
     lower = upper = 0
@@ -1591,12 +1611,13 @@ def exact_family_bounds(direct, d, top):
 @settings(max_examples=300, deadline=None)
 def test_family_seat_bounds_bracket_the_total_and_never_rise(instance, rule, floor, extra):
     # over a grid holding every membership cut v/k at and above d_min, with
-    # its neighbouring floats, and a few points beyond: L <= total <= U, and
-    # neither bound rises with D; a family leaves at most 2 seats between
-    # them, and none when the seat floor lifts all its members.  Without a
-    # seat floor, family f of a rule declaring mark offsets (lo, hi) takes
-    # R_hi(X_f − η) and R_lo(X_f + η) (a rule with marks f + c its own R_c);
-    # any other takes the floor of X_f − η and the ceiling of X_f + η
+    # its neighbouring floats, and a few points beyond: L <= Λ <= total <= Υ
+    # <= U, with Λ and Υ the formula at η′ in exact arithmetic, and neither
+    # Λ nor Υ rises with D; a family leaves at most 2 seats between L and U,
+    # and none when the seat floor lifts all its members.  Without a seat
+    # floor, family f of a rule declaring mark offsets (lo, hi) takes
+    # R_hi(X_f − η′) and R_lo(X_f + η′) (a rule with marks f + c its own
+    # R_c); any other takes the floor of X_f − η′ and the ceiling of X_f + η′
     states, d_min = instance
     method = MethodSpec(rule, BY_FAMILY, floor)
     v_t = math.fsum(s.population for s in states)
@@ -1605,20 +1626,22 @@ def test_family_seat_bounds_bracket_the_total_and_never_rise(instance, rule, flo
     grid = sorted({d for c in cuts for d in (math.nextafter(c, 0.0), c, math.nextafter(c, math.inf))
                    if d >= d_min} | {d_min, *(d_min + x * 2 * v_t for x in extra)})
     top = v_t / d_min + 2
+    _, eta_left = family_etas(top)
     direct = engine._Direct(states, method)
     bounds = engine._seat_bounds(direct, top)
     m = floor or 0
     last = None
     for d in grid:
         lower, upper = bounds(d)
-        assert lower <= sum(direct.seats_at(d)) <= upper, (d, lower, upper)
-        assert (lower, upper) == exact_family_bounds(direct, d, top), d
+        sandwich = exact_family_bounds(direct, d, top, eta_left)
+        assert lower <= sandwich[0] <= sum(direct.seats_at(d)) <= sandwich[1] <= upper, \
+            (d, lower, upper, sandwich)
         quotas, ends = direct.runs(d)
         families = [math.floor(quotas[lo]) for lo in [0, *ends[:-1]]]
         assert upper - lower <= sum(2 for f in families if f >= m)
         if last is not None:
-            assert lower <= last[0] and upper <= last[1], (d, last, (lower, upper))
-        last = lower, upper
+            assert sandwich[0] <= last[0] and sandwich[1] <= last[1], (d, last, sandwich)
+        last = sandwich
 
 
 def test_family_seat_bounds_allow_for_the_error_of_sum():
@@ -1637,50 +1660,74 @@ def test_family_seat_bounds_allow_for_the_error_of_sum():
 
 def test_family_seat_bounds_are_exact_just_below_an_integer():
     # the last quota 8 floats below 3.6 puts the family's exact sum X 2⁻⁴⁸
-    # below 13, closer than η = 6·2⁻⁵²·15 ≈ 2e-14.  Adams rounds up, so its
-    # bounds are ceil(X − η) = 13 and ceil(X + η) = 14; Jefferson rounds down,
-    # so its are floor(X − η) = 12 and floor(X + η) = 13: a sum within η of X
-    # may reach 13.  fsum's 12.999999999999996 lies below 13 as well, so
-    # rounding it alone would give 13 and 12; the integer within 2η must send
-    # it to the exact path
+    # below 13, closer than η = 2⁻⁵¹·15; fsum gives X itself, x =
+    # 12.999999999999996.  fl(x − η) = 13 − 3·2⁻⁴⁸ and fl(x + η) = 13 + 2⁻⁴⁸
+    # lie on either side of 13, so Adams' bounds are their ceilings, 13 and
+    # 14, and Jefferson's their floors, 12 and 13: a sum within η of X may
+    # reach 13.  Rounding x alone would give Adams 13 and Jefferson 12 on
+    # both sides
     last = 3.6
     for _ in range(8):
         last = math.nextafter(last, 0.0)
-    states = states_of(3.05, 3.15, 3.2, last)
-    assert sum(map(Fraction, (3.05, 3.15, 3.2, last))) == 13 - Fraction(2) ** -48
+    quotas = (3.05, 3.15, 3.2, last)
+    states = states_of(*quotas)
+    x, eta = math.fsum(quotas), 2.0 ** -51 * 15
+    assert sum(map(Fraction, quotas)) == 13 - Fraction(2) ** -48 == x
+    assert (x - eta, x + eta) == (13 - 3 * 2.0 ** -48, 13 + 2.0 ** -48)
     for rule, bounds in ((ADAMS, (13, 14)), (JEFFERSON, (12, 13))):
-        method = MethodSpec(rule, BY_FAMILY)
-        lower, upper = engine._seat_bounds(engine._Direct(states, method), 15.0)(1.0)
+        direct = engine._Direct(states, MethodSpec(rule, BY_FAMILY))
+        lower, upper = engine._seat_bounds(direct, 15.0)(1.0)
         assert (lower, upper) == bounds
-        assert lower <= sum(engine._Direct(states, method).seats_at(1.0)) <= upper
+        assert lower <= sum(direct.seats_at(1.0)) <= upper
+
+
+def test_family_lower_bound_may_exceed_its_exact_formula_but_not_the_total():
+    # two quotas 6.5 + 3·2⁻⁵⁰ and 6.5 + 4·2⁻⁵⁰ sum exactly to X = 13 + 7·2⁻⁵⁰,
+    # a tie that fsum rounds to even, x = 13 + 2⁻⁴⁷; at top 16, η = 2⁻⁴⁷.
+    # Jefferson's exact formula floors X − η = 13 − 2⁻⁵⁰ to 12, but the
+    # engine floors fl(x − η) = 13 to 13: tighter, and still the total,
+    # which rounds x down to 13.  At η′ the formula gives 13 as well
+    states = states_of(6.5 + 3 * 2.0 ** -50, 6.5 + 4 * 2.0 ** -50)
+    direct = engine._Direct(states, MethodSpec(JEFFERSON, BY_FAMILY))
+    eta, eta_left = family_etas(16.0)
+    assert eta == Fraction(2) ** -47
+    assert math.fsum(s.population for s in states) == 13 + 2.0 ** -47
+    assert exact_family_bounds(direct, 1.0, 16.0, eta) == (12, 13)
+    assert engine._seat_bounds(direct, 16.0)(1.0) == (13, 13)
+    assert sum(direct.seats_at(1.0)) == 13
+    assert exact_family_bounds(direct, 1.0, 16.0, eta_left) == (13, 13)
 
 
 @st.composite
 def ulp_close_families(draw):
-    """``(states, rule)``: one family of 2–6 quotas at D = 1 under a rule that
-    declares mark offsets (lo, hi), whose exact sum lies within a few ulps of
-    an integer g, of g + lo or of g + hi, where the bounds' roundings step."""
+    """``(states, rule, target, top)``: one family of 2–6 quotas at D = 1 under
+    a rule that declares mark offsets (lo, hi), whose exact sum lies within a
+    few ulps of g + c or of g + c ∓ η, for an integer g and c in (0, lo, hi),
+    where the bounds' roundings of x and of fl(x ∓ η) step; ``top`` bounds
+    v_T/D over the few floats below D = 1, and η = 2⁻⁵¹·top."""
     rule = draw(st.sampled_from((ADAMS, WEBSTER, JEFFERSON, HUNTINGTON_HILL, DEAN, power_law(2.0))))
     f = draw(st.integers(0, 30))
     others = draw(st.lists(st.floats(f + 0.01, f + 0.99), min_size=1, max_size=5))
+    top = math.fsum(others) + f + 3
     step = draw(st.sampled_from((0.0, *rule.mark_offsets(f, 200))))
-    target = math.ceil(math.fsum(others) + f - step) + step  # puts last in [f, f + 1]
+    shift = draw(st.sampled_from((0.0, -1.0, 1.0))) * 2.0 ** -51 * top
+    target = math.ceil(math.fsum(others) + f - step) + step + shift  # puts last in [f, f + 1]
     last = target - math.fsum(others)
     ulps = draw(st.integers(-4, 4))
     for _ in range(abs(ulps)):
         last = math.nextafter(last, math.copysign(math.inf, ulps))
     assume(max(f, 0.01) <= last < f + 1)
-    return states_of(*others, last), rule, target
+    return states_of(*others, last), rule, target, top
 
 
 @given(instance=ulp_close_families())
 @settings(max_examples=300, deadline=None)
 def test_family_seat_bounds_hold_at_ulp_close_family_sums(instance):
-    # where X_f is within a few ulps of a step of R_lo or R_hi, the bounds take the
-    # exact path: they equal their formula in exact arithmetic, L(1) is at
-    # most the total at 1 and at the floats below it, and U(1) at least the
-    # total at 1 and at the floats above it
-    states, rule, target = instance
+    # where X_f is within a few ulps of a step of R_lo or R_hi, or of one
+    # shifted by η: L(1) <= Λ(1) and U(1) >= Υ(1), the formula at η′ in
+    # exact arithmetic, and Λ(1) is at most the total at 1 and at the
+    # floats below it, Υ(1) at least the total at 1 and at the floats above
+    states, rule, target, top = instance
     x = sum(Fraction(s.population) for s in states)
     assert abs(x - Fraction(target)) <= 16 * Fraction(math.ulp(target + 1))
     direct = engine._Direct(states, MethodSpec(rule, BY_FAMILY))
@@ -1688,11 +1735,11 @@ def test_family_seat_bounds_hold_at_ulp_close_family_sums(instance):
     for _ in range(4):
         below.append(math.nextafter(below[-1], 0.0))
         above.append(math.nextafter(above[-1], math.inf))
-    top = direct.v_t / below[-1] + 2
+    assert direct.v_t / below[-1] + 2 <= top
     lower, upper = engine._seat_bounds(direct, top)(1.0)
-    assert (lower, upper) == exact_family_bounds(direct, 1.0, top)
-    assert lower <= min(sum(direct.seats_at(d)) for d in below), (lower, upper)
-    assert upper >= max(sum(direct.seats_at(d)) for d in above), (lower, upper)
+    low, high = exact_family_bounds(direct, 1.0, top, family_etas(top)[1])
+    assert lower <= low <= min(sum(direct.seats_at(d)) for d in below), (lower, low)
+    assert upper >= high >= max(sum(direct.seats_at(d)) for d in above), (upper, high)
 
 
 def test_census_house_round_sweeps_under_600_pieces(monkeypatch):
