@@ -560,9 +560,10 @@ def _cmd_bias(args) -> int:
         }, indent=2))
         return EXIT_OK
     sep = _delimiter(args.format)
-    print(sep.join(["f", "mean_bias", "std_error"]))
-    for row in rows:
-        print(sep.join([str(row.f), f"{row.mean_bias:.6f}", f"{row.std_error:.6f}"]))
+    # one write: a heavy tail gives one row per family up to the largest drawn
+    print("\n".join([sep.join(["f", "mean_bias", "std_error"]),
+                     *(sep.join([str(row.f), f"{row.mean_bias:.6f}", f"{row.std_error:.6f}"])
+                       for row in rows)]))
     return EXIT_OK
 
 

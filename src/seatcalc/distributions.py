@@ -792,8 +792,9 @@ def monte_carlo_bias(dist: PopulationDistribution, divisor: float, marks,
         marks_of = grow(marks_of, width, math.nan)
         for f in np.unique(run_fam[np.isnan(marks_of[run_fam])]).tolist():
             marks_of[f] = marks.mark_at(f, divisor)
-        # same convention as engine.round_quota: integral quotas stand,
-        # otherwise a quota at or above the mark rounds up
+        # engine.round_quota's decision, vectorised: an integral quota stands,
+        # otherwise a quota at or above the mark rounds up (a test pins that
+        # the two agree under constant marks)
         seats = fam + ((q > fam) & (q >= marks_of[fam]))
         # each run's total of seats - quota is summed in draw order, then each
         # family's run totals in replication order; float sums depend on

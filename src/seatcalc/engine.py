@@ -106,9 +106,9 @@ class MethodSpec:
 
     ``rounding`` is ``HAMILTON``, or a signpost rule or marks object with
     ``rounds_up(quota, f, divisor)`` (is quota >= r(f, D)?) and ``mark_at(f, divisor)``.
-    With constant marks the engine decides ``quota >= mark_at(f, D)`` itself,
-    reading each mark once per call; ``rounds_up`` is consulted only when marks
-    move.  One whose marks move with D declares ``divisor_dependent = True`` and
+    The engine's one rounding decision (``_decider``) tests quota >= r(f) on
+    a table that reads each constant mark once per call, and asks ``rounds_up``
+    when marks move.  One whose marks move with D declares ``divisor_dependent = True`` and
     must also provide ``margin(quota, f, divisor)``: a float that is >= 0
     exactly when ``rounds_up`` is true, on which mark crossings are root-found.
     It may also provide ``margin_error(value, d_min)``: an ε (``math.inf``
@@ -177,22 +177,48 @@ class FamilySplit:
 def round_quota(quota: float, rounding, divisor: float) -> int:
     """Round one quota against the marks at the given divisor.
 
-    Half-open convention: with f = floor(q), the result is f+1 iff
-    ``rounding.rounds_up(q, f, divisor)``, i.e. q >= r(f) (a quota
-    exactly at the mark rounds up).  An exactly integral quota needs no
-    rounding and is returned as is, which keeps integer quotas stable
-    even when the mark sits on the interval's left edge (beta <= -1 rules).
-    A quota that is inf or NaN raises ``ValueError``.
+    A quota that is inf or NaN raises ``ValueError``; a finite one is
+    rounded by the engine's one rounding decision (``_decider``), here
+    asking ``rounding.rounds_up``: with f = floor(q), an integral quota
+    stands and otherwise the result is f+1 iff q >= r(f) (a quota exactly
+    at the mark rounds up).
     """
-    try:
-        f = math.floor(quota)
-    except (OverflowError, ValueError):  # inf, NaN
-        raise ValueError(f"quota must be finite, got {quota!r}") from None
-    if quota == f:
-        return int(f)
-    if rounding.rounds_up(quota, f, divisor):
-        return int(f) + 1
-    return int(f)
+    if quota != quota or abs(quota) == math.inf:
+        raise ValueError(f"quota must be finite, got {quota!r}")
+    return _decider(rounding)(quota, divisor)
+
+
+def _table_mark(marks: dict[int, float], rounding, f: int) -> float:
+    """Constant mark r(f) from the table ``marks``, read from the rule on first use."""
+    if (mark := marks.get(f)) is None:
+        mark = marks[f] = rounding.mark_at(f, 1.0)  # constant: any divisor reads it
+    return mark
+
+
+def _decider(rounding, marks: dict[int, float] | None = None):
+    """``decide(q, divisor)``, the one rounding decision of a finite quota q.
+
+    With f = floor(q), an integral q stands (which keeps integer quotas
+    stable even when the mark sits on the interval's left edge, beta <= -1
+    rules); otherwise q rounds to f+1 iff it reaches the mark: q >= r(f)
+    on the table ``marks`` of constant marks (``_table_mark``; a plain
+    dict, which CPython indexes faster than a subclass), or
+    ``rounding.rounds_up(q, f, divisor)`` without a table.
+    """
+    rounds_up = rounding.rounds_up if marks is None else None
+
+    def decide(q: float, divisor: float, floor=math.floor, marks=marks) -> int:
+        f = floor(q)
+        if q == f:
+            return f
+        if marks is None:
+            return f + 1 if rounds_up(q, f, divisor) else f
+        try:
+            mark = marks[f]
+        except KeyError:
+            mark = _table_mark(marks, rounding, f)
+        return f + 1 if q >= mark else f
+    return decide
 
 
 def positional_split(f: int, size: int, seats: int) -> tuple[int, int]:
@@ -248,32 +274,30 @@ class _Direct:
     candidate enumeration, the sweep and the guard all read it.  It holds
     what belongs to the (states, method) pair, on plain lists: names,
     populations and their total v_T, in family mode the (population, name)
-    order, and the table of constant marks r(f), each read from the rule
-    once per call (``mark``).  A v_T beyond the float range is refused
-    here, and ``refuse_overflow`` refuses a divisor whose quotas would be.
+    order, the table of constant marks r(f) (``marks``, each mark read from
+    the rule once per call) and ``decide``, the engine's one rounding
+    decision (``_decider``) on that table, or on ``rounds_up`` when marks
+    move.  A v_T beyond the float range is refused here, and
+    ``refuse_overflow`` refuses a divisor whose quotas would be.
 
     ``seats_at(D)`` rounds with the float operations of ``compute_quotas``
     and ``partition_families``: q = v/D per state, a family as a run of
     equal floor(q) in (population, name) order with its quota summed by
-    ``math.fsum``, ``round`` (``round_quota``'s rule),
-    ``positional_split`` and the seat floor.  A state's quota, and that of
-    a family of one, is decided inline as q >= r(f) on the table's mark;
-    ``round`` takes it only when the table lacks f (it then fills it) or q
-    is integral, and always under moving marks, which never fill the
-    table.  Family seats are written straight to their input positions
-    through ``order``.  ``seats_at`` and ``check`` are stateless: they
-    never read the sweep state below, so a check of the pieces this
-    evaluator swept is still a from-scratch evaluation.
+    ``math.fsum``, ``decide`` (a family of one on its own quota),
+    ``positional_split`` and the seat floor.  Family seats are written
+    straight to their input positions through ``order``.  ``seats_at`` and
+    ``check`` are stateless: they never read the sweep state below, so a
+    check of the pieces this evaluator swept is still a from-scratch
+    evaluation.
 
     The sweep state: ``start(D)`` apportions once in full into ``seats``
     (input order, floor applied) and ``total``; after that ``reround``
-    re-rounds only what a crossing event tags, deciding a state's quota
-    inline as ``seats_at`` does, and writes each changed seat and the
-    total in place, with no call per seat.  In family mode families are
-    contiguous runs of (population, name) order, because floor(v/D) is
-    monotone in v: ``family[p]`` is the family of the state at rank p,
-    ``rank`` maps an event's input index to its rank, and a family's
-    members are found by bisection.
+    re-rounds only what a crossing event tags, with the same ``decide``,
+    and writes each changed seat and the total in place.  In family mode
+    families are contiguous runs of (population, name) order, because
+    floor(v/D) is monotone in v: ``family[p]`` is the family of the state
+    at rank p, ``rank`` maps an event's input index to its rank, and a
+    family's members are found by bisection.
     """
 
     def __init__(self, states: Iterable[StateProfile], method: MethodSpec):
@@ -285,7 +309,8 @@ class _Direct:
         self.v_t = total_population(self.pops)
         self.rounding = method.rounding
         self.moving = method.divisor_dependent
-        self.marks: dict[int, float] = {}  # constant marks r(f), each read once
+        self.marks = None if self.moving else {}
+        self.decide = _decider(self.rounding, self.marks)
         self.floor = method.min_seat_floor or 0
         self.by_family = method.mode == BY_FAMILY
         if self.by_family:
@@ -301,23 +326,6 @@ class _Direct:
         if not math.isfinite(top):
             raise ValueError(f"the quotas overflow a float at divisor {divisor!r}")
 
-    def mark(self, f: int, divisor: float) -> float:
-        """Constant marks only: r(f), read from the rule once per evaluator."""
-        mark = self.marks.get(f)
-        if mark is None:
-            mark = self.marks[f] = self.rounding.mark_at(f, divisor)
-        return mark
-
-    def round(self, quota: float, divisor: float) -> int:
-        """``round_quota(quota, rounding, divisor)``; with constant marks the
-        decision is q >= r(f) on the table's mark."""
-        if self.moving:
-            return round_quota(quota, self.rounding, divisor)
-        f = math.floor(quota)
-        if quota == f:
-            return f
-        return f + 1 if quota >= self.mark(f, divisor) else f
-
     def runs(self, divisor: float) -> tuple[list[float], list[int]]:
         """Family mode: the sorted quotas at ``divisor`` and where each family ends."""
         quotas = [v / divisor for v in self.sorted_pops]
@@ -329,26 +337,19 @@ class _Direct:
 
     def seats_at(self, divisor: float) -> tuple[int, ...]:
         """Every state's seats at ``divisor``, in input order, floor applied."""
-        round_, marks = self.round, self.marks  # round() inlined where a read mark decides
+        decide = self.decide
         if not self.by_family:
-            seats = []
-            for v in self.pops:
-                f = math.floor(q := v / divisor)
-                mark = marks.get(f)
-                seats.append(round_(q, divisor) if mark is None or q == f
-                             else f + 1 if q >= mark else f)
+            seats = [decide(v / divisor, divisor) for v in self.pops]
         else:
             quotas, ends = self.runs(divisor)
             order, seats, lo = self.order, [0] * len(quotas), 0
             for hi in ends:
-                f = math.floor(q := quotas[lo])
                 if hi == lo + 1:  # a family of one rounds its own quota
-                    mark = marks.get(f)
-                    seats[order[lo]] = (round_(q, divisor) if mark is None or q == f
-                                        else f + 1 if q >= mark else f)
+                    seats[order[lo]] = decide(quotas[lo], divisor)
                 else:
-                    quota = math.fsum(quotas[lo:hi])
-                    m_low, _ = positional_split(f, hi - lo, round_(quota, divisor))
+                    f = math.floor(quotas[lo])
+                    m_low, _ = positional_split(f, hi - lo,
+                                                decide(math.fsum(quotas[lo:hi]), divisor))
                     for i in order[lo:lo + m_low]:
                         seats[i] = f
                     for i in order[lo + m_low:hi]:
@@ -376,13 +377,9 @@ class _Direct:
         """
         seats, floor, total, moved = self.seats, self.floor, self.total, False
         if not self.by_family:
-            round_, marks, pops = self.round, self.marks, self.pops
+            decide, pops = self.decide, self.pops
             for i in state_ids:
-                f = math.floor(q := pops[i] / divisor)
-                mark = marks.get(f)
-                s = max(round_(q, divisor) if mark is None or q == f
-                        else f + 1 if q >= mark else f, floor)
-                if s != seats[i]:
+                if (s := max(decide(pops[i] / divisor, divisor), floor)) != seats[i]:
                     total += s - seats[i]
                     seats[i], moved = s, True
             self.total = total
@@ -401,7 +398,7 @@ class _Direct:
                 continue
             quota = math.fsum([v / divisor for v in sorted_pops[lo:hi]])  # as Family.quota
             try:
-                m_low, _ = positional_split(f, hi - lo, self.round(quota, divisor))
+                m_low, _ = positional_split(f, hi - lo, self.decide(quota, divisor))
             except ValueError as err:  # a stale member put the family's seats out of range
                 raise ApportionmentError(
                     f"divisor sweep missed a crossing below D = {divisor!r}: {err}") from None
@@ -543,7 +540,7 @@ def _mark_crossings(value: float, direct: _Direct, d_lo: float, d_hi: float) -> 
             if d is not None and d_lo <= d <= d_hi:
                 out.append(d)
         else:
-            r = direct.mark(f, 1.0)
+            r = _table_mark(direct.marks, direct.rounding, f)
             if r > 0:
                 d = value / r
                 if d_lo <= d <= d_hi:
@@ -975,7 +972,8 @@ def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,
                     "min_seat_floor is incompatible with Hamilton's fixed total")
         return [app]
     # state-mode constant marks with r(0) = 0 give every positive quota a seat
-    forces_one = not direct.by_family and not direct.moving and direct.mark(0, 1.0) == 0.0
+    forces_one = (not direct.by_family and not direct.moving
+                  and _table_mark(direct.marks, direct.rounding, 0) == 0.0)
     forced_min = n * (max(floor_seats, 1) if forces_one else floor_seats)
     if target_total < forced_min:
         raise InfeasibleTarget(

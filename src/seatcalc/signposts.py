@@ -33,6 +33,8 @@ __all__ = [
 _BETA_ZERO_BAND = 1e-9
 _BETA_NEG1_BAND = 1e-9
 _BETA_INF_CUTOFF = 1e9
+# every float from here on is an integer, so no float quota reads a mark there
+_FLOAT_INTEGERS = 2 ** 53
 
 
 def _check_index(f: int) -> None:
@@ -42,10 +44,11 @@ def _check_index(f: int) -> None:
 
 
 def _mark_beta_zero(f: int) -> float:
-    # r_0(f) = (f+1)^(f+1) / (e * f^f), in log space: overflows past f ~ 140 otherwise
+    # r_0(f) = (f+1)^(f+1) / (e * f^f) = (f+1) * exp(f * log1p(1/f) - 1), whose
+    # exponent does not cancel as (f+1)*log(f+1) - f*log(f) - 1 does for large f
     if f == 0:
         return 1.0 / math.e
-    return math.exp((f + 1) * math.log(f + 1) - f * math.log(f) - 1.0)
+    return (f + 1) * math.exp(f * math.log1p(1.0 / f) - 1.0)
 
 
 def _mark_beta_neg1(f: int) -> float:
@@ -60,9 +63,13 @@ def power_law_mark(beta: float, f: int) -> float:
 
     ``beta`` may be any extended real including ``+-math.inf``; limit
     formulas are substituted inside narrow guard bands around the
-    removable singularities at 0 and -1.
+    removable singularities at 0 and -1.  From f = 2**53 every float is
+    an integer, so for a float f the only float in [f, f+1] is f itself,
+    and the mark is ``float(f)`` (Jefferson's f+1 may round to f+2).
     """
     _check_index(f)
+    if f >= _FLOAT_INTEGERS:
+        return float(f)
     # exact member formulas first: Webster, Huntington-Hill and the rms-like
     # beta = 2 are the hot named rules
     if beta == 1.0:
@@ -131,6 +138,8 @@ class SignpostRule:
         if self.kind != "dean":
             return power_law_mark(self.beta, f)
         _check_index(f)
+        if f >= _FLOAT_INTEGERS:  # as power_law_mark: f(f+1) overflows from about 1.34e154
+            return float(f)
         return f * (f + 1) / (f + 0.5)  # harmonic mean of f and f+1
 
     def mark_offsets(self, f: int, g_max: int) -> tuple[float, float] | None:

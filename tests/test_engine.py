@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,13 @@ from seatcalc.core import (
     compute_quotas,
     partition_families,
 )
-from seatcalc.distributions import DistributionMarks, LogNormal, PowerLaw, Uniform
+from seatcalc.distributions import (
+    DistributionMarks,
+    LogNormal,
+    PowerLaw,
+    Uniform,
+    monte_carlo_bias,
+)
 from seatcalc.engine import (
     BY_FAMILY,
     BY_STATE,
@@ -1107,31 +1114,71 @@ def test_family_quota_is_rounded_as_partition_families_sums_it():
 
 # --- the direct evaluator against per-state round_quota --------------------
 
+def ulps_from(x, k):
+    """The float ``k`` steps of one ulp from ``x`` (down for k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
 @st.composite
-def rounding_instances(draw):
+def rounding_instances(draw, rule=None):
     """``(states, divisor)``: 1-8 states, ties among them, and populations at
     whole and half multiples of the divisor, so quotas land exactly on an
-    integer f (meeting r(f) = f under Adams) and on Webster's marks."""
+    integer f (meeting r(f) = f under Adams) and on Webster's marks.  With a
+    ``rule``, also quotas within 2 ulps of its marks r(0) .. r(30), exactly
+    so where the divisor is a power of two."""
     divisor = draw(st.sampled_from([1.0, 0.5, 3.0]) | st.floats(min_value=0.05, max_value=20.0))
-    pool = draw(st.lists(st.floats(min_value=0.01, max_value=40.0)
-                         | st.integers(1, 30).map(lambda k: k * divisor)
-                         | st.integers(1, 60).map(lambda k: k * divisor / 2),
-                         min_size=1, max_size=8))
+    pops = (st.floats(min_value=0.01, max_value=40.0)
+            | st.integers(1, 30).map(lambda k: k * divisor)
+            | st.integers(1, 60).map(lambda k: k * divisor / 2))
+    if rule is not None:
+        pops |= st.builds(lambda f, k: ulps_from(rule.mark(f), k) * divisor,
+                          st.integers(0, 30), st.integers(-2, 2)).filter(lambda v: v > 0)
+    pool = draw(st.lists(pops, min_size=1, max_size=8))
     return states_of(*draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))), divisor
 
 
-@given(instance=rounding_instances(),
+class FixedDraws:
+    """A stand-in population law whose every sample is the given populations."""
+
+    def __init__(self, pops):
+        self.pops = pops
+
+    def sample(self, rng, n):
+        assert n == len(self.pops)
+        return np.array(self.pops)
+
+
+@given(data=st.data(),
        rule=st.sampled_from(SWEEP_RULES + (power_law(-1.0), power_law(0.0))),
        mode=st.sampled_from((BY_STATE, BY_FAMILY)),
        floor=st.sampled_from((None, 1, 2)))
 @settings(max_examples=400, deadline=None)
-def test_direct_rounding_equals_round_quota_per_state(instance, rule, mode, floor):
-    # the evaluator reads each constant mark once and decides q >= r(f) itself;
-    # the reference asks round_quota per state and uses partition_families
-    states, divisor = instance
+def test_direct_rounding_equals_round_quota_per_state(data, rule, mode, floor):
+    # one rounding decision on every route, each against round_quota per state
+    # or family quota through partition_families: the evaluator's on its mark
+    # table (apportion_at_divisor, and reround in a sweep whose midpoints lie
+    # within ulps of the divisor), family_splits, and monte_carlo_bias's copy
+    states, divisor = data.draw(rounding_instances(rule))
     method = MethodSpec(rule, mode, floor)
-    assert apportion_at_divisor(states, divisor, method) == \
-        eager_apportionment(states, divisor, method)
+    want = eager_apportionment(states, divisor, method)
+    assert apportion_at_divisor(states, divisor, method) == want
+    if mode == BY_FAMILY:
+        families = partition_families(want.quotas)
+        seats = {}
+        for split, fam in zip(family_splits(families, rule, divisor), families):
+            for i, entry in enumerate(fam.members):
+                seats[entry.state.name] = max(split.f + (i >= split.m_low), floor or 0)
+        assert seats == want.seats
+    for _, _, app in piecewise_apportionments(states, method, divisor * (1 - 2 ** -50),
+                                              divisor * (1 + 2 ** -50)):
+        assert app.seats == eager_apportionment(states, app.divisor, method).seats
+    pops = [s.population for s in states]
+    for row in monte_carlo_bias(FixedDraws(pops), divisor, rule, 1, len(pops), 0):
+        quotas = [v / divisor for v in pops if math.floor(v / divisor) == row.f]
+        assert row.mean_bias == pytest.approx(
+            math.fsum(round_quota(q, rule, divisor) - q for q in quotas), abs=1e-9)
 
 
 @given(instance=rounding_instances(),

@@ -1,7 +1,9 @@
 """Closed-form rounding marks: named rules, the power-law family, limits."""
 
 import math
+import sys
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,6 +150,32 @@ def test_no_overflow_at_large_f():
     assert 500 < r < 501
     r = power_law_mark(-1.0, 10 ** 6)
     assert 10 ** 6 < r < 10 ** 6 + 1
+
+
+# floors of floats from 2**53, where every float is an integer, to the float range
+HUGE_FAMILIES = sorted({math.floor(x) for x in (
+    *(2.0 ** e for e in range(53, 1024)), *(2.0 ** e * 1.5 for e in range(53, 1023)),
+    9007199254740994.0, 1e16, 1.34e154, 1.5e154, 1e200, 1e300, 1e308, 1.7e308,
+    sys.float_info.max)})
+
+
+@pytest.mark.parametrize("rule", [ADAMS, DEAN, HUNTINGTON_HILL, WEBSTER, JEFFERSON,
+                                  power_law(-1.0), power_law(0.0), power_law(2.0)], ids=str)
+def test_marks_of_huge_families_are_finite_and_bracketed(rule):
+    # f(f+1) and log-space forms overflow or cancel up here; every float quota
+    # is an integer, so the mark is the float nearest r(f) in [f, f+1]
+    for f in HUGE_FAMILIES:
+        r = rule.mark(f)
+        assert math.isfinite(r) and f <= r <= f + 1, (f, r)
+
+
+def test_beta_zero_mark_is_within_three_ulps_of_mpmath():
+    # r_0(f) = (f+1)^(f+1) / (e·f^f), as the benchmark's reference takes it
+    with mpmath.workdps(60):
+        for f in (*range(1, 5001), *(2 ** k + j for k in range(1, 53) for j in (-1, 1))):
+            want = mpmath.mpf(f + 1) ** (f + 1) / (mpmath.e * mpmath.mpf(f) ** f)
+            got = power_law_mark(0.0, f)
+            assert abs(got - want) <= 3 * math.ulp(float(want)), (f, got)
 
 
 def test_large_f_approaches_half():
