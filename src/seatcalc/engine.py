@@ -286,18 +286,21 @@ class _Direct:
     ``math.fsum``, ``decide`` (a family of one on its own quota),
     ``positional_split`` and the seat floor.  Family seats are written
     straight to their input positions through ``order``.  ``seats_at`` and
-    ``check`` are stateless: they never read the sweep state below, so a
-    check of the pieces this evaluator swept is still a from-scratch
-    evaluation.
+    ``check`` are stateless: they never read the sweep state below, so
+    each is a from-scratch evaluation.
 
     The sweep state: ``start(D)`` apportions once in full into ``seats``
     (input order, floor applied) and ``total``; after that ``reround``
     re-rounds only what a crossing event tags, with the same ``decide``,
     and writes each changed seat and the total in place.  In family mode
     families are contiguous runs of (population, name) order, because
-    floor(v/D) is monotone in v: ``family[p]`` is the family of the state
-    at rank p, ``rank`` maps an event's input index to its rank, and a
-    family's members are found by bisection.
+    floor(v/D) is monotone in v: ``family[p]`` is the stored floor of the
+    state at rank p, ``rank`` maps an event's input index to its rank, and
+    a family's members are found by bisection (``split``).  ``prev`` is
+    the last divisor evaluated.  Under constant marks ``reround`` checks
+    what it moves against a fresh decision at ``prev`` before writing it,
+    and ``verify`` checks the whole state at ``prev`` once the sweep ends:
+    the guard ``_sweep`` describes.
     """
 
     def __init__(self, states: Iterable[StateProfile], method: MethodSpec):
@@ -363,70 +366,124 @@ class _Direct:
         """Apportion in full at ``divisor``: the sweep state ``reround`` updates."""
         self.seats = list(self.seats_at(divisor))  # min_seat_floor applied
         self.total = sum(self.seats)
+        self.prev = divisor
         if self.by_family:
             self.family = [math.floor(v / divisor) for v in self.sorted_pops]
+
+    def split(self, f: int, divisor: float) -> tuple[int, int, int]:
+        """Family f's run [lo, hi) in ``family`` and m_low, how many of its
+        members get f seats at ``divisor`` (``seats_at``'s float operations).
+
+        Seats outside the members' range, which only a stale member left by
+        a missed crossing can cause, raise ``ApportionmentError``.
+        """
+        family = self.family
+        lo = bisect_left(family, f)
+        hi = bisect_right(family, f, lo)
+        if hi == lo + 1:  # a family of one rounds its own quota
+            quota = self.sorted_pops[lo] / divisor
+        elif lo < hi:
+            quota = math.fsum([v / divisor for v in self.sorted_pops[lo:hi]])  # as Family.quota
+        else:
+            return lo, hi, 0
+        try:
+            return lo, hi, positional_split(f, hi - lo, self.decide(quota, divisor))[0]
+        except ValueError as err:
+            raise _missed(divisor, str(err)) from None
 
     def reround(self, divisor: float, state_ids, family_ids) -> bool:
         """Re-round the given states and families at ``divisor``, in place.
 
         Returns True if any seat moved (in family mode seats can swap at
         an unchanged total).  In family mode a state is re-rounded through
-        its old and new family.  A family whose seats fall outside its
-        members' range, which only a stale member left by a missed crossing
-        can cause, raises ``ApportionmentError`` as the guard would.
+        its old and new family.  Under constant marks what moves is first
+        checked at the previous evaluation point ``prev``, before it is
+        written: a state whose seat (by family, whose floor) moves, a
+        family whose members change and a family whose seats move must
+        hold there what a fresh decision gives, or ``ApportionmentError``
+        is raised.  ``_sweep`` says why that is complete.
         """
-        seats, floor, total, moved = self.seats, self.floor, self.total, False
+        seats, floor, total = self.seats, self.floor, self.total
+        prev, self.prev = self.prev, divisor
+        check = not self.moving
         if not self.by_family:
             decide, pops = self.decide, self.pops
-            for i in state_ids:
-                if (s := max(decide(pops[i] / divisor, divisor), floor)) != seats[i]:
-                    total += s - seats[i]
-                    seats[i], moved = s, True
+            moves = [(i, s) for i in state_ids
+                     if (s := max(decide(pops[i] / divisor, divisor), floor)) != seats[i]]
+            if check and any(max(decide(pops[i] / prev, prev), floor) != seats[i]
+                             for i, _ in moves):  # all before any write: D may tag i twice
+                raise _missed(prev, "a state's stored seats differ from its rounding there")
+            for i, s in moves:
+                total += s - seats[i]
+                seats[i] = s
             self.total = total
-            return moved
-        family, sorted_pops, order = self.family, self.sorted_pops, self.order
-        families = set(family_ids)
+            return bool(moves)
+        family, sorted_pops, order, rank = self.family, self.sorted_pops, self.order, self.rank
+        families, moves, changed = set(family_ids), [], set()
         for i in state_ids:
-            p = self.rank[i]
-            families.add(family[p])
-            family[p] = math.floor(sorted_pops[p] / divisor)
-            families.add(family[p])
-        for f in families:
-            lo = bisect_left(family, f)
-            hi = bisect_right(family, f, lo)
-            if lo == hi:
-                continue
-            quota = math.fsum([v / divisor for v in sorted_pops[lo:hi]])  # as Family.quota
-            try:
-                m_low, _ = positional_split(f, hi - lo, self.decide(quota, divisor))
-            except ValueError as err:  # a stale member put the family's seats out of range
-                raise ApportionmentError(
-                    f"divisor sweep missed a crossing below D = {divisor!r}: {err}") from None
-            for p in range(lo, hi):
-                i = order[p]
-                if (s := max(f + (p - lo >= m_low), floor)) != seats[i]:
+            p = rank[i]
+            families.add(old := family[p])
+            if (f := math.floor(sorted_pops[p] / divisor)) != old:
+                moves.append((p, f))
+                changed.update((old, f))
+        if check and moves:
+            if any(family[p] != math.floor(sorted_pops[p] / prev) for p, _ in moves):
+                raise _missed(prev, "a state's stored family differs from its quota's there")
+            for f in changed:
+                self.check_family(f, prev)
+        for p, f in moves:
+            family[p] = f
+        moved = False
+        for f in families | changed:
+            lo, hi, m_low = self.split(f, divisor)
+            unchecked = check and f not in changed
+            for p, i in enumerate(order[lo:hi]):
+                if (s := max(f + (p >= m_low), floor)) != seats[i]:
+                    if unchecked:  # the family's seats move: check them before the first write
+                        self.check_family(f, prev)
+                        unchecked = False
                     total += s - seats[i]
                     seats[i], moved = s, True
         self.total = total
         return moved
 
+    def check_family(self, f: int, prev: float) -> None:
+        """Raise unless family f's stored seats are its split at ``prev``."""
+        lo, hi, m_low = self.split(f, prev)
+        seats, floor = self.seats, self.floor
+        for p, i in enumerate(self.order[lo:hi]):
+            if seats[i] != max(f + (p >= m_low), floor):
+                raise _missed(prev, f"family {f}'s stored seats differ from its rounding there")
+
+    def verify(self) -> None:
+        """Raise unless the sweep state is a full apportionment at ``prev``
+        (seats, and in family mode every stored floor)."""
+        prev = self.prev
+        if self.seats_at(prev) != tuple(self.seats) or self.by_family and (
+                self.family != [math.floor(v / prev) for v in self.sorted_pops]):
+            raise _missed(prev, "the sweep's seats or floors differ from direct ones there")
+
     def check(self, piece: _Piece) -> None:
         """Raise unless the piece's seats are the direct ones at its divisor.
 
-        The sweep re-rounds only at candidate divisors, so a crossing the
-        enumeration failed to find (marks whose r(f, D)·D is not monotone
-        in D) would leave its seats stale: that is raised, never returned.
+        The guard under moving marks, O(n) per piece.  The sweep re-rounds
+        only at candidate divisors, so a crossing the enumeration failed to
+        find (marks whose r(f, D)·D is not monotone in D) would leave its
+        seats stale: where that shows at the piece's divisor it is raised,
+        never returned.  Constant marks need no such check (see ``_sweep``).
         """
         if self.seats_at(piece.divisor) != piece.seats:
-            raise ApportionmentError(
-                f"divisor sweep missed a crossing below D = {piece.divisor!r}: "
-                f"its seats differ from direct apportionment there")
+            raise _missed(piece.divisor, "its seats differ from direct apportionment there")
 
     def apportionment(self, piece: _Piece,
                       d_interval: tuple[float, float] | None = None) -> Apportionment:
         """The checked piece as an ``Apportionment``; its quota table is built when read."""
         return Apportionment(piece.divisor, dict(zip(self.names, piece.seats)),
                              QuotaTable._lazy(self.states, piece.divisor), d_interval)
+
+
+def _missed(divisor: float, why: str) -> ApportionmentError:
+    return ApportionmentError(f"divisor sweep missed a crossing below D = {divisor!r}: {why}")
 
 
 def apportion_at_divisor(states: Iterable[StateProfile], divisor: float,
@@ -645,7 +702,47 @@ _EVENT_BAND = 1e-9
 
 
 def _sweep(direct: _Direct, d_lo: float, d_hi: float) -> list[_Piece]:
-    """Constant-seat pieces over [d_lo, d_hi] by one ascending event sweep."""
+    """Constant-seat pieces over [d_lo, d_hi] by one ascending event sweep.
+
+    It apportions in full at the first candidate interval's midpoint, then
+    at each later one re-rounds what the events near it tag
+    (``_Direct.reround``).  A piece's seats are the stored seats at its
+    first evaluated point; no seat moves at the later points in it.
+
+    *The guard under constant marks*, O(events + n) in all.  Each item
+    is checked where the sweep moves it.  The items are each state's seat
+    in state mode, and each state's floor(v/D) and each family's seats in
+    family mode.  Before ``reround`` writes a new value over a stored one,
+    the stored one must be the fresh decision at the previous evaluated
+    point.  After the last one, ``verify`` requires one ``seats_at`` equal
+    to the stored seats and, in family mode, every stored floor equal to
+    the fresh one (``ApportionmentError`` otherwise).  That proves each
+    returned piece's seats at every point the sweep evaluates inside it:
+
+    - fl(v/D), floor and the test q >= r(f) are each monotone, so a
+      state's floor and seat are monotone in D.  With its members fixed, a
+      family's ``fsum`` of fl(v/D) (a correctly rounded sum of monotone
+      terms), its rounding and each member's positional seat are too.
+    - A stored floor is fresh at ``start`` and wherever its state is
+      tagged.  At each later tag the fresh floor either equals it, and by
+      monotonicity it held at every point between, or differs, and then it
+      is checked at the point before; after the last tag ``verify`` checks
+      it.  So every stored floor is exact at every evaluated point, and
+      the runs of ``family`` are the families there.
+    - Members change only where a tagged state's floor moves, which touches
+      both families involved, and both are checked before it is written.
+      Between two touches a family's members are fixed, and its seats
+      follow the argument for a floor: fresh at one touch, then equal to
+      the fresh split at the next, or checked at the point before it, or
+      checked by ``verify``.  A state's seat in state mode does the same.
+
+    What the guard does not prove is a piece's extent between two
+    evaluated points: a crossing missed there merges two pieces, each
+    right where it was evaluated (``tests/drop_harness.py`` counts these).
+    Under moving marks monotonicity is only the law's contract, and floats
+    break it near a support edge, so these checks are off and
+    ``_Direct.check`` reads each piece at its divisor instead.
+    """
     if not (0 < d_lo < d_hi) or not math.isfinite(d_hi):
         raise ValueError(f"need 0 < d_lo < d_hi, got [{d_lo!r}, {d_hi!r}]")
     direct.refuse_overflow(d_lo)
@@ -661,6 +758,8 @@ def _sweep(direct: _Direct, d_lo: float, d_hi: float) -> list[_Piece]:
         if not pieces:
             direct.start(mid)
             moved = True
+        elif last == first + 1:
+            moved = direct.reround(mid, *events[first][1])
         else:
             near = [tags for _, tags in events[first:last]]
             moved = direct.reround(mid, [i for ids, _ in near for i in ids],
@@ -677,19 +776,23 @@ def _sweep(direct: _Direct, d_lo: float, d_hi: float) -> list[_Piece]:
         mid = 0.5 * (d_lo + d_hi)
         direct.start(mid)
         pieces.append(_Piece(d_lo, d_hi, mid, tuple(direct.seats), direct.total))
+    elif not direct.moving:
+        direct.verify()
     return pieces
 
 
 def _checked_sweep(states: Iterable[StateProfile], method: MethodSpec,
                    d_lo: float, d_hi: float) -> tuple[_Direct, list[_Piece]]:
-    """The sweep's pieces over [d_lo, d_hi], each checked by direct apportionment
-    at its divisor, and the evaluator that swept and checked them."""
+    """The sweep's pieces over [d_lo, d_hi], checked (see ``_sweep``; under
+    moving marks by direct apportionment at each piece's divisor), and the
+    evaluator that swept and checked them."""
     if method.is_hamilton:
         raise ApportionmentError("Hamilton's method has no divisor sweep")
     direct = _Direct(states, method)
     pieces = _sweep(direct, d_lo, d_hi)
-    for piece in pieces:
-        direct.check(piece)
+    if direct.moving:
+        for piece in pieces:
+            direct.check(piece)
     return direct, pieces
 
 
@@ -714,10 +817,14 @@ def piecewise_apportionments(states: Iterable[StateProfile], method: MethodSpec,
     for K candidates.  It apportions once in full, then walks the
     candidates in ascending order and, at each candidate interval's
     midpoint, re-rounds only what the passed candidates tag: O(size of
-    what crossed) per interval.  Each piece keeps the sweep's seats; one
-    plain-list direct evaluation at its divisor, O(n), must agree with
-    them (``ApportionmentError`` otherwise).  The returned apportionments
-    are built from those seats, and their quota tables only when read.
+    what crossed) per interval.  Each piece keeps the sweep's seats,
+    checked where they move (``_sweep``): under constant marks every
+    piece holds at every candidate-interval midpoint the sweep evaluates
+    inside it, for O(events + n) in all; under moving marks one
+    plain-list direct evaluation at each piece's divisor, O(n), must
+    agree with them.  A missed crossing that shows there raises
+    ``ApportionmentError``.  The returned apportionments are built from
+    those seats, and their quota tables only when read.
     """
     direct, pieces = _checked_sweep(states, method, d_lo, d_hi)
     return [(p.lo, p.hi, direct.apportionment(p)) for p in pieces]
@@ -727,8 +834,9 @@ def breakpoints(states: Iterable[StateProfile], method: MethodSpec,
                 d_lo: float, d_hi: float) -> list[float]:
     """Critical divisors in [d_lo, d_hi]: the D at which seats change.
 
-    These are the upper ends of every piece but the last, each piece's
-    seats checked as in ``piecewise_apportionments``.  Between
+    These are the upper ends of every piece but the last, the pieces
+    checked as in ``piecewise_apportionments``, so a missed crossing that
+    shows where the sweep evaluates raises ``ApportionmentError``.  Between
     consecutive returned values the apportionment is constant.  The
     apportionment AT a returned divisor is meant to equal the one on the
     piece below it (a quota exactly at a mark rounds up, so the change is
@@ -950,8 +1058,11 @@ def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,
     divisor, each with ``d_interval`` set to the maximal divisor run
     (lo, hi] on which it holds (``math.inf`` upper end when the
     apportionment stays frozen for all larger divisors).  A length-2+
-    list is the multiple-solution paradox surfaced, not an error.  A
-    solution's piece and its neighbours are checked (``ApportionmentError``).
+    list is the multiple-solution paradox surfaced, not an error.  The
+    search window's sweep is checked as in ``piecewise_apportionments``:
+    under constant marks at every point it evaluates, and under moving
+    marks at the divisors of each solution's piece and its neighbours
+    (``ApportionmentError``).
     Hamilton returns a single apportionment at D = v_T/target.  A target
     so large that float rounding moves the quotas' floors by more than n
     seats raises ``InfeasibleTarget``, as does, for every method, a
@@ -989,8 +1100,9 @@ def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,
             continue  # same seat vector on a lower disjoint run; keep the top one
         upper = math.inf if (frozen_above and idx == len(pieces) - 1) else piece.hi
         seen.add(piece.seats)
-        for near in pieces[max(idx - 1, 0):idx + 2]:  # and its neighbours, which share its ends
-            direct.check(near)
+        if direct.moving:  # and its neighbours, which share its ends
+            for near in pieces[max(idx - 1, 0):idx + 2]:
+                direct.check(near)
         solutions.append(direct.apportionment(piece, (piece.lo, upper)))
     if not solutions:
         totals = {p.total for p in pieces}

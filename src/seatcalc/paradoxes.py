@@ -88,7 +88,9 @@ def scan_alabama(states, method: MethodSpec, d_lo: float, d_hi: float,
     A report means some state's count decreased while D decreased (the
     house was growing or holding), which a divisor method can never do.
     An empty list certifies the method clean on this instance and range.
-    Every piece's seats are checked as in ``piecewise_apportionments``;
+    The pieces are checked as in ``piecewise_apportionments``, so a
+    missed crossing that shows where the sweep evaluates raises
+    ``ApportionmentError`` rather than a false report or a missing one;
     apportionments are built only for the pieces a report names.
     """
     direct, pieces = _checked_sweep(states, method, d_lo, d_hi)

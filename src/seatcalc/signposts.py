@@ -91,6 +91,17 @@ def power_law_mark(beta: float, f: int) -> float:
             return 0.0
         # ((1 - 0) / (beta+1)) ** (1/beta)
         return math.exp(-math.log(beta + 1.0) / beta)
+    if f >= 2 ** 14 * (abs(beta) + 3):
+        # With x = f + 1/2, r = x·(1 + A/x² + B/x⁴ + ...)^(1/beta), A = beta(beta − 1)/24
+        # and B = beta(beta − 1)(beta − 2)(beta − 3)/1920, so r = x + (beta − 1)/(24x) +
+        # c3/x³ + ..., c3 = (beta − 1)(13 − 5·beta − 2·beta²)/5760, each further term
+        # smaller by about (beta/x)².  |c3| <= (|beta| + 3)³/2880, so from
+        # x >= 2¹⁴(|beta| + 3) the remainder is below (|beta| + 3)³/(2880x³) <= 2⁻⁶⁶·x,
+        # far under an ulp of x (>= 2⁻⁵³·x); x is exact below 2⁵², and the correction,
+        # under 2⁻¹⁸, adds one rounding.  The log-space form below loses digits as f
+        # grows: up to 109 ulps, and past f + 1, by 2⁴⁶.
+        x = f + 0.5
+        return x + (beta - 1.0) / (24.0 * x)
     # log-space evaluation of (((f+1)^(b+1) - f^(b+1)) / (b+1)) ** (1/b);
     # the expm1 factoring keeps it stable for large f and extreme beta
     b1 = beta + 1.0
@@ -144,11 +155,14 @@ class SignpostRule:
 
     def mark_offsets(self, f: int, g_max: int) -> tuple[float, float] | None:
         """(lo, hi) in [0, 1] with lo <= fl(r(g)) − g <= hi at every integer g in
-        [f, g_max], or None.  Adams, Webster and Jefferson: (c, c), exactly.
+        [f, g_max], or None.  None from g_max = 2⁵³, where every mark is float(g).
+        Adams, Webster and Jefferson: (c, c), exactly.
         Dean's and Hill's r(g) − g rise toward ½, β = 2's falls toward it: r(f) − f
         and ½, widened by δ = 2⁻²⁵.  While g < 2²⁶, g(g+1) is exact and fl(r(g)) is
         within 2⁻²⁶ of r(g) (a rounded division or sqrt, and for β = 2 a rounded
         g(g+1) + ⅓), so δ covers the error at f and at g."""
+        if g_max >= _FLOAT_INTEGERS:
+            return None
         beta = -2.0 if self.kind == "dean" else self.beta  # Dean's r(g) − g rises as Hill's
         if beta == 1.0 or abs(beta) >= _BETA_INF_CUTOFF:
             return (0.5, 0.5) if beta == 1.0 else (float(beta > 0),) * 2

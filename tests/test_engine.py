@@ -55,6 +55,8 @@ from seatcalc.engine import (
 from seatcalc.paradoxes import scan_alabama
 from seatcalc.signposts import ADAMS, DEAN, HUNTINGTON_HILL, JEFFERSON, WEBSTER, power_law
 
+import drop_harness
+
 
 def states_of(*pops):
     return tuple(StateProfile(f"s{i}", p) for i, p in enumerate(pops))
@@ -811,31 +813,61 @@ def dropped_event_window(year):
                                     (HUNTINGTON_HILL, 438)], ids=["webster-153", "hill-153",
                                                                    "hill-438"])
 def test_a_stale_family_in_the_sweep_raises_a_typed_error(monkeypatch, rule, k):
-    # without the event a state stays listed in its old family, whose seats
-    # then fall below its members' range inside reround
+    # without the event a state stays listed in its old family; the guard
+    # finds it stale at the last point before the sweep next moves it
     states, d_lo, d_hi = dropped_event_window(1980)
     dropping_event(monkeypatch, k)
-    with pytest.raises(ApportionmentError, match="missed a crossing .*outside"):
+    with pytest.raises(ApportionmentError, match="missed a crossing"):
         piecewise_apportionments(states, MethodSpec(rule, BY_FAMILY), d_lo, d_hi)
 
 
-def test_dropped_events_raise_no_untyped_error(monkeypatch):
-    # every ⌊n/40⌋-th interior event of 1980 by family, dropped one at a
-    # time: the sweep returns pieces or raises ApportionmentError, nothing else
-    states, d_lo, d_hi = dropped_event_window(1980)
-    outcomes = Counter()
-    for rule in (WEBSTER, HUNTINGTON_HILL):
-        method = MethodSpec(rule, BY_FAMILY)
-        n = len(_crossing_events(engine._Direct(states, method), d_lo, d_hi))
-        for k in range(1, n - 1, n // 40):
-            with monkeypatch.context() as patch:
-                dropping_event(patch, k)
-                try:
-                    piecewise_apportionments(states, method, d_lo, d_hi)
-                    outcomes["returned"] += 1
-                except ApportionmentError:
-                    outcomes["raised"] += 1
-    assert sum(outcomes.values()) >= 80 and outcomes["raised"] > 0, outcomes
+def test_a_stale_family_array_puts_seats_out_of_range_in_reround():
+    # the first state (quota 1.0) listed in family 2 with the other two: the
+    # family's quota sum 5.3 rounds to 5 seats, below its 3 members' 6, and
+    # reround raises that rather than split it
+    direct = engine._Direct(states_of(1.0, 2.1, 2.2), MethodSpec(WEBSTER, BY_FAMILY))
+    direct.start(1.0)
+    assert direct.family == [1, 2, 2]
+    direct.family[0] = 2
+    with pytest.raises(ApportionmentError, match="missed a crossing .*family 2: seats 5 "
+                                                 "outside \\[6, 9\\]"):
+        direct.reround(1.0, [], [2])
+
+
+def test_dropped_events_raise_no_untyped_error():
+    # every 7th interior event of 1980 under Webster, Hill and Adams in both
+    # modes, dropped one at a time (tests/drop_harness.py): the sweep raises
+    # ApportionmentError, or returns pieces that hold at every point it
+    # evaluates, and nothing else
+    outcomes = drop_harness.drop_outcomes(stride=7)
+    assert not any(outcomes[fault] for fault in drop_harness.FAULTS), outcomes
+    assert sum(outcomes.values()) == 499 and outcomes["raised"] > 0, outcomes
+
+
+def test_only_moving_marks_are_checked_piece_by_piece(monkeypatch):
+    # under constant marks the sweep checks each item where it moves, so no
+    # range operation or house-size search reads a piece at its divisor;
+    # under moving marks every piece and each solution's neighbours still are
+    check, checked = engine._Direct.check, []
+
+    def counted(self, piece):
+        checked.append(piece)
+        check(self, piece)
+
+    monkeypatch.setattr(engine._Direct, "check", counted)
+    states = bundled_census(2020)
+    v_t = math.fsum(s.population for s in states)
+    for mode in (BY_STATE, BY_FAMILY):
+        method = MethodSpec(WEBSTER, mode)
+        piecewise_apportionments(states, method, v_t / 600, v_t / 300)
+        breakpoints(states, method, v_t / 600, v_t / 300)
+        scan_alabama(states, method, v_t / 600, v_t / 300)
+        apportion_for_house_size(states, 435, method)
+    assert checked == []
+    method = MethodSpec(DistributionMarks(LogNormal(math.log(5.0 * v_t / 435), 1.0)), BY_FAMILY)
+    assert len(piecewise_apportionments(states, method, v_t / 445, v_t / 425)) == len(checked)
+    checked.clear()
+    assert len(apportion_for_house_size(states, 435, method)) == 1 and len(checked) == 3
 
 
 def test_house_size_search_checks_the_pieces_next_to_a_solution():

@@ -63,7 +63,8 @@ def test_declared_mark_offsets_hold_for_every_float_mark():
     for rule, c in ((ADAMS, 0.0), (WEBSTER, 0.5), (JEFFERSON, 1.0), (power_law(-math.inf), 0.0),
                     (power_law(-1e9), 0.0), (power_law(1.0), 0.5), (power_law(1e9), 1.0),
                     (power_law(math.inf), 1.0)):
-        assert all(rule.mark_offsets(f, 2 ** 60) == (c, c) for f in (0, 1, 2 ** 40)), rule
+        assert all(rule.mark_offsets(f, 2 ** 53 - 1) == (c, c) for f in (0, 1, 2 ** 40)), rule
+        assert all(rule.mark_offsets(f, 2 ** 53) is None for f in (0, 1, 2 ** 40)), rule
         assert all(rule.mark(g) - g == c for g in OFFSET_FAMILIES), rule
     for rule in (HUNTINGTON_HILL, power_law(-2.0), DEAN, SignpostRule("dean", 1.0), power_law(2.0)):
         offsets = [rule.mark(g) - g for g in families]
@@ -176,6 +177,20 @@ def test_beta_zero_mark_is_within_three_ulps_of_mpmath():
             want = mpmath.mpf(f + 1) ** (f + 1) / (mpmath.e * mpmath.mpf(f) ** f)
             got = power_law_mark(0.0, f)
             assert abs(got - want) <= 3 * math.ulp(float(want)), (f, got)
+
+
+@pytest.mark.parametrize("beta", [-50.0, -3.0, -0.5, 0.5, 3.0, 50.0])
+def test_generic_power_law_marks_stay_in_their_interval_below_two_to_the_53(beta):
+    # from f = 2**14·(|beta| + 3) the mark is the expansion f + 1/2 + (beta − 1)/(24(f + 1/2)),
+    # within a few ulps of r_beta(f) = (((f+1)^(beta+1) − f^(beta+1))/(beta+1))^(1/beta)
+    with mpmath.workdps(80):
+        b1 = mpmath.mpf(beta) + 1
+        for f in sorted({2 ** k + j for k in range(1, 53) for j in (-1, 1)}):
+            got = power_law_mark(beta, f)
+            assert f <= got <= f + 1, (f, got)
+            if f >= 2 ** 14 * (abs(beta) + 3):
+                want = (((mpmath.mpf(f) + 1) ** b1 - mpmath.mpf(f) ** b1) / b1) ** (1 / (b1 - 1))
+                assert abs(got - want) <= 2 * math.ulp(float(want)), (f, got, float(want))
 
 
 def test_large_f_approaches_half():
