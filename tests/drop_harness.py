@@ -25,7 +25,6 @@ last two outcomes above is not 0.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -38,6 +37,7 @@ from seatcalc.census import bundled_census
 from seatcalc.engine import BY_FAMILY, BY_STATE, ApportionmentError, MethodSpec
 from seatcalc.signposts import ADAMS, HUNTINGTON_HILL, WEBSTER
 
+YEAR = 1980
 RULES = (WEBSTER, HUNTINGTON_HILL, ADAMS)
 FAULTS = ("wrong at an evaluated point", "untyped error")
 
@@ -76,9 +76,9 @@ def outcome(states, method, d_lo, d_hi, events, truth) -> str:
     return "extent error"
 
 
-def drop_outcomes(stride: int = 1, year: int = 1980) -> Counter:
+def drop_outcomes(stride: int = 1) -> Counter:
     """Outcome counts over every ``stride``-th interior event of each (rule, mode)."""
-    states = tuple(bundled_census(year))
+    states = tuple(bundled_census(YEAR))
     v_t = math.fsum(s.population for s in states)
     d_lo, d_hi = v_t / 600, v_t / 300
     counts = Counter()
@@ -92,10 +92,8 @@ def drop_outcomes(stride: int = 1, year: int = 1980) -> Counter:
     return counts
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--stride", type=int, default=1, help="drop every STRIDE-th event")
-    counts = drop_outcomes(parser.parse_args(argv).stride)
+def main() -> int:
+    counts = drop_outcomes()
     counts["drops"] = sum(counts.values())
     counts["returned"] = counts["drops"] - counts["raised"] - counts["untyped error"]
     print(json.dumps(dict(sorted(counts.items()))))
