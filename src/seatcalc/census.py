@@ -22,6 +22,7 @@ from importlib import resources
 from pathlib import Path
 
 from .core import StateProfile
+from .signposts import _MAX_ROWS
 
 __all__ = [
     "LogMoments",
@@ -82,16 +83,25 @@ def log_histogram(states, bin_width: float, origin: float) -> list[tuple[float, 
 
     Returns the contiguous run of bins from the first occupied one to
     the last, zero counts included; the counts always sum to the number
-    of states.
+    of states.  A run of more than 2**20 bins is refused before it is
+    built, as is a width so small that a bin index leaves the float range.
     """
     if not (bin_width > 0) or not math.isfinite(bin_width):
         raise ValueError(f"bin width must be positive and finite, got {bin_width!r}")
+    if not math.isfinite(origin):
+        raise ValueError(f"origin must be finite, got {origin!r}")
     states = tuple(states)
     if not states:
         raise ValueError("need at least one state")
-    indices = [math.floor((math.log(s.population) - origin) / bin_width) for s in states]
+    # each step is monotone in ln(v), so the extremes give the first and last bin
+    scaled = [(math.log(s.population) - origin) / bin_width for s in states]
+    lo, hi = min(scaled), max(scaled)
+    if not math.isfinite(hi - lo) or math.floor(hi) - math.floor(lo) >= _MAX_ROWS:
+        raise ValueError(f"bin width {bin_width!r} spreads the states over more than "
+                         f"{_MAX_ROWS:,} bins")
     counts: dict[int, int] = {}
-    for k in indices:
+    for x in scaled:
+        k = math.floor(x)
         counts[k] = counts.get(k, 0) + 1
     k_lo, k_hi = min(counts), max(counts)
     return [(origin + k * bin_width, counts.get(k, 0)) for k in range(k_lo, k_hi + 1)]

@@ -543,8 +543,8 @@ def _cmd_bias(args) -> int:
                                   EXIT_PARSE)
     if args.replications < 1 or args.n_states < 1:
         raise _UsageError("--replications and --n-states must be >= 1")
-    rows = monte_carlo_bias(dist, divisor, marks, args.replications,
-                            args.n_states, args.seed)
+    seed = _bias_seed(args.seed)
+    rows = monte_carlo_bias(dist, divisor, marks, args.replications, args.n_states, seed)
     if args.format == "json":
         print(json.dumps({
             "dist": args.dist,
@@ -552,7 +552,7 @@ def _cmd_bias(args) -> int:
             "divisor": divisor,
             "replications": args.replications,
             "n_states": args.n_states,
-            "seed": args.seed,
+            "seed": seed,
             "families": [
                 {"f": row.f, "mean_bias": row.mean_bias, "std_error": row.std_error}
                 for row in rows
@@ -569,11 +569,17 @@ def _cmd_bias(args) -> int:
 
 # --- parser -------------------------------------------------------------------
 
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("SEATCALC_SEED", "0"))
-    except ValueError:
+def _bias_seed(seed: int | None) -> int:
+    """``--seed`` if given, else ``SEATCALC_SEED`` if set (a usage error
+    unless it is an integer), else 0."""
+    if seed is not None:
+        return seed
+    if (text := os.environ.get("SEATCALC_SEED")) is None:
         return 0
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(f"SEATCALC_SEED must be an integer, got {text!r}") from None
 
 
 def _add_format(parser, default="csv"):
@@ -658,8 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bias.add_argument("--divisor", default="1.0")
     p_bias.add_argument("--replications", type=int, default=10000)
     p_bias.add_argument("--n-states", type=int, default=50)
-    p_bias.add_argument("--seed", type=int, default=_default_seed(),
-                        help="RNG seed (default from SEATCALC_SEED or 0)")
+    p_bias.add_argument("--seed", type=int, default=None,
+                        help="RNG seed (default: SEATCALC_SEED if set, else 0)")
     _add_format(p_bias)
     p_bias.set_defaults(func=_cmd_bias)
 

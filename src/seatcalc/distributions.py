@@ -26,12 +26,11 @@ with D, so the induced method is not a homogeneous divisor method.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .core import StateProfile
-from .signposts import power_law_mark
+from .signposts import _check_index, power_law_mark
 
 if TYPE_CHECKING:  # imported where used, to keep numpy off the import path
     import numpy as np
@@ -506,9 +505,7 @@ def unbiased_mark(dist: PopulationDistribution, f: int, divisor: float,
     with no mass parks the mark at f + 1 (all mass below it), f (all
     mass above it) or f + 1/2.
     """
-    if not 0 <= f <= sys.float_info.max or f != int(f):  # NaN fails the first test
-        raise ValueError(f"family index must be a non-negative integer within the "
-                         f"float range, got {f}")
+    _check_index(f)
     f = int(f)
     if not (divisor > 0) or not math.isfinite(divisor):
         raise ValueError(f"divisor must be positive and finite, got {divisor!r}")
@@ -547,6 +544,7 @@ def expected_family_bias(dist: PopulationDistribution, divisor: float, f: int,
     sits low enough that expected seats exceed expected quota.  It is 0.0
     on an interval with no mass.
     """
+    _check_index(f)
     if not (f <= mark <= f + 1):
         raise ValueError(f"mark {mark} outside [{f}, {f + 1}]")
     if not (divisor > 0) or not math.isfinite(divisor):

@@ -252,7 +252,11 @@ def total_population(populations: Iterable[float]) -> float:
 
 
 def _refuse_target(target: int) -> None:
-    """``InfeasibleTarget`` for a house size below one seat or beyond the float range."""
+    """``TypeError`` for a house size that is not an ``int`` (a ``bool``
+    included), ``InfeasibleTarget`` for one below one seat or beyond the
+    float range."""
+    if not isinstance(target, int) or isinstance(target, bool):
+        raise TypeError(f"target house size must be an int, got {target!r}")
     if target < 1:
         raise InfeasibleTarget(f"target house size must be >= 1, got {target}")
     if target > sys.float_info.max:
@@ -290,9 +294,10 @@ class _Direct:
     each is a from-scratch evaluation.
 
     The sweep state: ``start(D)`` apportions once in full into ``seats``
-    (input order, floor applied) and ``total``; after that ``reround``
-    re-rounds only what a crossing event tags, with the same ``decide``,
-    and writes each changed seat and the total in place.  In family mode
+    (input order, floor applied), the one record of the sweep; after that
+    ``reround`` re-rounds only what a crossing event tags, with the same
+    ``decide``, and writes each changed seat in place.  No total is kept:
+    a caller that needs a house size sums the seats.  In family mode
     families are contiguous runs of (population, name) order, because
     floor(v/D) is monotone in v: ``family[p]`` is the stored floor of the
     state at rank p, ``rank`` maps an event's input index to its rank, and
@@ -365,7 +370,6 @@ class _Direct:
     def start(self, divisor: float) -> None:
         """Apportion in full at ``divisor``: the sweep state ``reround`` updates."""
         self.seats = list(self.seats_at(divisor))  # min_seat_floor applied
-        self.total = sum(self.seats)
         self.prev = divisor
         if self.by_family:
             self.family = [math.floor(v / divisor) for v in self.sorted_pops]
@@ -403,7 +407,7 @@ class _Direct:
         hold there what a fresh decision gives, or ``ApportionmentError``
         is raised.  ``_sweep`` says why that is complete.
         """
-        seats, floor, total = self.seats, self.floor, self.total
+        seats, floor = self.seats, self.floor
         prev, self.prev = self.prev, divisor
         check = not self.moving
         if not self.by_family:
@@ -414,9 +418,7 @@ class _Direct:
                              for i, _ in moves):  # all before any write: D may tag i twice
                 raise _missed(prev, "a state's stored seats differ from its rounding there")
             for i, s in moves:
-                total += s - seats[i]
                 seats[i] = s
-            self.total = total
             return bool(moves)
         family, sorted_pops, order, rank = self.family, self.sorted_pops, self.order, self.rank
         families, moves, changed = set(family_ids), [], set()
@@ -442,9 +444,7 @@ class _Direct:
                     if unchecked:  # the family's seats move: check them before the first write
                         self.check_family(f, prev)
                         unchecked = False
-                    total += s - seats[i]
                     seats[i], moved = s, True
-        self.total = total
         return moved
 
     def check_family(self, f: int, prev: float) -> None:
@@ -687,11 +687,14 @@ def _crossing_events(direct: _Direct, d_lo: float, d_hi: float,
 
 
 class _Piece(NamedTuple):
+    """One constant-seat run (lo, hi] of a sweep: a seat vector and where it
+    holds.  Its house size is ``sum(seats)``, summed only where a search
+    reads it."""
+
     lo: float
     hi: float
     divisor: float          # midpoint of the piece's first candidate interval
     seats: tuple[int, ...]  # input state order, min_seat_floor applied
-    total: int
 
 
 # Float rounding of quotas, family sums and divisor-dependent rounding tests
@@ -706,8 +709,9 @@ def _sweep(direct: _Direct, d_lo: float, d_hi: float) -> list[_Piece]:
 
     It apportions in full at the first candidate interval's midpoint, then
     at each later one re-rounds what the events near it tag
-    (``_Direct.reround``).  A piece's seats are the stored seats at its
-    first evaluated point; no seat moves at the later points in it.
+    (``_Direct.reround``).  The sweep keeps seats only: a piece is the
+    stored seat vector at its first evaluated point, and no seat moves at
+    the later points in it.
 
     *The guard under constant marks*, O(events + n) in all.  Each item
     is checked where the sweep moves it.  The items are each state's seat
@@ -767,15 +771,15 @@ def _sweep(direct: _Direct, d_lo: float, d_hi: float) -> list[_Piece]:
         while first < last and events[first][0] * (1 + _EVENT_BAND) < mid:
             first += 1
         if moved:
-            pieces.append(_Piece(a, b, mid, tuple(direct.seats), direct.total))
+            pieces.append(_Piece(a, b, mid, tuple(direct.seats)))
         else:
             p = pieces[-1]
-            pieces[-1] = _Piece(p.lo, b, p.divisor, p.seats, p.total)
+            pieces[-1] = _Piece(p.lo, b, p.divisor, p.seats)
     if not pieces:
         # window too narrow to contain any candidate interior: one piece
         mid = 0.5 * (d_lo + d_hi)
         direct.start(mid)
-        pieces.append(_Piece(d_lo, d_hi, mid, tuple(direct.seats), direct.total))
+        pieces.append(_Piece(d_lo, d_hi, mid, tuple(direct.seats)))
     elif not direct.moving:
         direct.verify()
     return pieces
@@ -850,7 +854,11 @@ def breakpoints(states: Iterable[StateProfile], method: MethodSpec,
 
 def _seat_bounds(direct: _Direct, top: float):
     """``bounds(d) -> (L, U)``: L(d) <= total(D) at every D in [v_T/``top``, d]
-    and U(d) >= total(D) at every D >= d (see ``_search_window``)."""
+    and U(d) >= total(D) at every D >= d (see ``_search_window``).
+
+    In family mode family f's offsets (c_U, c_L) are read once per index
+    into one table: the rule's ``mark_offsets(f, top)``, else (0, 1).
+    """
     floor_seats = direct.floor
     if not direct.by_family and not direct.moving:
         def exact(d: float) -> tuple[int, int]:
@@ -881,20 +889,16 @@ def _seat_bounds(direct: _Direct, top: float):
             return lower, upper
         return per_state
     eta = 2.0 ** -51 * top  # 4u·top, u = 2⁻⁵³: fsum's error and that of x ∓ η, with room
-    # (c_U, c_L) at every family index, else (0, 1); read per index where not exact
     offsets = None if floor_seats or direct.moving else getattr(
         direct.rounding, "mark_offsets", None)
-    whole = offsets(0, top) if offsets else None
-    fixed = whole or (0.0, 1.0)
-    cs = {} if whole and whole[0] != whole[1] else None
+    cs = {}  # (c_U, c_L) by family index: the rule's offsets, else (0, 1)
 
     def per_family(d: float) -> tuple[int, int]:
         quotas, ends = direct.runs(d)
         lower = upper = 0
         for lo, hi in zip([0, *ends], ends):
             f, k = math.floor(quotas[lo]), hi - lo
-            c_u, c_l = fixed if cs is None else (
-                cs.get(f) or cs.setdefault(f, offsets(f, top) or whole))
+            c_u, c_l = cs.get(f) or cs.setdefault(f, offsets and offsets(f, top) or (0.0, 1.0))
             x = math.fsum(quotas[lo:hi])  # X_f, correctly rounded
             g = math.floor(y := x - eta)  # R_c(y) = g + [y > g and y − g >= c], exact on a float
             low = g + (y > g and y - g >= c_l)
@@ -925,10 +929,11 @@ def _freeze_divisor(direct: _Direct, d_lo: float) -> float:
     return max(max(ends) * (1 + 1e-9), d_lo * 2)
 
 
-def _search_window(direct: _Direct, target: int) -> tuple[list[_Piece], bool]:
+def _search_window(direct: _Direct, target: int) -> tuple[list[_Piece], list[int], bool]:
     """Sweep of a divisor window provably holding every D with total == target.
 
-    Returns ``(pieces, frozen_above)``, where frozen_above means the
+    Returns ``(pieces, totals, frozen_above)``: totals[i] is
+    ``sum(pieces[i].seats)``, summed once here, and frozen_above means the
     apportionment is constant for all D above the last piece, so a
     solution on it extends to infinity.
 
@@ -956,8 +961,8 @@ def _search_window(direct: _Direct, target: int) -> tuple[list[_Piece], bool]:
       target + slack + 2, η = 4u·T, and R_c(y) = g + [y > g and y − g >=
       c], g = floor(y), exact on a float y.  Family f takes (c_L, c_U) =
       (hi, lo) of the rule's ``mark_offsets(f, T)`` unless m is set or marks
-      move, else (1, 0), floor and ceiling; offsets exact at f = 0 hold at
-      every f (Adams, Webster, Jefferson: (c, c), their own rounding).
+      move, else, or where the rule declares None, (1, 0), floor and
+      ceiling (Adams, Webster, Jefferson: (c, c), their own rounding).
       L and U need be neither exact nor monotone; two exact sums between
       them are.  On [cap_lo, ∞) every quota sum is below T, so x is within
       u·T of the exact sum X_f of the float quotas and fl(x ∓ η) within
@@ -1039,14 +1044,15 @@ def _search_window(direct: _Direct, target: int) -> tuple[list[_Piece], bool]:
             margin *= 2
         return cap_hi
 
-    d_lo, d_hi = lower_end(), upper_end()
-    pieces = _sweep(direct, d_lo, d_hi)
-    hit = [p.total == target for p in pieces]
-    if ((hit[0] and d_lo != cap_lo) or (hit[-1] and d_hi != cap_hi)
-            or (not any(hit) and (d_lo, d_hi) != (cap_lo, cap_hi))):
-        d_lo, d_hi = cap_lo, cap_hi
+    # the probed window, then the fixed-slack one if an edge check fails
+    for d_lo, d_hi in ((lower_end(), upper_end()), (cap_lo, cap_hi)):
         pieces = _sweep(direct, d_lo, d_hi)
-    return pieces, frozen_above and d_hi == cap_hi
+        totals = [sum(p.seats) for p in pieces]
+        if not ((totals[0] == target and d_lo != cap_lo)
+                or (totals[-1] == target and d_hi != cap_hi)
+                or (target not in totals and (d_lo, d_hi) != (cap_lo, cap_hi))):
+            break  # the fixed-slack window always passes
+    return pieces, totals, frozen_above and d_hi == cap_hi
 
 
 def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,
@@ -1091,12 +1097,12 @@ def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,
             f"target {target_total} infeasible: method forces at least "
             f"{forced_min} seats across {n} states")
 
-    pieces, frozen_above = _search_window(direct, target_total)
+    pieces, totals, frozen_above = _search_window(direct, target_total)
 
     solutions: list[Apportionment] = []
     seen: set[tuple[int, ...]] = set()
     for idx, piece in enumerate(pieces):
-        if piece.total != target_total or piece.seats in seen:
+        if totals[idx] != target_total or piece.seats in seen:
             continue  # same seat vector on a lower disjoint run; keep the top one
         upper = math.inf if (frozen_above and idx == len(pieces) - 1) else piece.hi
         seen.add(piece.seats)
@@ -1105,7 +1111,6 @@ def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,
                 direct.check(near)
         solutions.append(direct.apportionment(piece, (piece.lo, upper)))
     if not solutions:
-        totals = {p.total for p in pieces}
         below = max((t for t in totals if t < target_total), default=None)
         above = min((t for t in totals if t > target_total), default=None)
         raise TargetUnachievable(target_total, below, above)

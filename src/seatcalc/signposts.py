@@ -35,12 +35,17 @@ _BETA_NEG1_BAND = 1e-9
 _BETA_INF_CUTOFF = 1e9
 # every float from here on is an integer, so no float quota reads a mark there
 _FLOAT_INTEGERS = 2 ** 53
+# rows and bins one library table may hold: the limit of marks --fmax
+_MAX_ROWS = 2 ** 20
 
 
 def _check_index(f: int) -> None:
-    # a NaN fails both tests; an int past the float range overflows every formula
-    if not 0 <= f <= sys.float_info.max:
-        raise ValueError(f"family index must be >= 0 and within the float range, got {f}")
+    """The one family-index check: ``ValueError`` unless f is a non-negative
+    integer (of any numeric type) within the float range."""
+    # a NaN fails the first test; an int past the float range overflows every formula
+    if not 0 <= f <= sys.float_info.max or f != int(f):
+        raise ValueError(f"family index must be a non-negative integer within the "
+                         f"float range, got {f}")
 
 
 def _mark_beta_zero(f: int) -> float:
@@ -198,7 +203,7 @@ def power_law(beta: float) -> SignpostRule:
 
 
 def signpost_table(rule: SignpostRule, f_max: int) -> list[tuple[int, float]]:
-    """Rows ``(f, r(f))`` for f = 0 .. f_max."""
-    if f_max < 0:
-        raise ValueError(f"f_max must be >= 0, got {f_max}")
+    """Rows ``(f, r(f))`` for f = 0 .. f_max; f_max above 2**20 is refused."""
+    if not 0 <= f_max <= _MAX_ROWS:
+        raise ValueError(f"f_max must be in [0, {_MAX_ROWS:,}], got {f_max}")
     return [(f, rule.mark(f)) for f in range(f_max + 1)]

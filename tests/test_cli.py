@@ -460,6 +460,18 @@ def test_seed_env_override(capsys, monkeypatch):
     assert from_env == explicit
 
 
+def test_a_malformed_seed_variable_is_refused_unless_a_seed_is_given(capsys, monkeypatch):
+    # SEATCALC_SEED=abc used to be read as seed 0; an explicit --seed still
+    # wins over the variable, and commands other than bias never read it
+    args = ("bias", "--dist", "lognormal:5,1", "--replications", "50", "--n-states", "3")
+    _, at_zero, _ = run(capsys, *args, "--seed", "0")
+    monkeypatch.setenv("SEATCALC_SEED", "abc")
+    assert run(capsys, *args) == (
+        2, "", "seatcalc: SEATCALC_SEED must be an integer, got 'abc'\n")
+    assert run(capsys, *args, "--seed", "0") == (0, at_zero, "")
+    assert run(capsys, "marks", "--method", "webster", "--fmax", "1")[0] == 0
+
+
 def test_bias_json_and_matched_marks(capsys):
     code, out, _ = run(capsys, "bias", "--dist", "lognormal:5,1",
                        "--marks", "matched", "--replications", "150",

@@ -34,17 +34,6 @@ from seatcalc.cli import main
 
 MANIFEST = Path(__file__).with_name("golden_cli.json")
 
-# Invocations whose stderr wording changed on purpose since the manifest
-# was written; stdout and the exit code must still match it.
-CHANGED_STDERR = {
-    # a malformed --dist lognormal:... is parsed like --method lognormal:...
-    "bias-dist-lognormal-arity": "seatcalc: lognormal needs two parameters, e.g. lognormal:5,1\n",
-    "bias-dist-lognormal-nan-qg": "seatcalc: lognormal q_g must be a number, got 'x'\n",
-    # --divisor is parsed as a finite number before any distribution is built
-    "bias-divisor-nan": "seatcalc: --divisor must be finite, got 'nan'\n",
-    "bias-divisor-inf": "seatcalc: --divisor must be finite, got 'inf'\n",
-}
-
 _CENSUS = re.compile(r"\{census:(\d{4})\}")
 
 METHODS = ("adams", "dean", "hill", "webster", "jefferson", "powerlaw:2",
@@ -256,7 +245,7 @@ def test_cli_output_matches_golden(entry):
     code, digest, err = _run(entry["argv"])
     assert code == entry["exit"]
     assert digest == entry["stdout_sha256"]
-    assert err == CHANGED_STDERR.get(entry["id"], entry["stderr"])
+    assert err == entry["stderr"]
 
 
 _SUM = builtins.sum
@@ -303,11 +292,6 @@ def test_apportion_json_is_the_same_under_every_float_sum(monkeypatch, entry, st
     monkeypatch.setattr(builtins, "sum", stand_in)
     code, digest, _ = _run(entry["argv"])
     assert (code, digest) == (entry["exit"], entry["stdout_sha256"])
-
-
-def test_changed_stderr_cases_are_in_manifest():
-    ids = {entry["id"] for entry in _load()}
-    assert set(CHANGED_STDERR) <= ids
 
 
 def _write() -> None:

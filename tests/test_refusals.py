@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from seatcalc.census import powerlaw_loglik_scan
+from seatcalc.census import bundled_census, log_histogram, powerlaw_loglik_scan
 from seatcalc.core import StateProfile
 from seatcalc.distributions import (
     LogNormal,
@@ -14,10 +14,19 @@ from seatcalc.distributions import (
     unbiased_mark,
     verify_alabama_immunity,
 )
-from seatcalc.engine import round_quota
+from seatcalc.engine import MethodSpec, apportion_for_house_size, house_divisor, round_quota
 from seatcalc.signposts import DEAN, HUNTINGTON_HILL, WEBSTER, power_law_mark, signpost_table
 
 LAW = LogNormal(0.0, 1.0)
+CENSUS = bundled_census(2020)
+PAIR = [StateProfile("a", 2.0), StateProfile("b", 7.0)]
+
+
+def just_under_spread(bins):
+    """The widest bin width that spreads the 2020 log populations over more
+    than ``bins`` bins."""
+    logs = [math.log(s.population) for s in CENSUS]
+    return math.nextafter((max(logs) - min(logs)) / bins, 0.0)
 
 
 @pytest.mark.parametrize("call, error, names", [
@@ -62,6 +71,33 @@ LAW = LogNormal(0.0, 1.0)
                  id="verify_alabama_immunity-bad-source"),
     pytest.param(lambda: signpost_table(WEBSTER, -1), ValueError, "f_max",
                  id="signpost_table-negative-f_max"),
+    # sizes the CLI bounds: f_max and bins above 2**20 (the parent built these, and
+    # a billion rows, or billions of bins, for smaller widths)
+    pytest.param(lambda: signpost_table(DEAN, 2 ** 20 + 1), ValueError, "f_max",
+                 id="signpost_table-huge-f_max"),
+    pytest.param(lambda: log_histogram(CENSUS, just_under_spread(2 ** 20), 0.0), ValueError,
+                 "bin width", id="log_histogram-too-many-bins"),
+    pytest.param(lambda: log_histogram(CENSUS, 5e-324, 0.0), ValueError, "bin width",
+                 id="log_histogram-subnormal-width"),
+    pytest.param(lambda: log_histogram(CENSUS, 0.5, math.inf), ValueError, "origin",
+                 id="log_histogram-inf-origin"),
+    pytest.param(lambda: log_histogram(CENSUS, 0.5, math.nan), ValueError, "origin",
+                 id="log_histogram-nan-origin"),
+    # a family index is a non-negative integer everywhere (one check)
+    pytest.param(lambda: power_law_mark(0.5, 1.5), ValueError, "family index",
+                 id="power_law_mark-fractional-f"),
+    pytest.param(lambda: DEAN.mark(1.5), ValueError, "family index", id="dean-fractional-f"),
+    pytest.param(lambda: expected_family_bias(LAW, 1.0, -3, -2.5), ValueError, "family index",
+                 id="expected_family_bias-negative-f"),
+    pytest.param(lambda: expected_family_bias(LAW, 1.0, math.nan, 0.5), ValueError,
+                 "family index", id="expected_family_bias-nan-f"),
+    # a house size is an int: 8.5 raised TargetUnachievable, True was solved as 1
+    pytest.param(lambda: apportion_for_house_size(PAIR, 8.5, MethodSpec(WEBSTER)), TypeError,
+                 "target", id="apportion_for_house_size-float-target"),
+    pytest.param(lambda: apportion_for_house_size(PAIR, True, MethodSpec(WEBSTER)), TypeError,
+                 "target", id="apportion_for_house_size-bool-target"),
+    pytest.param(lambda: house_divisor(PAIR, 8.5), TypeError, "target",
+                 id="house_divisor-float-target"),
 ])
 def test_library_refuses_with_a_typed_error_naming_the_argument(call, error, names):
     with pytest.raises(error, match=names):
