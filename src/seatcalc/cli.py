@@ -5,7 +5,8 @@ house size), ``marks`` (rounding-mark tables), ``paradox`` (Alabama,
 New States, and multiple-solution scans plus the canned fixtures),
 ``stats`` (log-population moment rows), and ``bias`` (Monte Carlo
 family bias).  Exit codes: 0 success, 2 parse/usage error, 3 infeasible
-or unachievable target, 4 conflicting flags.
+or unachievable target, 4 conflicting flags or a failed sweep check (the
+engine's ``ApportionmentError``: its divisor sweep missed a crossing).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import sys
 from .census import log_moments, read_census_csv
 from .core import Apportionment, StateProfile, partition_families
 from .distributions import (
-    _MC_MAX_FAMILIES,
     DistributionMarks,
     LogNormal,
     PowerLaw,
@@ -46,7 +46,7 @@ from .paradoxes import (
     family_of_families_fixture,
     scan_alabama,
 )
-from .signposts import HUNTINGTON_HILL, WEBSTER, SignpostRule, power_law
+from .signposts import _MAX_ROWS, HUNTINGTON_HILL, WEBSTER, SignpostRule, power_law
 
 __all__ = ["main"]
 
@@ -218,25 +218,23 @@ def _solution_rows(app: Apportionment):
     return state_rows, family_rows
 
 
-def _emit_apportion_text(solutions, fmt: str, out) -> None:
+def _emit_apportion_text(solutions, fmt: str) -> None:
     """State section re-parses as name,quota,seats; the family section
     that follows its own header carries (family index, Q_f, S_f) rows."""
     sep = _delimiter(fmt)
     if len(solutions) > 1:
-        out.write(sep.join(["MULTIPLE_SOLUTIONS", str(len(solutions))]) + "\n")
+        print(sep.join(["MULTIPLE_SOLUTIONS", str(len(solutions))]))
     for idx, app in enumerate(solutions):
         if len(solutions) > 1:
-            out.write(sep.join(["solution", str(idx + 1), "divisor",
-                                f"{app.divisor:.10g}"]) + "\n")
+            print(sep.join(["solution", str(idx + 1), "divisor", f"{app.divisor:.10g}"]))
         state_rows, family_rows = _solution_rows(app)
-        out.write(sep.join(["state", "quota", "seats"]) + "\n")
+        print(sep.join(["state", "quota", "seats"]))
         for name, quota, seats, _fam in state_rows:
-            out.write(sep.join([name, f"{quota:.3f}", str(seats)]) + "\n")
-        out.write(sep.join(["family", "quota", "seats"]) + "\n")
+            print(sep.join([name, f"{quota:.3f}", str(seats)]))
+        print(sep.join(["family", "quota", "seats"]))
         for f, q_f, s_f, _size in family_rows:
-            out.write(sep.join([str(f), f"{q_f:.3f}", str(s_f)]) + "\n")
-        out.write(sep.join(["total", f"{app.quotas.total_quota:.3f}",
-                            str(app.total_seats)]) + "\n")
+            print(sep.join([str(f), f"{q_f:.3f}", str(s_f)]))
+        print(sep.join(["total", f"{app.quotas.total_quota:.3f}", str(app.total_seats)]))
 
 
 def _apportion_json(solutions, method_text: str, mode: str):
@@ -285,7 +283,7 @@ def _cmd_apportion(args) -> int:
     if args.format == "json":
         print(json.dumps(_apportion_json(solutions, args.method, args.mode), indent=2))
     else:
-        _emit_apportion_text(solutions, args.format, sys.stdout)
+        _emit_apportion_text(solutions, args.format)
     return EXIT_OK
 
 
@@ -294,8 +292,8 @@ def _cmd_apportion(args) -> int:
 def _cmd_marks(args) -> int:
     if args.fmax < 0:
         raise _UsageError("--fmax must be >= 0")
-    if args.fmax > _MC_MAX_FAMILIES:  # the family limit of bias, before a column is built
-        raise _UsageError(f"--fmax must be at most {_MC_MAX_FAMILIES:,}")
+    if args.fmax > _MAX_ROWS:  # the family limit of bias, before a column is built
+        raise _UsageError(f"--fmax must be at most {_MAX_ROWS:,}")
     if args.digits is not None and args.digits < 0:
         raise _UsageError("--digits must be >= 0")
     if args.digits is not None and args.digits > 1074:  # where every double's expansion ends
@@ -582,14 +580,21 @@ def _bias_seed(seed: int | None) -> int:
         raise _UsageError(f"SEATCALC_SEED must be an integer, got {text!r}") from None
 
 
-def _add_format(parser, default="csv"):
-    parser.add_argument("--format", choices=["csv", "tsv", "json"], default=default)
+def _add_format(parser):
+    parser.add_argument("--format", choices=["csv", "tsv", "json"], default="csv")
 
 
-def _add_scenario_inputs(parser):
+def _add_scenario(sub, name: str, help: str, func, method: str, mode: str):
+    """Subcommand ``name`` on one set of states: ``--input`` or
+    ``--populations``, then ``--method`` and ``--mode`` with these defaults."""
+    parser = sub.add_parser(name, help=help)
     parser.add_argument("--input", help="census CSV (header 'state,population')")
     parser.add_argument("--populations",
                         help="inline comma-separated populations (names state1..N)")
+    parser.add_argument("--method", default=method)
+    parser.add_argument("--mode", choices=["state", "family"], default=mode)
+    parser.set_defaults(func=func)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -600,14 +605,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_app = sub.add_parser("apportion", help="apportion seats")
-    _add_scenario_inputs(p_app)
-    p_app.add_argument("--method", default="webster")
-    p_app.add_argument("--mode", choices=["state", "family"], default="state")
+    p_app = _add_scenario(sub, "apportion", "apportion seats", _cmd_apportion, "webster", "state")
     p_app.add_argument("--divisor", help="fixed divisor; accepts vt/N")
     p_app.add_argument("--seats", type=int, help="target house size")
     _add_format(p_app)
-    p_app.set_defaults(func=_cmd_apportion)
 
     p_marks = sub.add_parser("marks", help="rounding-mark tables")
     p_marks.add_argument("--method", action="append", required=True,
@@ -620,31 +621,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_par = sub.add_parser("paradox", help="paradox scans and fixtures")
     par_sub = p_par.add_subparsers(dest="paradox_command", required=True)
 
-    p_al = par_sub.add_parser("alabama", help="seat loss as the divisor falls")
-    _add_scenario_inputs(p_al)
-    p_al.add_argument("--method", default="webster")
-    p_al.add_argument("--mode", choices=["state", "family"], default="family")
+    p_al = _add_scenario(par_sub, "alabama", "seat loss as the divisor falls",
+                         _cmd_paradox_alabama, "webster", "family")
     p_al.add_argument("--d-lo", required=True, help="low end of divisor sweep")
     p_al.add_argument("--d-hi", required=True, help="high end of divisor sweep")
-    _add_format(p_al, default="csv")
-    p_al.set_defaults(func=_cmd_paradox_alabama)
+    _add_format(p_al)
 
-    p_ns = par_sub.add_parser("newstates", help="incumbent change on insertion")
-    _add_scenario_inputs(p_ns)
-    p_ns.add_argument("--method", default="webster")
-    p_ns.add_argument("--mode", choices=["state", "family"], default="family")
+    p_ns = _add_scenario(par_sub, "newstates", "incumbent change on insertion",
+                         _cmd_paradox_newstates, "webster", "family")
     p_ns.add_argument("--divisor", required=True)
     p_ns.add_argument("--add-state", required=True, help="name:population")
     _add_format(p_ns)
-    p_ns.set_defaults(func=_cmd_paradox_newstates)
 
-    p_ms = par_sub.add_parser("multisol", help="all apportionments at a target")
-    _add_scenario_inputs(p_ms)
-    p_ms.add_argument("--method", default="hill")
-    p_ms.add_argument("--mode", choices=["state", "family"], default="family")
+    p_ms = _add_scenario(par_sub, "multisol", "all apportionments at a target",
+                         _cmd_paradox_multisol, "hill", "family")
     p_ms.add_argument("--seats", type=int, required=True)
     _add_format(p_ms)
-    p_ms.set_defaults(func=_cmd_paradox_multisol)
 
     p_fx = par_sub.add_parser("fixtures", help="run the canned paradox scenarios")
     _add_format(p_fx)

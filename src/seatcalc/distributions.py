@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .core import StateProfile
-from .signposts import _check_index, power_law_mark
+from .signposts import _MAX_ROWS, _check_index, _check_int, power_law_mark
 
 if TYPE_CHECKING:  # imported where used, to keep numpy off the import path
     import numpy as np
@@ -156,13 +156,17 @@ class PowerLaw(PopulationDistribution):
             raise ValueError("v_lo = 0 requires beta > 0")
         if math.isinf(self.v_hi) and self.beta >= 0:
             raise ValueError("v_hi = inf requires beta < 0")
+        # the normalizer, v_hi^beta − v_lo^beta (same sign as beta) or at beta = 0
+        # ln(v_hi/v_lo): a plain attribute, not a field, as LogNormal's constants
         try:
-            norm = self._norm if self.beta else math.log(self.v_hi / self.v_lo)
+            norm = (self._pow(self.v_hi, self.beta) - self._pow(self.v_lo, self.beta)
+                    if self.beta else math.log(self.v_hi / self.v_lo))
         except OverflowError:
             norm = math.inf
         if norm == 0 or not math.isfinite(norm):
             raise ValueError(f"the density does not normalize in floats on "
                              f"[{self.v_lo}, {self.v_hi}]: its normalizer is {norm!r}")
+        object.__setattr__(self, "_norm", norm)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -175,25 +179,20 @@ class PowerLaw(PopulationDistribution):
             return 0.0  # only reached with e < 0
         return v ** e
 
-    @property
-    def _norm(self) -> float:
-        # v_hi^beta - v_lo^beta; same sign as beta
-        return self._pow(self.v_hi, self.beta) - self._pow(self.v_lo, self.beta)
-
     def cdf(self, v: float) -> float:
         if v <= self.v_lo:
             return 0.0
         if v >= self.v_hi:
             return 1.0
         if self.beta == 0:
-            return math.log(v / self.v_lo) / math.log(self.v_hi / self.v_lo)
+            return math.log(v / self.v_lo) / self._norm
         return (self._pow(v, self.beta) - self._pow(self.v_lo, self.beta)) / self._norm
 
     def pdf(self, v: float) -> float:
         if not (self.v_lo <= v <= self.v_hi) or v <= 0:
             return 0.0
         if self.beta == 0:
-            return 1.0 / (v * math.log(self.v_hi / self.v_lo))
+            return 1.0 / (v * self._norm)
         return self.beta * v ** (self.beta - 1.0) / self._norm
 
     def cdf_diff(self, a: float, b: float) -> float:
@@ -202,7 +201,7 @@ class PowerLaw(PopulationDistribution):
         if b <= a:
             return 0.0
         if self.beta == 0:
-            return math.log(b / a) / math.log(self.v_hi / self.v_lo)
+            return math.log(b / a) / self._norm
         if a == 0:
             return self._pow(b, self.beta) / self._norm
         # a^beta * ((b/a)^beta - 1), full relative precision in the tail; where
@@ -216,10 +215,10 @@ class PowerLaw(PopulationDistribution):
 
     def _cdf_antideriv(self, v: float) -> float:
         if self.beta == 0:
-            log_v, spread = math.log(v / self.v_lo), math.log(self.v_hi / self.v_lo)
+            log_v = math.log(v / self.v_lo)
             if math.isfinite(plain := v * log_v):
-                return (plain - v) / spread
-            return v * ((log_v - 1.0) / spread)  # v·ln(v/v_lo) is beyond the float range
+                return (plain - v) / self._norm
+            return v * ((log_v - 1.0) / self._norm)  # v·ln(v/v_lo) is beyond the float range
         b1 = self.beta + 1.0
         lo_b = self._pow(self.v_lo, self.beta)
         if self.beta == -1.0:
@@ -233,7 +232,7 @@ class PowerLaw(PopulationDistribution):
         import numpy as np
         u = rng.random(n)
         if self.beta == 0:
-            return self.v_lo * np.exp(u * math.log(self.v_hi / self.v_lo))
+            return self.v_lo * np.exp(u * self._norm)
         lo_b = self._pow(self.v_lo, self.beta)
         return (lo_b + u * self._norm) ** (1.0 / self.beta)
 
@@ -670,8 +669,17 @@ def verify_alabama_immunity(source, f: int, d_grid) -> ImmunityReport:
     return ImmunityReport(f, d_grid, rd, slopes, violations)
 
 
+def _check_seed(seed: int) -> None:
+    """``TypeError`` unless the seed is an ``int``, ``ValueError`` if it is negative."""
+    _check_int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 def sample_states(dist: PopulationDistribution, n: int, seed: int) -> tuple[StateProfile, ...]:
     """n i.i.d. populations from the distribution, deterministic per seed."""
+    _check_int(n, "n")
+    _check_seed(seed)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     import numpy as np
@@ -692,8 +700,6 @@ class FamilyBias:
 
 
 _MC_CHUNK = 4096
-# families a Monte Carlo run may reach: its running totals hold one row each
-_MC_MAX_FAMILIES = 2 ** 20
 # draws in one chunk, and replications in one run (float(replications) is exact)
 _MC_MAX_DRAWS = 2 ** 24
 _MC_MAX_REPLICATIONS = 2 ** 53
@@ -722,13 +728,17 @@ def monte_carlo_bias(dist: PopulationDistribution, divisor: float, marks,
     2**20 raises ``ValueError``: a heavy tail is refused before anything
     is sized by it.
 
-    Sizes are refused up front with ``ValueError``: more than 2**53
-    replications, where ``float(replications)`` stops being exact, and a
-    chunk of more than 2**24 draws (min(replications, 4,096) ×
-    ``n_states``).  A chunk's peak RSS grows by about 60 B per draw
-    (numpy 2.4: 51 MB at 204,800 draws, 287 MB at 4.1M), so 2**24 draws
-    keep one chunk near 1 GiB.
+    A size or a seed that is not an ``int`` is refused with ``TypeError``,
+    and a negative seed with ``ValueError``.  Sizes are refused up front
+    with ``ValueError``: more than 2**53 replications, where
+    ``float(replications)`` stops being exact, and a chunk of more than
+    2**24 draws (min(replications, 4,096) × ``n_states``).  A chunk's peak
+    RSS grows by about 60 B per draw (numpy 2.4: 51 MB at 204,800 draws,
+    287 MB at 4.1M), so 2**24 draws keep one chunk near 1 GiB.
     """
+    _check_int(replications, "replications")
+    _check_int(n_states, "n_states")
+    _check_seed(seed)
     if replications < 1:
         raise ValueError("need at least one replication")
     if n_states < 1:
@@ -770,9 +780,9 @@ def monte_carlo_bias(dist: PopulationDistribution, divisor: float, marks,
         with np.errstate(over="ignore"):
             v = dist.sample(rng, reps * n_states)
             q = v / divisor
-        if not (q_max := float(q.max())) < _MC_MAX_FAMILIES:
+        if not (q_max := float(q.max())) < _MAX_ROWS:
             raise ValueError(f"a draw reaches family {np.floor(q_max):.0f}, beyond the "
-                             f"limit of {_MC_MAX_FAMILIES:,} families")
+                             f"limit of {_MAX_ROWS:,} families")
         fam = np.floor(q).astype(np.int64)
         f_max = int(fam.max())
         width = f_max + 1

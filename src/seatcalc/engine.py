@@ -33,6 +33,7 @@ from .core import (
     compute_quotas,
     fsum_or_inf,
 )
+from .signposts import _check_int
 
 __all__ = [
     "HAMILTON",
@@ -137,8 +138,7 @@ class MethodSpec:
         if self.divisor_dependent and not hasattr(self.rounding, "margin"):
             raise TypeError("a divisor-dependent rounding must provide margin")
         if self.min_seat_floor is not None:
-            if not isinstance(self.min_seat_floor, int) or isinstance(self.min_seat_floor, bool):
-                raise TypeError(f"min_seat_floor must be an int, got {self.min_seat_floor!r}")
+            _check_int(self.min_seat_floor, "min_seat_floor")
             if self.min_seat_floor < 0:
                 raise ValueError("min_seat_floor must be non-negative")
 
@@ -255,8 +255,7 @@ def _refuse_target(target: int) -> None:
     """``TypeError`` for a house size that is not an ``int`` (a ``bool``
     included), ``InfeasibleTarget`` for one below one seat or beyond the
     float range."""
-    if not isinstance(target, int) or isinstance(target, bool):
-        raise TypeError(f"target house size must be an int, got {target!r}")
+    _check_int(target, "target house size")
     if target < 1:
         raise InfeasibleTarget(f"target house size must be >= 1, got {target}")
     if target > sys.float_info.max:
@@ -300,12 +299,12 @@ class _Direct:
     a caller that needs a house size sums the seats.  In family mode
     families are contiguous runs of (population, name) order, because
     floor(v/D) is monotone in v: ``family[p]`` is the stored floor of the
-    state at rank p, ``rank`` maps an event's input index to its rank, and
-    a family's members are found by bisection (``split``).  ``prev`` is
-    the last divisor evaluated.  Under constant marks ``reround`` checks
-    what it moves against a fresh decision at ``prev`` before writing it,
-    and ``verify`` checks the whole state at ``prev`` once the sweep ends:
-    the guard ``_sweep`` describes.
+    state at rank p (its position in that order), events name states by
+    that rank, and a family's members are found by bisection (``split``).
+    ``prev`` is the last divisor evaluated.  Under constant marks
+    ``reround`` checks what it moves against a fresh decision at ``prev``
+    before writing it, and ``verify`` checks the whole state at ``prev``
+    once the sweep ends: the guard ``_sweep`` describes.
     """
 
     def __init__(self, states: Iterable[StateProfile], method: MethodSpec):
@@ -324,7 +323,6 @@ class _Direct:
         if self.by_family:
             self.order = sorted(range(len(states)), key=lambda i: (self.pops[i], self.names[i]))
             self.sorted_pops = [self.pops[i] for i in self.order]
-            self.rank = sorted(range(len(states)), key=self.order.__getitem__)  # order's inverse
 
     def refuse_overflow(self, divisor: float) -> None:
         """Raise ``ValueError`` unless max(v)/D (by state) or v_T/D·(1 + 2⁻⁵⁰)
@@ -399,8 +397,9 @@ class _Direct:
         """Re-round the given states and families at ``divisor``, in place.
 
         Returns True if any seat moved (in family mode seats can swap at
-        an unchanged total).  In family mode a state is re-rounded through
-        its old and new family.  Under constant marks what moves is first
+        an unchanged total).  States are named as ``_crossing_events``
+        names them.  In family mode a state is re-rounded through its old
+        and new family.  Under constant marks what moves is first
         checked at the previous evaluation point ``prev``, before it is
         written: a state whose seat (by family, whose floor) moves, a
         family whose members change and a family whose seats move must
@@ -420,10 +419,9 @@ class _Direct:
             for i, s in moves:
                 seats[i] = s
             return bool(moves)
-        family, sorted_pops, order, rank = self.family, self.sorted_pops, self.order, self.rank
+        family, sorted_pops, order = self.family, self.sorted_pops, self.order
         families, moves, changed = set(family_ids), [], set()
-        for i in state_ids:
-            p = rank[i]
+        for p in state_ids:  # ranks
             families.add(old := family[p])
             if (f := math.floor(sorted_pops[p] / divisor)) != old:
                 moves.append((p, f))
@@ -625,9 +623,12 @@ def _crossing_events(direct: _Direct, d_lo: float, d_hi: float,
     """Every D in [d_lo, d_hi] where the apportionment could change.
 
     Returns ``(D, (state_ids, family_ids))`` in ascending D: the states
-    (by input index) whose boundary or mark produced D, and in family
-    mode the families (by index f) whose volume crossed an integer or a
-    mark there.  The window ends carry empty tags.
+    whose boundary or mark produced D, and in family mode the families
+    (by index f) whose volume crossed an integer or a mark there.  A
+    state is named by its input index in state mode, where seats are
+    stored in input order, and by its rank in (population, name) order
+    (its index in ``sorted_pops``) in family mode, where the sweep stores
+    floors in that order.  The window ends carry empty tags.
 
     Family f is cut at the window ends and at v/f and v/(f+1) of each
     state whose floor(v/D) reaches f in the window; between two cuts its
@@ -662,27 +663,26 @@ def _crossing_events(direct: _Direct, d_lo: float, d_hi: float,
                 f"the divisor window [{d_lo!r}, {d_hi!r}] spans more than "
                 f"{_MAX_FAMILIES_SPANNED:,} families of the quotas; narrow it")
 
-    for i, v in enumerate(direct.pops):
+    by_family = direct.by_family
+    candidates: dict[int, list[float]] = {}  # family mode: f -> populations, rank order
+    for i, v in enumerate(direct.sorted_pops if by_family else direct.pops):
         span(v, d_lo, d_hi)
         tag(_boundary_crossings(v, d_lo, d_hi), 0, i)
-    if not direct.by_family:
-        for i, v in enumerate(direct.pops):
+        if not by_family:
             tag(_mark_crossings(v, direct, d_lo, d_hi), 0, i)
-    else:
-        candidates: dict[int, list[float]] = {}  # f -> populations, input order
-        for v in direct.pops:
-            for f in range(math.floor(v / d_hi), math.floor(v / d_lo) + 1):
-                candidates.setdefault(f, []).append(v)
-        for f, pops in candidates.items():
-            bounds = [v / k for v in pops for k in (f, f + 1) if k]
-            cuts = sorted({d_lo, d_hi, *(d for d in bounds if d_lo < d < d_hi)})
-            for a, b in zip(cuts, cuts[1:]):
-                mid = 0.5 * (a + b)
-                vol = math.fsum(v for v in pops if math.floor(v / mid) == f)
-                if vol:  # populations are positive, so the family has members
-                    span(vol, a, b)
-                    tag(_boundary_crossings(vol, a, b), 1, f)
-                    tag(_mark_crossings(vol, direct, a, b), 1, f)
+            continue
+        for f in range(math.floor(v / d_hi), math.floor(v / d_lo) + 1):
+            candidates.setdefault(f, []).append(v)
+    for f, pops in candidates.items():
+        bounds = [v / k for v in pops for k in (f, f + 1) if k]
+        cuts = sorted({d_lo, d_hi, *(d for d in bounds if d_lo < d < d_hi)})
+        for a, b in zip(cuts, cuts[1:]):
+            mid = 0.5 * (a + b)
+            vol = math.fsum(v for v in pops if math.floor(v / mid) == f)
+            if vol:  # populations are positive, so the family has members
+                span(vol, a, b)
+                tag(_boundary_crossings(vol, a, b), 1, f)
+                tag(_mark_crossings(vol, direct, a, b), 1, f)
     return sorted(tags.items())
 
 
@@ -1063,7 +1063,10 @@ def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,
     seat vector achievable at some divisor, ordered by descending
     divisor, each with ``d_interval`` set to the maximal divisor run
     (lo, hi] on which it holds (``math.inf`` upper end when the
-    apportionment stays frozen for all larger divisors).  A length-2+
+    apportionment stays frozen for all larger divisors).  A vector that
+    holds on several disjoint runs (in family mode the total can dip
+    between them, an Alabama-type swing) reports its top run, the one
+    with the largest divisors, which need not be its widest.  A length-2+
     list is the multiple-solution paradox surfaced, not an error.  The
     search window's sweep is checked as in ``piecewise_apportionments``:
     under constant marks at every point it evaluates, and under moving
@@ -1101,9 +1104,9 @@ def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,
 
     solutions: list[Apportionment] = []
     seen: set[tuple[int, ...]] = set()
-    for idx, piece in enumerate(pieces):
+    for idx, piece in reversed(list(enumerate(pieces))):  # from the top: each keeps its top run
         if totals[idx] != target_total or piece.seats in seen:
-            continue  # same seat vector on a lower disjoint run; keep the top one
+            continue
         upper = math.inf if (frozen_above and idx == len(pieces) - 1) else piece.hi
         seen.add(piece.seats)
         if direct.moving:  # and its neighbours, which share its ends
@@ -1114,5 +1117,4 @@ def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,
         below = max((t for t in totals if t < target_total), default=None)
         above = min((t for t in totals if t > target_total), default=None)
         raise TargetUnachievable(target_total, below, above)
-    solutions.sort(key=lambda a: -a.d_interval[1])
     return solutions

@@ -35,7 +35,8 @@ _BETA_NEG1_BAND = 1e-9
 _BETA_INF_CUTOFF = 1e9
 # every float from here on is an integer, so no float quota reads a mark there
 _FLOAT_INTEGERS = 2 ** 53
-# rows and bins one library table may hold: the limit of marks --fmax
+# rows and bins one library table may hold, and families a Monte Carlo run
+# may reach (its running totals hold one row each): the limit of marks --fmax
 _MAX_ROWS = 2 ** 20
 
 
@@ -46,6 +47,13 @@ def _check_index(f: int) -> None:
     if not 0 <= f <= sys.float_info.max or f != int(f):
         raise ValueError(f"family index must be a non-negative integer within the "
                          f"float range, got {f}")
+
+
+def _check_int(value: int, what: str) -> None:
+    """The one integer-argument check, for sizes, seeds, seat floors and
+    house sizes: ``TypeError`` unless ``value`` is an ``int`` and not a ``bool``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an int, got {value!r}")
 
 
 def _mark_beta_zero(f: int) -> float:
@@ -203,7 +211,9 @@ def power_law(beta: float) -> SignpostRule:
 
 
 def signpost_table(rule: SignpostRule, f_max: int) -> list[tuple[int, float]]:
-    """Rows ``(f, r(f))`` for f = 0 .. f_max; f_max above 2**20 is refused."""
+    """Rows ``(f, r(f))`` for f = 0 .. f_max; f_max above 2**20 is refused,
+    and one that is not an ``int`` is a ``TypeError``."""
+    _check_int(f_max, "f_max")
     if not 0 <= f_max <= _MAX_ROWS:
         raise ValueError(f"f_max must be in [0, {_MAX_ROWS:,}], got {f_max}")
     return [(f, rule.mark(f)) for f in range(f_max + 1)]

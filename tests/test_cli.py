@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from seatcalc import engine
 from seatcalc.census import bundled_census_path
 from seatcalc.cli import main
 
@@ -472,6 +473,15 @@ def test_a_malformed_seed_variable_is_refused_unless_a_seed_is_given(capsys, mon
     assert run(capsys, "marks", "--method", "webster", "--fmax", "1")[0] == 0
 
 
+def test_a_negative_seed_is_refused_by_name(capsys, monkeypatch):
+    # numpy's "expected non-negative integer" named no argument
+    args = ("bias", "--dist", "lognormal:5,1", "--replications", "10", "--n-states", "2")
+    assert run(capsys, *args, "--seed", "-1") == (
+        2, "", "seatcalc: seed must be non-negative, got -1\n")
+    monkeypatch.setenv("SEATCALC_SEED", "-5")
+    assert run(capsys, *args) == (2, "", "seatcalc: seed must be non-negative, got -5\n")
+
+
 def test_bias_json_and_matched_marks(capsys):
     code, out, _ = run(capsys, "bias", "--dist", "lognormal:5,1",
                        "--marks", "matched", "--replications", "150",
@@ -573,6 +583,22 @@ def test_unbounded_candidate_window_is_refused():
                       "--d-hi", "1")
     assert_refused(proc, 2, "the divisor window [1e-300, 1.0] spans more than ")
 
+
+
+@pytest.mark.parametrize("argv,k", [
+    (("paradox", "alabama", "--d-lo", "vt/600", "--d-hi", "vt/300"), 3),
+    (("apportion", "--mode", "family", "--seats", "435"), 1),
+], ids=["alabama", "apportion-seats"])
+def test_a_failed_sweep_check_exits_4(capsys, monkeypatch, argv, k):
+    # the k-th crossing event of 1980 under Webster by family left out, as a
+    # missed crossing would be: the sweep's guard raises ApportionmentError
+    events = engine._crossing_events
+    monkeypatch.setattr(engine, "_crossing_events",
+                        lambda *args: [e for j, e in enumerate(events(*args)) if j != k])
+    code, out, err = run(capsys, *argv, "--input", str(bundled_census_path(1980)))
+    assert (code, out) == (4, "")
+    assert err.startswith("seatcalc: divisor sweep missed a crossing below D = ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

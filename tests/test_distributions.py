@@ -709,6 +709,8 @@ def test_lognormal_margin_error_is_declared_only_inside_its_domain():
     assert marks.margin_error(1.0, 1e-10) < 1e-2  # family 1e10 is resolved
     assert marks.margin_error(1.0, 1e-11) == math.inf  # 1e11 is not
     assert marks.margin_error(1.0, 1.0) <= marks.margin_error(1.0, 0.5)  # grows with f
+    # at the median, but v/d_min overflows: no family bounds it
+    assert DistributionMarks(LogNormal(math.log(1e300), 1)).margin_error(1e300, 1e-10) == math.inf
     for other in (DistributionMarks(Uniform(0.0, 3.0)), DistributionMarks(PowerLaw(2.0, 0.0, 5.0)),
                   DistributionMarks(dist, marks=lambda f, d: f + 0.5)):
         assert other.margin_error(1.0, 1.0) == math.inf

@@ -465,6 +465,23 @@ def test_a_window_spanning_too_many_families_is_refused(sweep, mode):
                               "262,144 families of the quotas; narrow it")
 
 
+@pytest.mark.parametrize("states, target, rule, top", [
+    (tuple(bundled_census(1960)), 450, power_law(2.0), (396058.4653481443, 397150.3644106671)),
+    (states_of(17.713, 15.629, 14.895, 2.186, 13.443, 2.605), 44, HUNTINGTON_HILL,
+     (1.4901666807319363, 1.541718759971638)),
+], ids=["1960-powerlaw2-450", "hill-44"])
+def test_a_vector_on_two_runs_reports_its_top_run(states, target, rule, top):
+    # by family the total dips between two runs of one seat vector (an
+    # Alabama-type swing); the solution is the run with the larger divisors
+    method = MethodSpec(rule, BY_FAMILY)
+    (solution,) = apportion_for_house_size(states, target, method)
+    assert solution.d_interval == top
+    runs = [(lo, hi) for lo, hi, app in piecewise_apportionments(states, method, top[0] / 1.01,
+                                                                 top[1])
+            if app.seats == solution.seats]
+    assert len(runs) == 2 and runs[1] == top
+
+
 # --- breakpoints ----------------------------------------------------------
 
 def test_breakpoints_single_state():
@@ -1395,8 +1412,11 @@ def per_span_family_events(states, method, d_lo, d_hi):
 
 
 def family_events(states, method, d_lo, d_hi):
-    events = _crossing_events(engine._Direct(states, method), d_lo, d_hi)
-    return {d: (set(ids), set(fs)) for d, (ids, fs) in events}
+    """The engine's family-mode events, each state id (a rank in the
+    (population, name) order) mapped back to its input index."""
+    direct = engine._Direct(states, method)
+    events = _crossing_events(direct, d_lo, d_hi)
+    return {d: ({direct.order[p] for p in ids}, set(fs)) for d, (ids, fs) in events}
 
 
 @pytest.mark.parametrize("year", CENSUS_YEARS)
@@ -1467,8 +1487,9 @@ def fixed_slack_solutions(states, target, method):
     divisor beyond which no crossing is possible (written out for constant
     marks, the engine's freeze divisor for moving ones), and a solution on
     its last piece extends to infinity.  Returns
-    ``[(seats, d_interval)]`` by descending upper end, or raises
-    ``TargetUnachievable`` with the nearest totals over the window.
+    ``[(seats, d_interval)]`` by descending upper end, a vector that holds
+    on several runs on its top one, or raises ``TargetUnachievable`` with
+    the nearest totals over the window.
     """
     v_t = math.fsum(s.population for s in states)
     slack = len(states) * (1 + (method.min_seat_floor or 0)) + 1
@@ -1482,7 +1503,7 @@ def fixed_slack_solutions(states, target, method):
         hi = frozen_upper_end(states, method, lo)
     pieces = _sweep(engine._Direct(states, method), lo, hi)
     solutions, seen = [], set()
-    for idx, p in enumerate(pieces):
+    for idx, p in reversed(list(enumerate(pieces))):
         if sum(p.seats) == target and p.seats not in seen:
             seen.add(p.seats)
             top = math.inf if frozen and idx == len(pieces) - 1 else p.hi

@@ -11,6 +11,7 @@ from seatcalc.distributions import (
     PowerLaw,
     expected_family_bias,
     monte_carlo_bias,
+    sample_states,
     unbiased_mark,
     verify_alabama_immunity,
 )
@@ -98,6 +99,26 @@ def just_under_spread(bins):
                  "target", id="apportion_for_house_size-bool-target"),
     pytest.param(lambda: house_divisor(PAIR, 8.5), TypeError, "target",
                  id="house_divisor-float-target"),
+    # sizes and seeds are ints (one check): each failed inside numpy or range,
+    # with a message naming no argument, or was answered
+    pytest.param(lambda: monte_carlo_bias(LAW, 1.0, WEBSTER, 10, 2, 1.5), TypeError,
+                 "^seed must be an int", id="monte_carlo_bias-float-seed"),
+    pytest.param(lambda: monte_carlo_bias(LAW, 1.0, WEBSTER, 10, 2, -1), ValueError,
+                 "^seed must be non-negative", id="monte_carlo_bias-negative-seed"),
+    pytest.param(lambda: monte_carlo_bias(LAW, 1.0, WEBSTER, 10, 2.5, 1), TypeError,
+                 "^n_states must be an int", id="monte_carlo_bias-float-n_states"),
+    pytest.param(lambda: monte_carlo_bias(LAW, 1.0, WEBSTER, 2.5, 2, 1), TypeError,
+                 "^replications must be an int", id="monte_carlo_bias-float-replications"),
+    pytest.param(lambda: monte_carlo_bias(LAW, 1.0, WEBSTER, True, 2, 1), TypeError,
+                 "^replications must be an int", id="monte_carlo_bias-bool-replications"),
+    pytest.param(lambda: signpost_table(WEBSTER, 2.5), TypeError, "^f_max must be an int",
+                 id="signpost_table-float-f_max"),
+    pytest.param(lambda: signpost_table(WEBSTER, True), TypeError, "^f_max must be an int",
+                 id="signpost_table-bool-f_max"),
+    pytest.param(lambda: sample_states(LAW, 2.5, 1), TypeError, "^n must be an int",
+                 id="sample_states-float-n"),
+    pytest.param(lambda: sample_states(LAW, 2, -1), ValueError, "^seed must be non-negative",
+                 id="sample_states-negative-seed"),
 ])
 def test_library_refuses_with_a_typed_error_naming_the_argument(call, error, names):
     with pytest.raises(error, match=names):
