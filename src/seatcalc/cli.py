@@ -7,11 +7,17 @@ New States, and multiple-solution scans plus the canned fixtures),
 family bias).  Exit codes: 0 success, 2 parse/usage error, 3 infeasible
 or unachievable target, 4 conflicting flags or a failed sweep check (the
 engine's ``ApportionmentError``: its divisor sweep missed a crossing).
+
+Each command returns its output, and ``main`` alone writes it: a payload
+dict under ``--format json``, else text lines without newlines.  A
+command makes every library call before it returns, so an error exit
+writes nothing to stdout; only the formatting of its lines may be lazy.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -162,19 +168,21 @@ def _parse_divisor(text: str, states) -> float:
     return value
 
 
+def _read_census(path: str) -> tuple[StateProfile, ...]:
+    try:
+        return read_census_csv(path)
+    except (OSError, ValueError) as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _load_states(args) -> tuple[StateProfile, ...]:
-    given_input = getattr(args, "input", None)
-    given_pops = getattr(args, "populations", None)
-    if given_input and given_pops:
+    if args.input and args.populations:
         raise _UsageError("give --input or --populations, not both", EXIT_CONFLICT)
-    if given_input:
-        try:
-            return read_census_csv(given_input)
-        except (OSError, ValueError) as exc:
-            raise _UsageError(str(exc)) from None
-    if given_pops:
+    if args.input:
+        return _read_census(args.input)
+    if args.populations:
         values = []
-        for piece in given_pops.split(","):
+        for piece in args.populations.split(","):
             v = _parse_float(piece, "population")
             if v <= 0:
                 raise _UsageError("populations must be positive")
@@ -218,23 +226,22 @@ def _solution_rows(app: Apportionment):
     return state_rows, family_rows
 
 
-def _emit_apportion_text(solutions, fmt: str) -> None:
+def _apportion_text(solutions, fmt: str) -> list[str]:
     """State section re-parses as name,quota,seats; the family section
     that follows its own header carries (family index, Q_f, S_f) rows."""
-    sep = _delimiter(fmt)
+    rows = []
     if len(solutions) > 1:
-        print(sep.join(["MULTIPLE_SOLUTIONS", str(len(solutions))]))
+        rows.append(["MULTIPLE_SOLUTIONS", str(len(solutions))])
     for idx, app in enumerate(solutions):
         if len(solutions) > 1:
-            print(sep.join(["solution", str(idx + 1), "divisor", f"{app.divisor:.10g}"]))
+            rows.append(["solution", str(idx + 1), "divisor", f"{app.divisor:.10g}"])
         state_rows, family_rows = _solution_rows(app)
-        print(sep.join(["state", "quota", "seats"]))
-        for name, quota, seats, _fam in state_rows:
-            print(sep.join([name, f"{quota:.3f}", str(seats)]))
-        print(sep.join(["family", "quota", "seats"]))
-        for f, q_f, s_f, _size in family_rows:
-            print(sep.join([str(f), f"{q_f:.3f}", str(s_f)]))
-        print(sep.join(["total", f"{app.quotas.total_quota:.3f}", str(app.total_seats)]))
+        rows.append(["state", "quota", "seats"])
+        rows += ([name, f"{quota:.3f}", str(seats)] for name, quota, seats, _ in state_rows)
+        rows.append(["family", "quota", "seats"])
+        rows += ([str(f), f"{q_f:.3f}", str(s_f)] for f, q_f, s_f, _ in family_rows)
+        rows.append(["total", f"{app.quotas.total_quota:.3f}", str(app.total_seats)])
+    return [_delimiter(fmt).join(row) for row in rows]
 
 
 def _apportion_json(solutions, method_text: str, mode: str):
@@ -265,7 +272,7 @@ def _apportion_json(solutions, method_text: str, mode: str):
     }
 
 
-def _cmd_apportion(args) -> int:
+def _cmd_apportion(args):
     states = _load_states(args)
     if (args.divisor is None) == (args.seats is None):
         raise _UsageError("give exactly one of --divisor or --seats", EXIT_CONFLICT)
@@ -281,15 +288,13 @@ def _cmd_apportion(args) -> int:
         solutions = apportion_for_house_size(states, args.seats, method)
 
     if args.format == "json":
-        print(json.dumps(_apportion_json(solutions, args.method, args.mode), indent=2))
-    else:
-        _emit_apportion_text(solutions, args.format)
-    return EXIT_OK
+        return _apportion_json(solutions, args.method, args.mode)
+    return _apportion_text(solutions, args.format)
 
 
 # --- marks --------------------------------------------------------------------
 
-def _cmd_marks(args) -> int:
+def _cmd_marks(args):
     if args.fmax < 0:
         raise _UsageError("--fmax must be >= 0")
     if args.fmax > _MAX_ROWS:  # the family limit of bias, before a column is built
@@ -309,20 +314,18 @@ def _cmd_marks(args) -> int:
         digits = 3 if any(isinstance(r, DistributionMarks) for r in roundings) else 2
     columns = [[r.mark_at(f, 1.0) for f in range(args.fmax + 1)] for r in roundings]
     if args.format == "json":
-        payload = {
+        return {
             "fmax": args.fmax,
             "columns": [
                 {"method": m, "marks": col} for m, col in zip(methods, columns)
             ],
         }
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
     sep = _delimiter(args.format)
     headers = [m if sep not in m else f'"{m}"' for m in methods]
-    print(sep.join(["f"] + headers))
-    for f in range(args.fmax + 1):
-        print(sep.join([str(f)] + [f"{col[f]:.{digits}f}" for col in columns]))
-    return EXIT_OK
+    # one row at a time: the largest table has 2^20 + 1 of them
+    rows = (sep.join([str(f), *(f"{mark:.{digits}f}" for mark in marks)])
+            for f, marks in enumerate(zip(*columns)))
+    return itertools.chain([sep.join(["f", *headers])], rows)
 
 
 # --- paradox ------------------------------------------------------------------
@@ -353,30 +356,27 @@ def _report_json(report: ParadoxReport):
     }
 
 
-def _print_reports(reports, fmt: str, empty_text: str) -> None:
+def _reports(reports, fmt: str, empty_text: str):
     if fmt == "json":
-        print(json.dumps({"reports": [_report_json(r) for r in reports]}, indent=2))
-        return
-    if not reports:
-        print(empty_text)
-        return
-    for report in reports:
-        print(report.describe())
+        return {"reports": [_report_json(r) for r in reports]}
+    return [r.describe() for r in reports] or [empty_text]
 
 
-def _cmd_paradox_alabama(args) -> int:
+def _vector_text(app: Apportionment) -> str:
+    return ", ".join(f"{name}={seats}" for name, seats in app.seats.items())
+
+
+def _cmd_paradox_alabama(args):
     states = _load_states(args)
     method = MethodSpec(_divisor_rounding(args.method, 1.0), args.mode)
     d_lo = _parse_divisor(args.d_lo, states)
     d_hi = _parse_divisor(args.d_hi, states)
     if not d_lo < d_hi:
         raise _UsageError("--d-lo must be below --d-hi", EXIT_CONFLICT)
-    reports = scan_alabama(states, method, d_lo, d_hi)
-    _print_reports(reports, args.format, "no violations")
-    return EXIT_OK
+    return _reports(scan_alabama(states, method, d_lo, d_hi), args.format, "no violations")
 
 
-def _cmd_paradox_newstates(args) -> int:
+def _cmd_paradox_newstates(args):
     states = _load_states(args)
     divisor = _parse_divisor(args.divisor, states)
     method = MethodSpec(_divisor_rounding(args.method, divisor), args.mode)
@@ -388,17 +388,16 @@ def _cmd_paradox_newstates(args) -> int:
     if population <= 0:
         raise _UsageError("added population must be positive")
     report = check_new_states(states, method, divisor, StateProfile(name, population))
-    _print_reports([report] if report else [], args.format, "no incumbent changed")
-    return EXIT_OK
+    return _reports([report] if report else [], args.format, "no incumbent changed")
 
 
-def _cmd_paradox_multisol(args) -> int:
+def _cmd_paradox_multisol(args):
     states = _load_states(args)
     anchor = house_divisor(states, args.seats)
     method = MethodSpec(_divisor_rounding(args.method, anchor), args.mode)
     solutions = apportion_for_house_size(states, args.seats, method)
     if args.format == "json":
-        print(json.dumps({
+        return {
             "target": args.seats,
             "solutions": [
                 {
@@ -407,21 +406,19 @@ def _cmd_paradox_multisol(args) -> int:
                     "seats": dict(s.seats),
                 } for s in solutions
             ],
-        }, indent=2))
-        return EXIT_OK
+        }
     if len(solutions) == 1:
-        print(f"unique apportionment at {args.seats} seats")
+        lines = [f"unique apportionment at {args.seats} seats"]
     else:
-        print(f"MULTIPLE_SOLUTIONS {len(solutions)} at {args.seats} seats")
+        lines = [f"MULTIPLE_SOLUTIONS {len(solutions)} at {args.seats} seats"]
     for idx, app in enumerate(solutions, start=1):
         lo, hi = app.d_interval
         hi_text = "inf" if math.isinf(hi) else f"{hi:.10g}"
-        vec = ", ".join(f"{name}={seats}" for name, seats in app.seats.items())
-        print(f"solution {idx}: divisors ({lo:.10g}, {hi_text}]: {vec}")
-    return EXIT_OK
+        lines.append(f"solution {idx}: divisors ({lo:.10g}, {hi_text}]: {_vector_text(app)}")
+    return lines
 
 
-def _cmd_paradox_fixtures(args) -> int:
+def _cmd_paradox_fixtures(args):
     fixture_states = tuple(StateProfile(f"state{i+1}", p)
                            for i, p in enumerate((0.999, 1.43, 999.0)))
     hh_family = MethodSpec(HUNTINGTON_HILL, BY_FAMILY)
@@ -446,7 +443,7 @@ def _cmd_paradox_fixtures(args) -> int:
     fof = family_of_families_fixture()
 
     if args.format == "json":
-        payload = {
+        return {
             "alabama_hh_family": {
                 "reports": [_report_json(r) for r in alabama_reports],
                 "total_at_d_hi": endpoint_hi.total_seats,
@@ -462,32 +459,26 @@ def _cmd_paradox_fixtures(args) -> int:
             "family_of_families": {**_report_json(fof),
                                    "kind": "alabama(family-of-families)"},
         }
-        print(json.dumps(payload, indent=2))
-        return EXIT_OK
-
-    print("== Alabama: Huntington-Hill on families, populations 0.999/1.43/999 ==")
-    print(f"total at D={d_hi:g}: {endpoint_hi.total_seats}; "
-          f"total at D={d_lo:.10g}: {endpoint_lo.total_seats}")
-    for r in alabama_reports:
-        print(r.describe())
-    print()
-    print("== Same instance under Webster on families ==")
-    print("no violations" if not webster_reports else
-          "\n".join(r.describe() for r in webster_reports))
-    print()
-    print("== Multiple solutions: Huntington-Hill on families, target 65 ==")
-    for idx, app in enumerate(solutions, start=1):
-        vec = ", ".join(f"{n}={s}" for n, s in app.seats.items())
-        print(f"solution {idx}: {vec}")
-    print()
-    print("== New States: Webster on families, incumbents 2.6/5.3, adding 2.7 ==")
-    print(ns_family.describe() if ns_family else "no incumbent changed")
-    print("state mode for comparison: "
-          + (ns_state.describe() if ns_state else "no incumbent changed"))
-    print()
-    print("== Family-of-families rounding is not Alabama-immune ==")
-    print(fof.describe())
-    return EXIT_OK
+    return [
+        "== Alabama: Huntington-Hill on families, populations 0.999/1.43/999 ==",
+        f"total at D={d_hi:g}: {endpoint_hi.total_seats}; "
+        f"total at D={d_lo:.10g}: {endpoint_lo.total_seats}",
+        *(r.describe() for r in alabama_reports),
+        "",
+        "== Same instance under Webster on families ==",
+        *_reports(webster_reports, args.format, "no violations"),
+        "",
+        "== Multiple solutions: Huntington-Hill on families, target 65 ==",
+        *(f"solution {idx}: {_vector_text(app)}" for idx, app in enumerate(solutions, start=1)),
+        "",
+        "== New States: Webster on families, incumbents 2.6/5.3, adding 2.7 ==",
+        ns_family.describe() if ns_family else "no incumbent changed",
+        "state mode for comparison: "
+        + (ns_state.describe() if ns_state else "no incumbent changed"),
+        "",
+        "== Family-of-families rounding is not Alabama-immune ==",
+        fof.describe(),
+    ]
 
 
 # --- stats and bias -----------------------------------------------------------
@@ -500,34 +491,24 @@ def _year_label(path: str) -> str:
     return match.group(1) if match else stem
 
 
-def _cmd_stats(args) -> int:
-    files = [args.input] + list(args.years or [])
-    rows = []
-    for path in files:
-        try:
-            states = read_census_csv(path)
-        except (OSError, ValueError) as exc:
-            raise _UsageError(str(exc)) from None
-        m = log_moments(states)
-        rows.append((_year_label(path), m))
+def _cmd_stats(args):
+    rows = [(_year_label(path), log_moments(_read_census(path)))
+            for path in [args.input, *(args.years or [])]]
     if args.format == "json":
-        print(json.dumps({
+        return {
             "rows": [
                 {"label": label, "mean": m.mean, "std": m.std,
                  "skew": m.skew, "excess_kurtosis": m.excess_kurtosis}
                 for label, m in rows
             ],
-        }, indent=2))
-        return EXIT_OK
+        }
     sep = _delimiter(args.format)
-    print(sep.join(["year", "mean", "std", "skew", "excess_kurtosis"]))
-    for label, m in rows:
-        print(sep.join([label, f"{m.mean:.3f}", f"{m.std:.3f}",
-                        f"{m.skew:.3f}", f"{m.excess_kurtosis:.3f}"]))
-    return EXIT_OK
+    return [sep.join(["year", "mean", "std", "skew", "excess_kurtosis"]),
+            *(sep.join([label, f"{m.mean:.3f}", f"{m.std:.3f}",
+                        f"{m.skew:.3f}", f"{m.excess_kurtosis:.3f}"]) for label, m in rows)]
 
 
-def _cmd_bias(args) -> int:
+def _cmd_bias(args):
     build_dist = _parse_distribution(args.dist)
     divisor = _parse_float(args.divisor, "--divisor")
     if divisor <= 0:
@@ -539,12 +520,10 @@ def _cmd_bias(args) -> int:
     else:
         marks = _divisor_rounding(marks_text, divisor, "hamilton has no marks to test",
                                   EXIT_PARSE)
-    if args.replications < 1 or args.n_states < 1:
-        raise _UsageError("--replications and --n-states must be >= 1")
     seed = _bias_seed(args.seed)
     rows = monte_carlo_bias(dist, divisor, marks, args.replications, args.n_states, seed)
     if args.format == "json":
-        print(json.dumps({
+        return {
             "dist": args.dist,
             "marks": args.marks,
             "divisor": divisor,
@@ -555,14 +534,12 @@ def _cmd_bias(args) -> int:
                 {"f": row.f, "mean_bias": row.mean_bias, "std_error": row.std_error}
                 for row in rows
             ],
-        }, indent=2))
-        return EXIT_OK
+        }
     sep = _delimiter(args.format)
-    # one write: a heavy tail gives one row per family up to the largest drawn
-    print("\n".join([sep.join(["f", "mean_bias", "std_error"]),
-                     *(sep.join([str(row.f), f"{row.mean_bias:.6f}", f"{row.std_error:.6f}"])
-                       for row in rows)]))
-    return EXIT_OK
+    # streamed: one row per family up to the largest drawn, however few the draws
+    return itertools.chain(
+        [sep.join(["f", "mean_bias", "std_error"])],
+        (sep.join([str(row.f), f"{row.mean_bias:.6f}", f"{row.std_error:.6f}"]) for row in rows))
 
 
 # --- parser -------------------------------------------------------------------
@@ -675,7 +652,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        out = args.func(args)
+        if args.format == "json":
+            print(json.dumps(out, indent=2))
+        else:  # 1,024 lines a write: one write a line is ten times slower into a pipe
+            lines = (f"{line}\n" for line in out)
+            while chunk := "".join(itertools.islice(lines, 1024)):
+                sys.stdout.write(chunk)  # sys.stdout read now, for redirect_stdout
+        code = EXIT_OK
     except BrokenPipeError:
         _stdout_to_devnull()
         code = EXIT_OK

@@ -189,6 +189,11 @@ class Apportionment:
         return self.seats[name]
 
 
+def _check_divisor(divisor: float) -> None:
+    if not (divisor > 0) or not math.isfinite(divisor):
+        raise ValueError(f"divisor must be positive and finite, got {divisor!r}")
+
+
 def compute_quotas(states: list[StateProfile] | tuple[StateProfile, ...],
                    divisor: float) -> QuotaTable:
     """Quota table ``q_c = v_c / D`` for every state at divisor ``D``.
@@ -196,8 +201,7 @@ def compute_quotas(states: list[StateProfile] | tuple[StateProfile, ...],
     The states and divisor are checked now; the entries are computed
     when first read.
     """
-    if not (divisor > 0) or not math.isfinite(divisor):
-        raise ValueError(f"divisor must be positive and finite, got {divisor!r}")
+    _check_divisor(divisor)
     if not states:
         raise ValueError("need at least one state")
     names = [s.name for s in states]

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .core import StateProfile
+from .core import StateProfile, _check_divisor
 from .signposts import _MAX_ROWS, _check_index, _check_int, power_law_mark
 
 if TYPE_CHECKING:  # imported where used, to keep numpy off the import path
@@ -506,8 +506,7 @@ def unbiased_mark(dist: PopulationDistribution, f: int, divisor: float,
     """
     _check_index(f)
     f = int(f)
-    if not (divisor > 0) or not math.isfinite(divisor):
-        raise ValueError(f"divisor must be positive and finite, got {divisor!r}")
+    _check_divisor(divisor)
     a, b = f * divisor, (f + 1) * divisor
     if not generic and isinstance(dist, PowerLaw) and dist.v_lo <= a and b <= dist.v_hi:
         return power_law_mark(dist.beta, f)
@@ -546,8 +545,7 @@ def expected_family_bias(dist: PopulationDistribution, divisor: float, f: int,
     _check_index(f)
     if not (f <= mark <= f + 1):
         raise ValueError(f"mark {mark} outside [{f}, {f + 1}]")
-    if not (divisor > 0) or not math.isfinite(divisor):
-        raise ValueError(f"divisor must be positive and finite, got {divisor!r}")
+    _check_divisor(divisor)
     test = dist._mean_test(f, divisor)
     return 0.0 if test is None else -dist._test_at(mark * divisor, *test)
 
@@ -748,8 +746,7 @@ def monte_carlo_bias(dist: PopulationDistribution, divisor: float, marks,
     if (draws := min(replications, _MC_CHUNK) * n_states) > _MC_MAX_DRAWS:
         raise ValueError(f"a chunk of {draws:,} draws (states × replications) is beyond "
                          f"the limit of {_MC_MAX_DRAWS:,}")
-    if not (divisor > 0) or not math.isfinite(divisor):
-        raise ValueError(f"divisor must be positive and finite, got {divisor!r}")
+    _check_divisor(divisor)
     if isinstance(marks, PopulationDistribution):
         marks = DistributionMarks(marks)
     if not hasattr(marks, "mark_at"):

@@ -531,16 +531,21 @@ def test_module_entry_point():
     assert proc.stdout.splitlines() == ["f,webster", "0,0.50", "1,1.50"]
 
 
+@pytest.mark.parametrize("argv,header", [
+    # bias writes 17,759 lines (415 KB)
+    (("bias", "--dist", "lognormal:5,2", "--replications", "200", "--seed", "1"),
+     b"f,mean_bias,std_error\n"),
+    # marks streams 200,001 lines (2.8 MB)
+    (("marks", "--method", "webster", "--fmax", "200000"), b"f,webster\n"),
+], ids=["bias", "marks"])
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-def test_closed_output_pipe_ends_quietly(unbuffered):
-    # as under `| head -n 1`: bias writes 17,759 lines (415 KB), more than a pipe
-    # buffer holds, so the child is still writing when the reader goes away
+def test_closed_output_pipe_ends_quietly(unbuffered, argv, header):
+    # as under `| head -n 1`: each command writes more than a pipe buffer holds,
+    # so the child is still writing when the reader goes away
     env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
-    with subprocess.Popen(
-            [sys.executable, "-m", "seatcalc", "bias", "--dist", "lognormal:5,2",
-             "--replications", "200", "--seed", "1"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
-        assert proc.stdout.readline() == b"f,mean_bias,std_error\n"
+    with subprocess.Popen([sys.executable, "-m", "seatcalc", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == header
         proc.stdout.close()
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
@@ -728,8 +733,13 @@ _SIZES = st.sampled_from(("-1", "0", "1", "2", "10"))
 @st.composite
 def _argvs(draw):
     """An argv of apportion, marks, paradox alabama|newstates|multisol or bias,
-    each value given as ``--flag=value`` so that argparse reads a leading minus
-    as a value."""
+    in one of the three output formats, each value given as ``--flag=value``
+    so that argparse reads a leading minus as a value."""
+    return [*draw(_command_argvs()), f"--format={draw(st.sampled_from(('csv', 'tsv', 'json')))}"]
+
+
+@st.composite
+def _command_argvs(draw):
     command = draw(st.sampled_from(("apportion", "marks", "alabama", "newstates", "multisol",
                                     "bias")))
     if command == "marks":
@@ -829,10 +839,12 @@ def _run_quietly(argv):
 @example(list(COMPUTED["powerlaw-wide"]))
 @example(list(COMPUTED["uniform-wide"]))
 def test_every_input_ends_in_an_exit_code(argv):
-    code, _, err, caught = _run_quietly(argv)
+    code, out, err, caught = _run_quietly(argv)
     assert code in (0, 2, 3, 4)
     assert caught == []
     if code:
+        # a command writes its output only after every library call returned
+        assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("seatcalc: "), err
 

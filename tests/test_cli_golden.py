@@ -240,6 +240,11 @@ def _load():
     return json.loads(MANIFEST.read_text())
 
 
+def test_manifest_lists_exactly_the_cases():
+    # a case added to or dropped from _cases() without --write must not go unnoticed
+    assert [(e["id"], e["argv"]) for e in _load()] == _cases()
+
+
 @pytest.mark.parametrize("entry", _load(), ids=lambda e: e["id"])
 def test_cli_output_matches_golden(entry):
     code, digest, err = _run(entry["argv"])
