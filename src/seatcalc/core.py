@@ -3,17 +3,22 @@
 Everything downstream works on two views of an electorate at a given
 divisor ``D``: the per-state quota table (``q_c = v_c / D``) and its
 partition into families, where family ``f`` collects the states whose
-quota has integer part ``f``.  Family ``f``'s quota is the sum of its
-members' quotas, and under family-quota rounding the family as a whole
-is rounded before seats are split among members by size.  Quota and
-population sums are ``math.fsum``'s: correctly rounded, so the same float
-on every Python, and inf beyond the float range, as rounding gives it.
+quota has integer part ``f``.  Family ``f``'s quota is one division of its
+volume, Q_f = fl(V_f/D) with V_f the sum of its members' populations
+(``family_quota``), so two families of equal volume have equal quotas
+however their volumes split into members (but for a lift of at most 4u,
+which ``family_quota`` explains).  Under family-quota rounding
+the family as a whole is rounded before seats are split among members by
+size.  Quota and population sums are ``math.fsum``'s: correctly rounded,
+so the same float on every Python, and inf beyond the float range, as
+rounding gives it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 __all__ = [
     "StateProfile",
@@ -33,6 +38,23 @@ def fsum_or_inf(values) -> float:
         return math.fsum(values)
     except OverflowError:
         return math.inf
+
+
+def family_quota(f: int, populations: Sequence[float], divisor: float) -> float:
+    """Q_f = fl(V_f/D) of family ``f``, whose members have ``populations``.
+
+    V_f is their ``fsum`` (inf beyond the float range).  Each member's
+    fl(v/D) is at least f, but its exact v/D may lie just below f, and V_f/D
+    is rounded twice more, so Q_f can fall below k·f (k members) by up to 3u
+    relative, u = 2⁻⁵³.  A Q_f within 4u below k·f is lifted onto it, so the
+    family's seats stay in [k·f, k·(f + 1)]; a larger miss, which only a
+    state outside family f gives, is left for the positional split to
+    refuse.  (Each fl(v/D) below f + 1 keeps Q_f at most k·(f + 1).)  A
+    family of one gets its member's quota, v/D.
+    """
+    q = fsum_or_inf(populations) / divisor
+    low = len(populations) * float(f)  # inf beyond the float range, not OverflowError
+    return low if q < low <= q * (1 + 2 ** -51) else q
 
 
 @dataclass(frozen=True)
@@ -120,16 +142,19 @@ class Family:
 
     ``members`` are ordered by population ascending (ties broken by
     name), which is the order used when a family's seats are split
-    between its smaller and larger members.
+    between its smaller and larger members.  ``divisor`` is the D of
+    their quotas, which the family quota divides the volume by.
     """
 
     index: int
     members: tuple[QuotaEntry, ...]
+    divisor: float
 
     @property
     def quota(self) -> float:
-        """Family quota Q_f: the sum of members' quotas; inf beyond the float range."""
-        return fsum_or_inf(e.quota for e in self.members)
+        """Family quota Q_f = fl(V_f/D) (``family_quota``); inf beyond the float range."""
+        return family_quota(self.index, [e.state.population for e in self.members],
+                            self.divisor)
 
     @property
     def size(self) -> int:
@@ -222,7 +247,8 @@ def partition_families(quotas: QuotaTable) -> FamilyPartition:
         groups.setdefault(entry.family, []).append(entry)
     families = tuple(
         Family(idx, tuple(sorted(groups[idx],
-                                 key=lambda e: (e.state.population, e.state.name))))
+                                 key=lambda e: (e.state.population, e.state.name))),
+               quotas.divisor)
         for idx in sorted(groups)
     )
     return FamilyPartition(quotas.divisor, families)

@@ -2,11 +2,11 @@
 
 Two modes share one rounding vocabulary.  In state mode every state's
 quota is rounded against the marks directly.  In family mode the family
-quota ``Q_f`` (sum of member quotas) is rounded to ``S_f`` seats using
-the mark in ``floor(Q_f)``'s interval, and the seats are split
-positionally: the ``M_f`` smallest members get ``f`` seats each and the
-``M_{f+1}`` largest get ``f+1``, where ``M_f = (f+1)·N_f − S_f`` and
-``M_{f+1} = S_f − f·N_f``.
+quota ``Q_f`` (``core.family_quota``, fl(V_f/D) of its volume V_f) is
+rounded to ``S_f`` seats using the mark in ``floor(Q_f)``'s interval, and
+the seats are split positionally: the ``M_f`` smallest members get ``f``
+seats each and the ``M_{f+1}`` largest get ``f+1``, where ``M_f =
+(f+1)·N_f − S_f`` and ``M_{f+1} = S_f − f·N_f``.
 
 Target-house-size allocation enumerates the exact critical divisors
 (family-boundary and mark crossings; a family's volume ``V_f`` is constant
@@ -31,6 +31,7 @@ from .core import (
     QuotaTable,
     StateProfile,
     compute_quotas,
+    family_quota,
     fsum_or_inf,
 )
 from .signposts import _check_int
@@ -285,12 +286,13 @@ class _Direct:
 
     ``seats_at(D)`` rounds with the float operations of ``compute_quotas``
     and ``partition_families``: q = v/D per state, a family as a run of
-    equal floor(q) in (population, name) order with its quota summed by
-    ``math.fsum``, ``decide`` (a family of one on its own quota),
-    ``positional_split`` and the seat floor.  Family seats are written
-    straight to their input positions through ``order``.  ``seats_at`` and
-    ``check`` are stateless: they never read the sweep state below, so
-    each is a from-scratch evaluation.
+    equal floor(q) in (population, name) order with its quota
+    ``family_quota``'s fl(V_f/D), ``decide`` (a family of one on its
+    member's quota, which equals it), ``positional_split`` and the seat
+    floor.  Family seats are written straight to their input positions
+    through ``order``.  ``seats_at`` and ``check`` are stateless: they
+    never read the sweep state below, so each is a from-scratch
+    evaluation.
 
     The sweep state: ``start(D)`` apportions once in full into ``seats``
     (input order, floor applied), the one record of the sweep; after that
@@ -354,8 +356,8 @@ class _Direct:
                     seats[order[lo]] = decide(quotas[lo], divisor)
                 else:
                     f = math.floor(quotas[lo])
-                    m_low, _ = positional_split(f, hi - lo,
-                                                decide(math.fsum(quotas[lo:hi]), divisor))
+                    quota = family_quota(f, self.sorted_pops[lo:hi], divisor)
+                    m_low, _ = positional_split(f, hi - lo, decide(quota, divisor))
                     for i in order[lo:lo + m_low]:
                         seats[i] = f
                     for i in order[lo + m_low:hi]:
@@ -385,7 +387,7 @@ class _Direct:
         if hi == lo + 1:  # a family of one rounds its own quota
             quota = self.sorted_pops[lo] / divisor
         elif lo < hi:
-            quota = math.fsum([v / divisor for v in self.sorted_pops[lo:hi]])  # as Family.quota
+            quota = family_quota(f, self.sorted_pops[lo:hi], divisor)
         else:
             return lo, hi, 0
         try:
@@ -725,8 +727,8 @@ def _sweep(direct: _Direct, d_lo: float, d_hi: float) -> list[_Piece]:
 
     - fl(v/D), floor and the test q >= r(f) are each monotone, so a
       state's floor and seat are monotone in D.  With its members fixed, a
-      family's ``fsum`` of fl(v/D) (a correctly rounded sum of monotone
-      terms), its rounding and each member's positional seat are too.
+      family's quota fl(V_f/D) (V_f fixed, and ``family_quota``'s lift onto
+      k·f monotone), its rounding and each member's positional seat are too.
     - A stored floor is fresh at ``start`` and wherever its state is
       tagged.  At each later tag the fresh floor either equals it, and by
       monotonicity it held at every point between, or differs, and then it
@@ -888,7 +890,7 @@ def _seat_bounds(direct: _Direct, top: float):
                 upper += max(hi, floor_seats)
             return lower, upper
         return per_state
-    eta = 2.0 ** -51 * top  # 4u·top, u = 2⁻⁵³: fsum's error and that of x ∓ η, with room
+    eta = 2.0 ** -50 * top  # 8u·top, u = 2⁻⁵³: x's error and that of x ∓ η, with room
     offsets = None if floor_seats or direct.moving else getattr(
         direct.rounding, "mark_offsets", None)
     cs = {}  # (c_U, c_L) by family index: the rule's offsets, else (0, 1)
@@ -899,7 +901,7 @@ def _seat_bounds(direct: _Direct, top: float):
         for lo, hi in zip([0, *ends], ends):
             f, k = math.floor(quotas[lo]), hi - lo
             c_u, c_l = cs.get(f) or cs.setdefault(f, offsets and offsets(f, top) or (0.0, 1.0))
-            x = math.fsum(quotas[lo:hi])  # X_f, correctly rounded
+            x = family_quota(f, direct.sorted_pops[lo:hi], d)
             g = math.floor(y := x - eta)  # R_c(y) = g + [y > g and y − g >= c], exact on a float
             low = g + (y > g and y - g >= c_l)
             g = math.floor(y := x + eta)
@@ -957,22 +959,27 @@ def _search_window(direct: _Direct, target: int) -> tuple[list[_Piece], list[int
       floor(q) + 1 of its float quota, and no margin is evaluated;
     - family mode: L = sum_f max(R_cL(fl(x − η)), k_f·f) and U = sum_f
       min(R_cU(fl(x + η)), k_f·(f+1)) (m·k_f each if f < m), with x the
-      evaluator's ``fsum`` of family f's k_f float quotas, u = 2⁻⁵³, T =
-      target + slack + 2, η = 4u·T, and R_c(y) = g + [y > g and y − g >=
-      c], g = floor(y), exact on a float y.  Family f takes (c_L, c_U) =
-      (hi, lo) of the rule's ``mark_offsets(f, T)`` unless m is set or marks
-      move, else, or where the rule declares None, (1, 0), floor and
-      ceiling (Adams, Webster, Jefferson: (c, c), their own rounding).
-      L and U need be neither exact nor monotone; two exact sums between
-      them are.  On [cap_lo, ∞) every quota sum is below T, so x is within
-      u·T of the exact sum X_f of the float quotas and fl(x ∓ η) within
-      1.01·u·T of x ∓ η: fl(x − η) <= X_f − η′ and fl(x + η) >= X_f + η′
-      with η′ = η − 2.01·u·T > u·T.  Let Λ and Υ be L and U with X_f ∓ η′
-      in place of fl(x ∓ η), in exact arithmetic; R_c is non-decreasing, so
-      L <= Λ and U >= Υ.  Λ <= total <= Υ: the evaluator rounds x, in
-      [k_f·f, k_f·(f+1)], to G + [x > G and x >= fl(r(G))], G = floor(x) in
-      [f, T], which lies between R_hi(x) and R_lo(x) (any rule between R_1
-      and R_0), and x is within η′ of X_f.  Neither Λ nor Υ rises with D:
+      evaluator's family quota (``family_quota``, fl(V_f/D) of family f's
+      k_f members), u = 2⁻⁵³, T = target + slack + 2, η = 8u·T, and R_c(y)
+      = g + [y > g and y − g >= c], g = floor(y), exact on a float y.
+      Family f takes (c_L, c_U) = (hi, lo) of the rule's ``mark_offsets(f,
+      T)`` unless m is set or marks move, else, or where the rule declares
+      None, (1, 0), floor and ceiling (Adams, Webster, Jefferson: (c, c),
+      their own rounding).  L and U need be neither exact nor monotone; two
+      exact sums between them are.  On [cap_lo, ∞) every quota sum is below
+      T.  Let X_f be the exact sum of the members' float quotas fl(v/D), in
+      [k_f·f, k_f·(f+1)).  x is within 3.01·u·T of X_f: the exact V_f/D is
+      within u·X_f of it (one rounding per member), fl(fl(V_f)/D) within
+      2.01·u·T of V_f/D (two more), and a lift onto k_f·f moves x toward
+      X_f.  fl(x ∓ η) is within 1.01·u·T of x ∓ η, so fl(x − η) <= X_f − η′
+      and fl(x + η) >= X_f + η′ with η′ = η − 4.02·u·T = 3.98·u·T >
+      3.01·u·T (η = 4u·T would leave η′ short of x's distance to X_f).  Let
+      Λ and Υ be L and U with X_f ∓ η′ in place of fl(x ∓ η), in exact
+      arithmetic; R_c is non-decreasing, so L <= Λ and U >= Υ.  Λ <= total
+      <= Υ: the evaluator rounds x, in [k_f·f, k_f·(f+1)], to G + [x > G
+      and x >= fl(r(G))], G = floor(x) in [f, T], which lies between R_hi(x)
+      and R_lo(x) (any rule between R_1 and R_0), and x is within η′ of
+      X_f.  Neither Λ nor Υ rises with D:
       as D grows the quotas fl(v/D) fall, and with members fixed each term
       with them.  A member leaving f for f − 1 does so in three steps: its
       quota falls to exactly f inside f; the integer f moves across, which

@@ -11,16 +11,15 @@ objects whose before/after apportionments re-evaluate to themselves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .core import Apportionment, StateProfile, compute_quotas, partition_families
 from .engine import (
+    BY_FAMILY,
     MethodSpec,
     _checked_sweep,
     apportion_at_divisor,
     positional_split,
-    round_quota,
 )
 from .signposts import WEBSTER
 
@@ -171,27 +170,20 @@ _FOF_D_AFTER = 0.99997  # just below the smallest state's boundary divisor
 
 
 def _family_of_families_apportion(states, divisor: float) -> Apportionment:
-    """Webster rounding applied hierarchically: states, families, super-families."""
+    """Webster rounding applied hierarchically: states, families, super-families.
+
+    Each family is one state of its volume, named by its index so that
+    equal volumes order by index; Webster family rounding of those gives
+    each family its seats, which its members split positionally.
+    """
     quotas = compute_quotas(states, divisor)
     partition = partition_families(quotas)
-    # group families by the integer part of their quota
-    groups: dict[int, list] = {}
-    for fam in partition:
-        groups.setdefault(math.floor(fam.quota), []).append(fam)
-    family_seats: dict[int, int] = {}
-    for super_index in sorted(groups):
-        members = sorted(groups[super_index], key=lambda fam: (fam.population, fam.index))
-        super_quota = math.fsum(fam.quota for fam in members)
-        super_seats = round_quota(super_quota, WEBSTER, divisor)
-        try:
-            m_low, _ = positional_split(super_index, len(members), super_seats)
-        except ValueError as exc:
-            raise AssertionError("family-of-families split out of range") from exc
-        for i, fam in enumerate(members):
-            family_seats[fam.index] = super_index + (i >= m_low)
+    family_seats = apportion_at_divisor(
+        [StateProfile(f"{fam.index:020d}", fam.population) for fam in partition],
+        divisor, MethodSpec(WEBSTER, BY_FAMILY)).seats.values()  # in partition order
     seats: dict[str, int] = {}
-    for fam in partition:
-        m_low, _ = positional_split(fam.index, fam.size, family_seats[fam.index])
+    for fam, fam_seats in zip(partition, family_seats):
+        m_low, _ = positional_split(fam.index, fam.size, fam_seats)
         for i, entry in enumerate(fam.members):
             seats[entry.state.name] = fam.index + (i >= m_low)
     seats = {e.state.name: seats[e.state.name] for e in quotas}
