@@ -131,6 +131,11 @@ class PopulationDistribution:
         none is declared here."""
         return math.inf
 
+    def _mark_offsets(self, f: int, g_max: float, volume: float) -> tuple[float, float] | None:
+        """Offsets of family f's marks (see ``DistributionMarks.mark_offsets``);
+        none are declared here."""
+        return None
+
 
 @dataclass(frozen=True)
 class PowerLaw(PopulationDistribution):
@@ -402,6 +407,117 @@ class LogNormal(PopulationDistribution):
             c = min(c, (f + 0.5) * math.exp(0.5 * sigma ** 2))
         return 2.0 * _U * (a + 4.0 + (2 * f + 1) * (a + b + 3.0) + 2.0 * (f + 1 + c) * g)
 
+    def _mark_offsets(self, f: int, g_max: float, volume: float) -> tuple[float, float] | None:
+        """(lo, hi) such that at every integer g in [f, g_max] and every D with
+        volume/g_max <= D <= volume/g, ``margin(x, g, D)`` >= 0 for every
+        float x in [g + hi, g + 1) and < 0 for every float x in (g, g + lo);
+        None for f = 0 and outside the domain below.  Below, d_min is
+        volume/g_max taken 2⁻⁵⁰ low, under the exact quotient.
+
+        Write c for the exact mark's offset r(g, D) − g, and p for the
+        density; in unit coordinates s on [gD, (g+1)D], G(s) = I((g+s)D) −
+        I(gD), and the exact mark solves G(c) = ∫₀¹ G = ∫₀¹ (1 − s)·p.
+
+        - *Ratio bound (any law).*  Let ρ be min p / max p on [gD, (g+1)D]
+          and w = √ρ/(1 + √ρ), so that ρ(1 − w)² = w².  Then ∫₀ʷ s·p <=
+          max p·w²/2 = min p·(1 − w)²/2 <= ∫_w¹ (1 − s)·p, so G(w) <= ∫₀¹ G,
+          and likewise G(1 − w) >= ∫₀¹ G: c lies in [w, 1 − w].
+        - *Hermite–Hadamard.*  Above the mode exp(μ − σ²) the density falls,
+          I is concave and ∫₀¹ G <= G(½): c <= ½.  (Below it, c >= ½.)
+        - *Range.*  In log space t = ln v, ln p = −t − (t − μ)²/(2σ²) + const
+          has slope −s(t), s(t) = 1 + (t − μ)/σ², which is linear in t, so
+          ln(1/ρ) <= ℓ·max|s| on the interval, ℓ = ln(1 + 1/g) <= ln(1 + 1/f).
+          The interval lies in [f·d_min, volume·(1 + 1/f)], as g·D <= volume,
+          so max|s| <= K = max(−s(t_lo), s(t_hi)) at its ends' logs, and
+          with √ρ_f = exp(−ln(1 + 1/f)·K/2) and w_f its w, every (g, D) has
+          c in [w_f, 1 − w_f], and in [w_f, ½] where s(t_lo) >= 0 (every
+          interval above the mode).  One closed form per f covers every g.
+        - *Floats.*  Let M(x) = I(xD) − ∫₀¹ I((g+t)D) dt, the exact mean test
+          at the float quota x itself.  M rises in x with slope D·p(xD) >= P,
+          D times the least density on [a, b] = [gD, (g+1)D].  So if margin(x,
+          g, D) is within ε of M(x), x − g >= hi_exact + δ gives M >= ε and a
+          margin >= 0, and x − g < lo_exact − δ gives M < −ε and a margin < 0,
+          with δ = ε/P.  δ takes the larger of two bounds, by where the
+          interval starts, with z₀ = σ + 1 and v₀ = exp(μ + σ·z₀):
+        - *Below v₀: an absolute ε.*  ``_margin_error(volume, d_min)``'s ε
+          bounds the error: its argument reads a point within 2u of exact,
+          and fl(x·D) is within u of x·D; its F = floor(volume/d_min) >= g;
+          and its domain needs every point xD in [f·d_min, volume] within
+          |z| <= 30, checked at both ends (and for every interval, in both
+          branches).  These intervals lie in [f·d_min, v₀·(1 + 1/f)] and p
+          is unimodal, so P >= d_min·min(p(f·d_min), p(v₀·(1 + 1/f))).
+        - *From v₀ up: ε relative to S(a), S = 1 − I.*  There z_a >= z₀ > 0,
+          above the mode, so the test is in survival form, P = D·p(b) =
+          φ(z_b)/((g + 1)σ), and S(a) <= φ(z_a)/z_a (Mills).  As φ/S <= y + 1
+          at y >= 0, a computed S(y) whose argument is off by h is off by
+          S(y)·(y + 1)·h, plus libm's E (a subnormal S, past z ≈ 37.5, is off
+          by a few times 2⁻¹⁰⁷⁴, far below u·S(a) as z_a <= 30).  With δz as
+          in ``_margin_error`` and Z⁺ = z(volume·(1 + 1/f)), above every
+          point's z, S(z) is within r_S = (Z⁺ + 1)(δz + 2uZ⁺) + E relative,
+          and shift·S(z − σ), its argument rounded once more and the shift
+          within u·(2 + |μ| + σ²), within r_Q = (Z⁺ − σ + 1)(δz + 3uZ⁺) + E +
+          u·(3 + |μ| + σ²).  Each end x of ``_tail_integral`` is x·S(x) (off
+          by r_S + 3u, with the point and the product) minus shift·S(z − σ) =
+          x·S(x) + ∫ₓ^∞ S, and ∫ₓ^∞ S <= x·S(x)·σ/(z − σ) <= σ·x·S(x), as (ln
+          S)′ <= −z; so it is off by x·S(x)·R, R = r_S + 3u + (r_Q + u)(1 +
+          σ), and a·S(a) + b·S(b) <= (2g + 1)·D·S(a).  Their difference, the
+          division by D, the test's S(v) and its subtraction add S(a)·(r_S +
+          3u).  Doubled for the rest, ε = 2·S(a)·((2g + 1)R + r_S + 3u), and δ
+          = ε/P <= 2((2g + 1)R + r_S + 3u)·(g + 1)σ/z₀·exp(Δ·z_a + Δ²/2), Δ =
+          ln(1 + 1/g)/σ = z_b − z_a.  Taken at g = g_max in the first factors
+          and at g = f, z_a = z(volume) in the exponential, it bounds every
+          interval from v₀ up.
+        - *The offsets.*  δ is taken doubled, for p and the ends in floats,
+          plus 2⁻⁴⁸, for the few ulps of exp, log1p and the division in w_f
+          and of the returned sums, and for v₀'s rounding; K is taken
+          2⁻⁵⁰·(1 + (|t_lo| + |t_hi| + |μ|)/σ²) high, for the rounding of t −
+          μ over σ².  So they are (max(w_f − δ, 0), min(hi_exact + δ, 1)),
+          hi_exact ½ or 1 − w_f.
+
+        None where ε is inf (which holds for every g_max past 2.2·10¹², by
+        ``_margin_error``'s narrow-interval domain), where P underflows to
+        0, or for f = 0, whose interval [0, D] has ρ = 0.  The absolute ε
+        alone grows with the family sizes it covers (about 3e-11 at 2020's
+        v_T over d_min = v_T/488), and a narrow law's top families sit deep
+        in its tail (2020's v_T is 15σ up at σ = 0.3), where the density is
+        far smaller: the relative ε keeps δ small there.
+        """
+        if f < 1 or not 0.0 < volume < math.inf:
+            return None
+        d_min = volume / g_max * (1.0 - 2.0 ** -50)  # below the exact quotient
+        low_v, high_v = f * d_min, volume * (1.0 + 1.0 / f)
+        eps = self._margin_error(volume, d_min)
+        if eps == math.inf or not abs(self._z(low_v)) <= 30.0:
+            return None
+        mu, sigma, var = self.log_vg, self.sigma, self.sigma ** 2
+        z_0, z_top = sigma + 1.0, self._z(volume)
+        delta = 0.0
+        if (v_0 := volume if z_top <= z_0 else math.exp(mu + sigma * z_0)) > low_v:
+            p_min = d_min * min(self.pdf(low_v), self.pdf(v_0 * (1.0 + 1.0 / f)))
+            if not p_min > 0.0:
+                return None
+            delta = eps / p_min
+        if z_top > z_0:
+            u, m, z_hi = _U, abs(mu), self._z(high_v)
+            dz = u * ((2.0 + 2.0 * m) / sigma + 4.0 * z_hi)
+            r_s = (z_hi + 1.0) * (dz + 2.0 * u * z_hi) + 2.0 * _ERFC_ULPS * u
+            r_q = ((z_hi - sigma + 1.0) * (dz + 3.0 * u * z_hi) + 2.0 * _ERFC_ULPS * u
+                   + u * (3.0 + m + var))
+            ends = r_s + 3.0 * u + (r_q + u) * (1.0 + sigma)
+            tail = 2.0 * ((2.0 * g_max + 1.0) * ends + r_s + 3.0 * u) * (g_max + 1.0)
+            spread = math.log1p(1.0 / f) / sigma  # Δ at g = f
+            growth = math.exp(min(spread * z_top + 0.5 * spread ** 2, 700.0))
+            delta = max(delta, tail * sigma / z_0 * growth)
+        delta = 2.0 * delta + 2.0 ** -48
+        t_lo, t_hi = math.log(low_v), math.log(high_v)
+        slack = 2.0 ** -50 * (1.0 + (abs(t_lo) + abs(t_hi) + abs(mu)) / var)
+        s_lo = 1.0 + (t_lo - mu) / var
+        slope = max(-s_lo, 1.0 + (t_hi - mu) / var) + slack
+        root = math.exp(-0.5 * math.log1p(1.0 / f) * slope)
+        w = root / (1.0 + root)
+        hi = 0.5 if s_lo > slack else 1.0 - w
+        return max(w - delta, 0.0), min(hi + delta, 1.0)
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         import numpy as np
         return np.exp(rng.normal(self.log_vg, self.sigma, size=n))
@@ -609,6 +725,23 @@ class DistributionMarks:
             return math.inf
         return self.distribution._margin_error(value, d_min)
 
+    def mark_offsets(self, f: int, g_max: float,
+                     volume: float | None = None) -> tuple[float, float] | None:
+        """(lo, hi) in [0, 1] such that, at every integer g in [f, g_max] and
+        every D with volume/g_max <= D <= volume/g, a float quota x rounds up
+        past g (``rounds_up(x, g, D)``) where x − g >= hi and down where 0 <
+        x − g < lo; None where the law declares none (every law but the
+        lognormal, and custom ``marks``), and without a ``volume``, as
+        moving marks need the divisors bounded.  The proof is the
+        lognormal's ``_mark_offsets``.
+
+        The engine's family-mode seat bounds read it: a family's quota x is
+        at most ``volume``/D, so it reaches only such g.
+        """
+        if self.marks is not None or volume is None:
+            return None
+        return self.distribution._mark_offsets(f, g_max, volume)
+
     def rounds_up(self, quota: float, f: int, divisor: float) -> bool:
         return self.margin(quota, f, divisor) >= 0.0
 
@@ -795,7 +928,10 @@ def monte_carlo_bias(dist: PopulationDistribution, divisor: float, marks,
         starts[::n_states] = True
         run_fam = fam[np.flatnonzero(starts)]
         marks_of = grow(marks_of, width, math.nan)
-        for f in np.unique(run_fam[np.isnan(marks_of[run_fam])]).tolist():
+        # the families some run reaches and no mark yet, ascending (np.unique
+        # would import numpy.ma on every run)
+        reached = np.bincount(run_fam, minlength=width) > 0
+        for f in np.flatnonzero(np.isnan(marks_of[:width]) & reached).tolist():
             marks_of[f] = marks.mark_at(f, divisor)
         # engine.round_quota's decision, vectorised: an integral quota stands,
         # otherwise a quota at or above the mark rounds up (a test pins that

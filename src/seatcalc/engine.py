@@ -117,10 +117,13 @@ class MethodSpec:
     for none) such that a margin >= 2ε of population ``value`` at D keeps it
     rounding up at every D' in [d_min, D], and one < −2ε keeps it rounding
     down at every D' >= D, while floor(value/D') stays the same; the
-    state-mode house-size window counts only such decisions.  Constant marks
-    may declare ``mark_offsets(f, g_max)``: (lo, hi) in [0, 1] with lo <=
-    r(g) − g <= hi, for the float mark, at every integer g in [f, g_max], or
-    None; family-mode house-size bounds then round with them.
+    state-mode house-size window counts only such decisions.  A rounding
+    may declare ``mark_offsets(f, g_max, volume)``: (lo, hi) in [0, 1] such
+    that, at every integer g in [f, g_max] and every D with volume/g_max <=
+    D <= volume/g, a float quota x with floor g rounds up where x − g >= hi
+    and down where 0 < x − g < lo; or None.  Constant marks ignore
+    ``volume``, as theirs hold at every D: lo <= fl(r(g)) − g <= hi.
+    Family-mode house-size bounds round with them.
     ``min_seat_floor``, when set, raises every state to at least that many
     seats after rounding.  Hamilton has no family mode: it ignores ``mode``
     and always apportions by state.
@@ -855,11 +858,12 @@ def breakpoints(states: Iterable[StateProfile], method: MethodSpec,
 
 
 def _seat_bounds(direct: _Direct, top: float):
-    """``bounds(d) -> (L, U)``: L(d) <= total(D) at every D in [v_T/``top``, d]
-    and U(d) >= total(D) at every D >= d (see ``_search_window``).
+    """``bounds(d) -> (L, U)``: with volume = v_T·(1 + 2⁻⁵⁰), L(d) <= total(D)
+    at every D in [volume/``top``, d] and U(d) >= total(D) at every D >= d
+    >= volume/``top`` (see ``_search_window``).
 
     In family mode family f's offsets (c_U, c_L) are read once per index
-    into one table: the rule's ``mark_offsets(f, top)``, else (0, 1).
+    into one table: the rule's ``mark_offsets(f, top, volume)``, else (0, 1).
     """
     floor_seats = direct.floor
     if not direct.by_family and not direct.moving:
@@ -891,8 +895,8 @@ def _seat_bounds(direct: _Direct, top: float):
             return lower, upper
         return per_state
     eta = 2.0 ** -50 * top  # 8u·top, u = 2⁻⁵³: x's error and that of x ∓ η, with room
-    offsets = None if floor_seats or direct.moving else getattr(
-        direct.rounding, "mark_offsets", None)
+    offsets = None if floor_seats else getattr(direct.rounding, "mark_offsets", None)
+    volume = direct.v_t * (1 + 2 ** -50)  # bounds x·D for every family quota x
     cs = {}  # (c_U, c_L) by family index: the rule's offsets, else (0, 1)
 
     def per_family(d: float) -> tuple[int, int]:
@@ -900,7 +904,8 @@ def _seat_bounds(direct: _Direct, top: float):
         lower = upper = 0
         for lo, hi in zip([0, *ends], ends):
             f, k = math.floor(quotas[lo]), hi - lo
-            c_u, c_l = cs.get(f) or cs.setdefault(f, offsets and offsets(f, top) or (0.0, 1.0))
+            c_u, c_l = cs.get(f) or cs.setdefault(
+                f, offsets and offsets(f, top, volume) or (0.0, 1.0))
             x = family_quota(f, direct.sorted_pops[lo:hi], d)
             g = math.floor(y := x - eta)  # R_c(y) = g + [y > g and y − g >= c], exact on a float
             low = g + (y > g and y - g >= c_l)
@@ -963,9 +968,10 @@ def _search_window(direct: _Direct, target: int) -> tuple[list[_Piece], list[int
       k_f members), u = 2⁻⁵³, T = target + slack + 2, η = 8u·T, and R_c(y)
       = g + [y > g and y − g >= c], g = floor(y), exact on a float y.
       Family f takes (c_L, c_U) = (hi, lo) of the rule's ``mark_offsets(f,
-      T)`` unless m is set or marks move, else, or where the rule declares
-      None, (1, 0), floor and ceiling (Adams, Webster, Jefferson: (c, c),
-      their own rounding).  L and U need be neither exact nor monotone; two
+      T, volume)``, volume = v_T·(1 + 2⁻⁵⁰), unless m is set, else, or
+      where the rule declares None, (1, 0), floor and ceiling (Adams,
+      Webster, Jefferson: (c, c), their own rounding).
+      L and U need be neither exact nor monotone; two
       exact sums between them are.  On [cap_lo, ∞) every quota sum is below
       T.  Let X_f be the exact sum of the members' float quotas fl(v/D), in
       [k_f·f, k_f·(f+1)).  x is within 3.01·u·T of X_f: the exact V_f/D is
@@ -977,9 +983,12 @@ def _search_window(direct: _Direct, target: int) -> tuple[list[_Piece], list[int
       Λ and Υ be L and U with X_f ∓ η′ in place of fl(x ∓ η), in exact
       arithmetic; R_c is non-decreasing, so L <= Λ and U >= Υ.  Λ <= total
       <= Υ: the evaluator rounds x, in [k_f·f, k_f·(f+1)], to G + [x > G
-      and x >= fl(r(G))], G = floor(x) in [f, T], which lies between R_hi(x)
-      and R_lo(x) (any rule between R_1 and R_0), and x is within η′ of
-      X_f.  Neither Λ nor Υ rises with D:
+      and x reaches r(G, D)], G = floor(x) in [f, T], which lies between
+      R_hi(x) and R_lo(x) (any rule between R_1 and R_0), and x is within
+      η′ of X_f.  Moving marks' offsets hold where G·D <= volume and D >=
+      volume/T, which holds here: x·D is at most fl(V_f/D)·(1 + 2⁻⁵¹)·D
+      with V_f <= v_T, and cap_lo >= volume/T while T < 2⁵⁰ (as x < T
+      above needs).  Neither Λ nor Υ rises with D:
       as D grows the quotas fl(v/D) fall, and with members fixed each term
       with them.  A member leaving f for f − 1 does so in three steps: its
       quota falls to exactly f inside f; the integer f moves across, which
@@ -987,8 +996,8 @@ def _search_window(direct: _Direct, target: int) -> tuple[list[_Piece], list[int
       ± f, and each clamp shifts with it or falls by one; its quota falls
       further inside f − 1 (and on, family by family).  So L(d) <= Λ(d) <=
       Λ(D) <= total(D) for D <= d and U(d) >= Υ(d) >= Υ(D) >= total(D) for
-      D >= d.  (No offsets bound a moving mark's r(G, D) − G over every D,
-      so those take floor and ceiling.)
+      D >= d.  That argument holds for moving marks as well: c is fixed per
+      family index, and only the rounding at each D reads the marks.
 
     So if L(d_lo) > target, no D in [cap_lo, d_lo] reaches it (nor, by the
     slack below, any D < cap_lo); if U(d_hi) < target, no D >= d_hi does,

@@ -166,9 +166,12 @@ class SignpostRule:
             return float(f)
         return f * (f + 1) / (f + 0.5)  # harmonic mean of f and f+1
 
-    def mark_offsets(self, f: int, g_max: int) -> tuple[float, float] | None:
+    def mark_offsets(self, f: int, g_max: int,
+                     volume: float | None = None) -> tuple[float, float] | None:
         """(lo, hi) in [0, 1] with lo <= fl(r(g)) − g <= hi at every integer g in
-        [f, g_max], or None.  None from g_max = 2⁵³, where every mark is float(g).
+        [f, g_max], or None; ``volume``, which bounds the divisors of a moving
+        mark's offsets, is ignored, as these marks never move.
+        None from g_max = 2⁵³, where every mark is float(g).
         Adams, Webster and Jefferson: (c, c), exactly.
         Dean's and Hill's r(g) − g rise toward ½, β = 2's falls toward it: r(f) − f
         and ½, widened by δ = 2⁻²⁵.  While g < 2²⁶, g(g+1) is exact and fl(r(g)) is

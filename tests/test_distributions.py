@@ -6,9 +6,10 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from seatcalc.census import bundled_census
 from seatcalc.core import StateProfile
 from seatcalc.distributions import (
     _MC_CHUNK,
@@ -456,7 +457,6 @@ def plain_mark(log_vg, sigma, f, divisor):
 
 def lognormal_pin_grid():
     """(law, divisor, f): both tail forms, f = 0, intervals with no mass."""
-    from seatcalc.census import bundled_census
     v_t = math.fsum(s.population for s in bundled_census(2020))
     fs = (*range(25), 60, 300, 10 ** 4, 10 ** 6, 10 ** 9)
     grid = [(LogNormal(math.log(5.0), sigma), d, f)
@@ -714,6 +714,88 @@ def test_lognormal_margin_error_is_declared_only_inside_its_domain():
     for other in (DistributionMarks(Uniform(0.0, 3.0)), DistributionMarks(PowerLaw(2.0, 0.0, 5.0)),
                   DistributionMarks(dist, marks=lambda f, d: f + 0.5)):
         assert other.margin_error(1.0, 1.0) == math.inf
+
+
+@st.composite
+def offset_cases(draw):
+    """``(marks, f, g_max, volume, g, divisor)``: a lognormal law, a family
+    index f whose lowest interval f·d_min lies within a few σ of the mode
+    (often just above it) or deep in the upper tail, an index g in [f,
+    g_max], and a divisor D in [volume/g_max, volume/g], often at an end;
+    d_min = volume/g_max."""
+    sigma = draw(st.floats(0.2, 3.0))
+    dist = LogNormal(draw(st.floats(-3.0, 16.0)), sigma)
+    f = draw(st.one_of(st.integers(1, 40), st.integers(1, 10 ** 6)))
+    g = f + draw(st.sampled_from((0, 0, 1, 7, 1000)))
+    g_max = g + draw(st.sampled_from((0, 1, 2, 100, 10 ** 4)))
+    shift = draw(st.one_of(st.sampled_from((0.0, 1e-9, 0.05)), st.floats(-4.0, 4.0),
+                           st.floats(4.0, 28.0)))
+    d_min = math.exp(dist.log_vg - sigma ** 2 + sigma * shift) / f  # f·d_min at the mode, shifted
+    volume = g_max * d_min
+    t = draw(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)))
+    divisor = min(max(d_min * (g_max / g) ** t, d_min), volume / g)
+    assume(volume / g_max <= divisor <= volume / g)
+    return DistributionMarks(dist), f, g_max, volume, g, divisor
+
+
+@given(case=offset_cases(), inner=st.lists(st.floats(0.0, 1.0), max_size=3))
+@settings(max_examples=400, deadline=None)
+def test_lognormal_mark_offsets_decide_like_their_roundings(case, inner):
+    # where a lognormal law declares (lo, hi) = mark_offsets(f, g_max,
+    # volume), a float quota x with floor g in [f, g_max] at a divisor D in
+    # [volume/g_max, volume/g] rounds up from x − g >= hi and down where
+    # 0 < x − g < lo: at the first two floats on either side of g + hi and
+    # g + lo, and at a few points further in
+    marks, f, g_max, volume, g, divisor = case
+    declared = marks.mark_offsets(f, g_max, volume)
+    assume(declared is not None)
+    lo, hi = declared
+    assert 0.0 <= lo <= hi <= 1.0
+    up = g + hi
+    while up - g < hi:
+        up = math.nextafter(up, math.inf)
+    down = g + lo
+    while down - g >= lo:
+        down = math.nextafter(down, 0.0)
+    ups = [nearby(up, 1), *(up + t * (g + 1 - up) for t in inner)]
+    downs = [nearby(down, -1), *(down - t * (down - g) for t in inner)]
+    for x in (up, *ups):
+        if up <= x < g + 1:
+            assert marks.rounds_up(x, g, divisor), (marks, f, g_max, volume, g, divisor, x)
+    for x in (down, *downs):
+        if g < x <= down:
+            assert not marks.rounds_up(x, g, divisor), (marks, f, g_max, volume, g, divisor, x)
+
+
+def test_lognormal_mark_offsets_are_declared_where_proven():
+    # the lognormal-house laws on 2020 at 435 seats, T = 488: σ = 1 and 2
+    # declare offsets for every f >= 1, above f = 2 with hi below ½ + 2⁻⁷
+    # and hi − lo below ¼.  σ = 0.3 declares (0, 1) up to f = 4, where the
+    # ratio bound over every D up to v_T/g leaves w near 0, and from f = 6,
+    # above its mode, hi below ½ + 2⁻⁷ (its top families sit 15σ up, where
+    # only the tail-relative ε keeps δ small) and lo rising with f.  None
+    # for f = 0, without a volume, outside |z| <= 30, for custom marks or
+    # other laws
+    v_t = math.fsum(s.population for s in bundled_census(2020))
+    volume = v_t * (1 + 2 ** -50)
+    for sigma in (1.0, 2.0):
+        marks = DistributionMarks(LogNormal(math.log(5.0 * v_t / 435), sigma))
+        assert marks.mark_offsets(0, 488, volume) is None
+        assert marks.mark_offsets(1, 488) is None
+        for f in range(1, 60):
+            lo, hi = marks.mark_offsets(f, 488, volume)
+            assert 0.0 < lo < 0.5 <= hi < 1.0, (sigma, f)
+            assert f <= 2 or (hi < 0.5 + 2 ** -7 and hi - lo < 0.25), (sigma, f, lo, hi)
+    narrow = DistributionMarks(LogNormal(math.log(5.0 * v_t / 435), 0.3))
+    offsets = [narrow.mark_offsets(f, 488, volume) for f in range(1, 60)]
+    assert offsets[:4] == [(0.0, 1.0)] * 4
+    assert all(0.0 < lo < 0.5 <= hi < 0.5 + 2 ** -7 for lo, hi in offsets[5:])
+    assert all(a[0] < b[0] for a, b in zip(offsets[5:], offsets[6:]))
+    assert DistributionMarks(LogNormal(0.0, 1.0)).mark_offsets(1, 3, math.exp(31.0) * 3) is None
+    assert DistributionMarks(LogNormal(0.0, 1.0)).mark_offsets(1, 3, math.exp(-31.0)) is None
+    for other in (DistributionMarks(Uniform(0.0, 3.0)), DistributionMarks(PowerLaw(2.0, 0.0, 5.0)),
+                  DistributionMarks(LogNormal(0.0, 1.0), marks=lambda f, d: f + 0.5)):
+        assert other.mark_offsets(1, 10, 10.0) is None
 
 
 # --- Alabama immunity of rD ------------------------------------------------
