@@ -9,132 +9,22 @@ divisor search (:mod:`.engine`), population distributions and unbiased marks
 command line (:mod:`.cli`).
 """
 
-from .census import (
-    BUNDLED_YEARS,
-    LogMoments,
-    bundled_census,
-    bundled_census_path,
-    log_histogram,
-    log_moments,
-    powerlaw_loglik_scan,
-    read_census_csv,
-)
-from .core import (
-    Apportionment,
-    Family,
-    FamilyPartition,
-    QuotaEntry,
-    QuotaTable,
-    StateProfile,
-    compute_quotas,
-    partition_families,
-)
-from .distributions import (
-    DistributionMarks,
-    FamilyBias,
-    ImmunityReport,
-    LogNormal,
-    PopulationDistribution,
-    PowerLaw,
-    Uniform,
-    expected_family_bias,
-    monte_carlo_bias,
-    sample_states,
-    unbiased_mark,
-    verify_alabama_immunity,
-)
-from .engine import (
-    BY_FAMILY,
-    BY_STATE,
-    HAMILTON,
-    ApportionmentError,
-    FamilySplit,
-    InfeasibleTarget,
-    MethodSpec,
-    TargetUnachievable,
-    apportion_at_divisor,
-    apportion_for_house_size,
-    breakpoints,
-    family_splits,
-    piecewise_apportionments,
-    round_quota,
-)
-from .paradoxes import (
-    ParadoxReport,
-    as_multiple_solution_report,
-    check_new_states,
-    family_of_families_fixture,
-    scan_alabama,
-)
-from .signposts import (
-    ADAMS,
-    DEAN,
-    HUNTINGTON_HILL,
-    JEFFERSON,
-    WEBSTER,
-    SignpostRule,
-    power_law,
-    power_law_mark,
-    signpost_table,
-)
+# each module's ``__all__`` is the one list of its public names; the
+# package exports all six lists, in this order
+from . import census, core, distributions, engine, paradoxes, signposts
+from .census import *
+from .core import *
+from .distributions import *
+from .engine import *
+from .paradoxes import *
+from .signposts import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ADAMS",
-    "BUNDLED_YEARS",
-    "BY_FAMILY",
-    "BY_STATE",
-    "Apportionment",
-    "ApportionmentError",
-    "DEAN",
-    "DistributionMarks",
-    "Family",
-    "FamilyBias",
-    "FamilyPartition",
-    "FamilySplit",
-    "HAMILTON",
-    "HUNTINGTON_HILL",
-    "ImmunityReport",
-    "InfeasibleTarget",
-    "JEFFERSON",
-    "LogMoments",
-    "LogNormal",
-    "MethodSpec",
-    "ParadoxReport",
-    "PopulationDistribution",
-    "PowerLaw",
-    "QuotaEntry",
-    "QuotaTable",
-    "SignpostRule",
-    "StateProfile",
-    "TargetUnachievable",
-    "Uniform",
-    "WEBSTER",
-    "apportion_at_divisor",
-    "apportion_for_house_size",
-    "as_multiple_solution_report",
-    "breakpoints",
-    "bundled_census",
-    "bundled_census_path",
-    "check_new_states",
-    "compute_quotas",
-    "expected_family_bias",
-    "family_of_families_fixture",
-    "family_splits",
-    "log_histogram",
-    "log_moments",
-    "monte_carlo_bias",
-    "partition_families",
-    "piecewise_apportionments",
-    "power_law",
-    "power_law_mark",
-    "powerlaw_loglik_scan",
-    "read_census_csv",
-    "round_quota",
-    "sample_states",
-    "scan_alabama",
-    "signpost_table",
-    "unbiased_mark",
-    "verify_alabama_immunity",
-]
+__all__: list[str] = []
+__all__ += census.__all__
+__all__ += core.__all__
+__all__ += distributions.__all__
+__all__ += engine.__all__
+__all__ += paradoxes.__all__
+__all__ += signposts.__all__

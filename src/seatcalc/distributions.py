@@ -666,7 +666,7 @@ def expected_family_bias(dist: PopulationDistribution, divisor: float, f: int,
     return 0.0 if test is None else -dist._test_at(mark * divisor, *test)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistributionMarks:
     """Divisor-dependent marks r(f, D), by default the unbiased ones.
 
@@ -678,7 +678,8 @@ class DistributionMarks:
     marks the margin is the distribution's mean test at the quota, the
     one ``unbiased_mark`` bisects on, with no mark solved; on an interval
     with no mass it is quota − the parked mark.  Over a power law, or
-    with custom ``marks``, it is quota − ``mark_at``.  Nothing is cached.
+    with custom ``marks``, it is quota − ``mark_at``.  Nothing is cached,
+    and the marks are frozen: equal marks hash equal.
     """
 
     distribution: PopulationDistribution

@@ -1,5 +1,6 @@
 """Distributions, unbiased marks, immunity checks, Monte Carlo bias."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -23,7 +24,7 @@ from seatcalc.distributions import (
     unbiased_mark,
     verify_alabama_immunity,
 )
-from seatcalc.engine import MethodSpec, apportion_at_divisor
+from seatcalc.engine import BY_FAMILY, MethodSpec, apportion_at_divisor, apportion_for_house_size
 from seatcalc.signposts import HUNTINGTON_HILL, WEBSTER, power_law, power_law_mark
 
 TABLE_MARKS = {
@@ -796,6 +797,61 @@ def test_lognormal_mark_offsets_are_declared_where_proven():
     for other in (DistributionMarks(Uniform(0.0, 3.0)), DistributionMarks(PowerLaw(2.0, 0.0, 5.0)),
                   DistributionMarks(LogNormal(0.0, 1.0), marks=lambda f, d: f + 0.5)):
         assert other.mark_offsets(1, 10, 10.0) is None
+
+
+def underflows_on_its_range(law, f, g_max, volume):
+    """True where ``_mark_offsets`` has a finite ε and every point in its
+    domain, but the density underflows to 0 at f·d_min, so it declares
+    nothing for lack of a density bound rather than of ε or domain."""
+    d_min = volume / g_max * (1.0 - 2.0 ** -50)
+    return (law._margin_error(volume, d_min) < math.inf and abs(law._z(f * d_min)) <= 30.0
+            and law.pdf(f * d_min) == 0.0)
+
+
+def test_lognormal_mark_offsets_are_none_where_the_density_underflows():
+    # near exp(540) the density's 1/v factor is about 1e-235, so 21σ below
+    # the mode it underflows to 0 where ε and the domain still hold: no
+    # ratio bound, so no offsets (and no division by 0)
+    law, volume = LogNormal(540.0, 0.3), math.exp(540.6)
+    for f in (1, 2, 5):
+        assert underflows_on_its_range(law, f, 1000 * f, volume)
+        assert law._mark_offsets(f, 1000 * f, volume) is None
+
+
+def test_family_seat_bounds_round_without_offsets_where_the_density_underflows(monkeypatch):
+    # three states of exp(540)·{1, 2.2, 3.7} at 6 seats by family, under a
+    # law 6.3 log units above v_T/12: the house-size window asks family 1
+    # for offsets over a range whose density underflows, gets None and
+    # rounds that family with (0, 1); the one solution, (1, 2, 3), is the
+    # evaluator's at its divisor
+    asked = []
+    declare = LogNormal._mark_offsets
+
+    def recorded(law, f, g_max, volume):
+        asked.append((law, f, g_max, volume))
+        return declare(law, f, g_max, volume)
+
+    monkeypatch.setattr(LogNormal, "_mark_offsets", recorded)
+    states = [StateProfile(name, math.exp(540.0) * k) for name, k in zip("ABC", (1.0, 2.2, 3.7))]
+    v_t = math.fsum(s.population for s in states)
+    method = MethodSpec(DistributionMarks(LogNormal(math.log(v_t / 12) + 6.3, 0.3)), BY_FAMILY)
+    (solution,) = apportion_for_house_size(states, 6, method)
+    assert [seats for _, seats in solution] == [1, 2, 3]
+    assert apportion_at_divisor(states, solution.divisor, method).seats == solution.seats
+    ones = [call for call in asked if call[1] == 1]
+    assert ones and all(underflows_on_its_range(*call) and declare(*call) is None for call in ones)
+
+
+def test_equal_distribution_marks_hash_equal():
+    # marks are frozen: two equal specs over equal laws hash equal and key
+    # one dict entry, and dataclasses.replace still builds marks
+    first = MethodSpec(DistributionMarks(LogNormal(0.0, 1.0)))
+    second = MethodSpec(DistributionMarks(LogNormal(0.0, 1.0)))
+    assert first == second and hash(first) == hash(second)
+    assert len({first: 1, second: 2}) == 1
+    moved = dataclasses.replace(first.rounding, distribution=LogNormal(1.0, 1.0))
+    assert moved == DistributionMarks(LogNormal(1.0, 1.0)) != first.rounding
+    assert hash(moved) == hash(DistributionMarks(LogNormal(1.0, 1.0)))
 
 
 # --- Alabama immunity of rD ------------------------------------------------
