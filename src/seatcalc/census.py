@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -99,12 +100,9 @@ def log_histogram(states, bin_width: float, origin: float) -> list[tuple[float, 
     if not math.isfinite(hi - lo) or math.floor(hi) - math.floor(lo) >= _MAX_ROWS:
         raise ValueError(f"bin width {bin_width!r} spreads the states over more than "
                          f"{_MAX_ROWS:,} bins")
-    counts: dict[int, int] = {}
-    for x in scaled:
-        k = math.floor(x)
-        counts[k] = counts.get(k, 0) + 1
+    counts = Counter(math.floor(x) for x in scaled)
     k_lo, k_hi = min(counts), max(counts)
-    return [(origin + k * bin_width, counts.get(k, 0)) for k in range(k_lo, k_hi + 1)]
+    return [(origin + k * bin_width, counts[k]) for k in range(k_lo, k_hi + 1)]
 
 
 def _log_norm_constant(beta: float, v_lo: float, v_hi: float) -> float:
@@ -160,8 +158,9 @@ def powerlaw_loglik_scan(states, beta_set, support: tuple[float, float],
 def read_census_csv(path) -> tuple[StateProfile, ...]:
     """Parse a census CSV: header ``state,population``, then one row per state.
 
-    Populations must be positive integers; duplicate names are
-    rejected.  The parse is locale-independent (plain ASCII integers).
+    Populations must be positive integers that a float can hold;
+    duplicate names are rejected.  A refused row raises ``ValueError`` naming
+    ``path:line``.  The parse is locale-independent (plain ASCII integers).
     """
     path = Path(path)
     # utf-8-sig drops the byte-order mark that spreadsheets write in "CSV UTF-8"
@@ -195,7 +194,10 @@ def read_census_csv(path) -> tuple[StateProfile, ...]:
                 ) from None
             if population < 1:
                 raise ValueError(f"{path}:{lineno}: population must be >= 1")
-            states.append(StateProfile(name, float(population)))
+            try:
+                states.append(StateProfile(name, float(population)))
+            except OverflowError:
+                raise ValueError(f"{path}:{lineno}: population is beyond the float range") from None
     if not states:
         raise ValueError(f"{path}: no state rows")
     return tuple(states)

@@ -413,8 +413,7 @@ def _cmd_paradox_multisol(args):
         lines = [f"MULTIPLE_SOLUTIONS {len(solutions)} at {args.seats} seats"]
     for idx, app in enumerate(solutions, start=1):
         lo, hi = app.d_interval
-        hi_text = "inf" if math.isinf(hi) else f"{hi:.10g}"
-        lines.append(f"solution {idx}: divisors ({lo:.10g}, {hi_text}]: {_vector_text(app)}")
+        lines.append(f"solution {idx}: divisors ({lo:.10g}, {hi:.10g}]: {_vector_text(app)}")
     return lines
 
 

@@ -164,7 +164,7 @@ class PowerLaw(PopulationDistribution):
         # the normalizer, v_hi^beta − v_lo^beta (same sign as beta) or at beta = 0
         # ln(v_hi/v_lo): a plain attribute, not a field, as LogNormal's constants
         try:
-            norm = (self._pow(self.v_hi, self.beta) - self._pow(self.v_lo, self.beta)
+            norm = (self.v_hi ** self.beta - self.v_lo ** self.beta
                     if self.beta else math.log(self.v_hi / self.v_lo))
         except OverflowError:
             norm = math.inf
@@ -177,13 +177,6 @@ class PowerLaw(PopulationDistribution):
     def support(self) -> tuple[float, float]:
         return (self.v_lo, self.v_hi)
 
-    def _pow(self, v: float, e: float) -> float:
-        if v == 0:
-            return 0.0  # only reached with e > 0
-        if math.isinf(v):
-            return 0.0  # only reached with e < 0
-        return v ** e
-
     def cdf(self, v: float) -> float:
         if v <= self.v_lo:
             return 0.0
@@ -191,7 +184,7 @@ class PowerLaw(PopulationDistribution):
             return 1.0
         if self.beta == 0:
             return math.log(v / self.v_lo) / self._norm
-        return (self._pow(v, self.beta) - self._pow(self.v_lo, self.beta)) / self._norm
+        return (v ** self.beta - self.v_lo ** self.beta) / self._norm
 
     def pdf(self, v: float) -> float:
         if not (self.v_lo <= v <= self.v_hi) or v <= 0:
@@ -208,37 +201,39 @@ class PowerLaw(PopulationDistribution):
         if self.beta == 0:
             return math.log(b / a) / self._norm
         if a == 0:
-            return self._pow(b, self.beta) / self._norm
+            return b ** self.beta / self._norm
         # a^beta * ((b/a)^beta - 1), full relative precision in the tail; where
         # (b/a)^beta = exp(e) is beyond the float range (e > 709), a^beta is
         # nothing beside b^beta
         ratio = b / a
         e = self.beta * (math.log(ratio) if ratio < math.inf else math.log(b) - math.log(a))
         if e > 709.0:
-            return self._pow(b, self.beta) / self._norm
-        return self._pow(a, self.beta) * math.expm1(e) / self._norm
+            return b ** self.beta / self._norm
+        return a ** self.beta * math.expm1(e) / self._norm
 
     def _cdf_antideriv(self, v: float) -> float:
+        if v == math.inf:
+            return math.inf  # I tends to 1, so its integral diverges (v^(beta+1) may not)
         if self.beta == 0:
             log_v = math.log(v / self.v_lo)
             if math.isfinite(plain := v * log_v):
                 return (plain - v) / self._norm
             return v * ((log_v - 1.0) / self._norm)  # v·ln(v/v_lo) is beyond the float range
         b1 = self.beta + 1.0
-        lo_b = self._pow(self.v_lo, self.beta)
+        lo_b = self.v_lo ** self.beta
         if self.beta == -1.0:
             return (math.log(v) - lo_b * v) / self._norm
         try:
-            return (self._pow(v, b1) / b1 - lo_b * v) / self._norm
+            return (v ** b1 / b1 - lo_b * v) / self._norm
         except OverflowError:  # v^(beta+1) is beyond the float range, v·(v^beta/b1 − lo_b) not
-            return v * ((self._pow(v, self.beta) / b1 - lo_b) / self._norm)
+            return v * ((v ** self.beta / b1 - lo_b) / self._norm)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         import numpy as np
         u = rng.random(n)
         if self.beta == 0:
             return self.v_lo * np.exp(u * self._norm)
-        lo_b = self._pow(self.v_lo, self.beta)
+        lo_b = self.v_lo ** self.beta
         return (lo_b + u * self._norm) ** (1.0 / self.beta)
 
 
@@ -888,17 +883,8 @@ def monte_carlo_bias(dist: PopulationDistribution, divisor: float, marks,
                         f"got {marks!r}")
     import numpy as np
 
-    marks_of = np.zeros(0)  # mark of family f, NaN until a draw reaches f
-    sum_t: np.ndarray = np.zeros(1)
-    sum_t2: np.ndarray = np.zeros(1)
-
-    def grow(arr: np.ndarray, size: int, fill: float = 0.0) -> np.ndarray:
-        if size <= arr.size:
-            return arr
-        out = np.full(size, fill)
-        out[: arr.size] = arr
-        return out
-
+    # per family f: its mark, NaN until a draw reaches f, and its running totals
+    marks_of, sum_t, sum_t2 = np.zeros(0), np.zeros(0), np.zeros(0)
     master = np.random.SeedSequence(seed)
     done = 0
     while done < replications:
@@ -928,7 +914,9 @@ def monte_carlo_bias(dist: PopulationDistribution, divisor: float, marks,
         np.not_equal(fam[1:], fam[:-1], out=starts[1:])
         starts[::n_states] = True
         run_fam = fam[np.flatnonzero(starts)]
-        marks_of = grow(marks_of, width, math.nan)
+        if (pad := width - marks_of.size) > 0:  # a family no earlier chunk reached
+            marks_of = np.pad(marks_of, (0, pad), constant_values=math.nan)
+            sum_t, sum_t2 = np.pad(sum_t, (0, pad)), np.pad(sum_t2, (0, pad))
         # the families some run reaches and no mark yet, ascending (np.unique
         # would import numpy.ma on every run)
         reached = np.bincount(run_fam, minlength=width) > 0
@@ -942,8 +930,6 @@ def monte_carlo_bias(dist: PopulationDistribution, divisor: float, marks,
         # family's run totals in replication order; float sums depend on
         # order, and the output contract fixes this one
         run_t = np.bincount(np.cumsum(starts) - 1, weights=seats - q)
-        sum_t = grow(sum_t, width)
-        sum_t2 = grow(sum_t2, width)
         sum_t[:width] += np.bincount(run_fam, weights=run_t, minlength=width)
         sum_t2[:width] += np.bincount(run_fam, weights=run_t * run_t, minlength=width)
 

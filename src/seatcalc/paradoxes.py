@@ -80,6 +80,14 @@ class ParadoxReport:
         return "\n".join(parts)
 
 
+def _changed_seats(before: Apportionment, after: Apportionment,
+                   ) -> tuple[tuple[str, int, int], ...]:
+    """(name, seats before, seats after) for each state of ``before`` whose
+    seats differ in ``after``."""
+    return tuple((name, seats, after.seats[name]) for name, seats in before.seats.items()
+                 if after.seats[name] != seats)
+
+
 def scan_alabama(states, method: MethodSpec, d_lo: float, d_hi: float,
                  ) -> list[ParadoxReport]:
     """Walk critical divisors from d_hi down; report every seat loss.
@@ -120,11 +128,7 @@ def check_new_states(states, method: MethodSpec, divisor: float,
         raise ValueError(f"state name {new_state.name!r} already in use")
     before = apportion_at_divisor(states, divisor, method)
     after = apportion_at_divisor(states + (new_state,), divisor, method)
-    affected = tuple(
-        (name, before.seats[name], after.seats[name])
-        for name in before.seats
-        if after.seats[name] != before.seats[name]
-    )
+    affected = _changed_seats(before, after)
     if not affected:
         return None
     return ParadoxReport(
@@ -142,17 +146,12 @@ def as_multiple_solution_report(solutions: list[Apportionment],
     if len(solutions) < 2:
         return None
     first, second = solutions[0], solutions[1]
-    affected = tuple(
-        (name, first.seats[name], second.seats[name])
-        for name in first.seats
-        if first.seats[name] != second.seats[name]
-    )
     return ParadoxReport(
         kind=MULTIPLE_SOLUTION,
         witness=tuple(s.d_interval for s in solutions),
         before=first,
         after=second,
-        affected_states=affected,
+        affected_states=_changed_seats(first, second),
     )
 
 
@@ -204,15 +203,10 @@ def family_of_families_fixture() -> ParadoxReport:
     )
     before = _family_of_families_apportion(states, _FOF_D_BEFORE)
     after = _family_of_families_apportion(states, _FOF_D_AFTER)
-    affected = tuple(
-        (name, before.seats[name], after.seats[name])
-        for name in before.seats
-        if after.seats[name] < before.seats[name]
-    )
     return ParadoxReport(
         kind=ALABAMA,
         witness=_FOF_POPULATIONS[0] / 1.0,  # the boundary divisor the sweep crossed
         before=before,
         after=after,
-        affected_states=affected,
+        affected_states=_changed_seats(before, after),  # the one change is a loss
     )

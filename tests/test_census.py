@@ -237,6 +237,17 @@ def test_read_census_rejects_bad_populations(tmp_path):
             read_census_csv(path)
 
 
+def test_a_population_beyond_the_float_range_is_refused(tmp_path, capsys):
+    path = write(tmp_path, "state,population\nAlpha,100\nBeta," + "9" * 400 + "\n")
+    with pytest.raises(ValueError, match=r"census\.csv:3: population is beyond the float range"):
+        read_census_csv(path)
+    for argv in (["apportion", "--input", str(path), "--divisor", "1"], ["stats", str(path)]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"seatcalc: {path}:3: population is beyond the float range\n"
+
+
 def test_read_census_rejects_structure_problems(tmp_path):
     with pytest.raises(ValueError, match="empty file"):
         read_census_csv(write(tmp_path, ""))

@@ -704,6 +704,16 @@ def test_import_leaves_numpy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_bias_leaves_numpy_ma_unloaded():
+    # importing numpy.ma costs about 15 ms of every bias run, and np.unique pulls it in
+    code = ("import sys; from seatcalc.cli import main; "
+            "main(['bias', '--dist', 'lognormal:5,1', '--replications', '50', '--n-states', '5']); "
+            "sys.exit('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("f,mean_bias,std_error\n")
+
+
 # --- every input ends in an exit code ------------------------------------------
 
 POSITIVE = ("5e-324", "1e-300", "0.5", "1", "2.5", "7", "62.4375", "435", "1e17", "1e300",

@@ -120,6 +120,63 @@ def test_laws_out_of_float_range_compute():
     assert law.cdf_integral(0.0, 1e308) == pytest.approx(1e308 - 0.5e300, rel=1e-15)
 
 
+# values at the open ends of a power law's support (v_lo = 0, v_hi = inf),
+# recorded before v^beta there was left to ``**``; each must hold bit for bit
+POWER_LAW_ENDS = [
+    (PowerLaw(0.5, 0.0, 10.0), dict(
+        cdf=((0.0, 0.25, 3.0, 10.0, 12.0),
+             [0.0, 0.15811388300841897, 0.5477225575051661, 1.0, 1.0]),
+        pdf=((0.0, 0.25, 3.0, 10.0),
+             [0.0, 0.31622776601683794, 0.09128709291752768, 0.049999999999999996]),
+        cdf_diff=(((0.0, 1.0), (-1.0, 4.0), (2.0, 3.0), (5.0, 20.0)),
+                  [0.31622776601683794, 0.6324555320336759, 0.10050896200520817,
+                   0.2928932188134524]),
+        cdf_integral=(((0.0, 1.0), (-2.0, 4.0), (3.0, 7.0), (9.0, 15.0)),
+                      [0.21081851067789192, 1.6865480854231354, 2.8089683421486873,
+                       5.974566878363584]),
+        _mean_test=(((0, 1.0), (3, 2.0), (6, 1.5)),
+                    [(0.0, 0.21081851067789192), (6.0, 0.06134916827532566),
+                     (9.0, 0.03436128752520884)]),
+        # [2, 3] inside the support, [9, 10.5] across its upper edge
+        unbiased_mark=(((2, 1.0), (6, 1.5)), [2.491610260711939, 6.442511048198412]),
+        sample=[3.907443423697064, 8.049926046502732, 6.016882900511623, 0.5071827842345855])),
+    (PowerLaw(-1.5, 2.0, math.inf), dict(
+        cdf=((1.0, 2.0, 3.0, 100.0, 1e300, math.inf),
+             [0.0, 0.0, 0.45566894604818264, 0.9971715728752538, 1.0, 1.0]),
+        pdf=((2.0, 3.0, 1e10), [0.75, 0.2721655269759086, 4.2426406871192855e-25]),
+        cdf_diff=(((2.0, 3.0), (1.0, 5.0), (3.0, math.inf), (1e300, math.inf)),
+                  [0.45566894604818264, 0.7470177871865297, 0.5443310539518174, 0.0]),
+        cdf_integral=(((1.0, 3.0), (2.0, 50.0), (5.0, 1e20), (3.0, math.inf)),
+                      [0.26598632371090414, 44.8, 1e20, math.inf]),
+        _mean_test=(((1, 1.5), (4, 1.0), (1000, 1e3)),
+                    [(1.5, 0.17732421580726943), (4.0, 0.05494839398178786),
+                     (1e6, 2.095990048189833e-12)]),
+        # [3, 4] inside the support, [1.5, 3] across its lower edge
+        unbiased_mark=(((3, 1.0), (1, 1.5)), [3.470074375205658, 1.5186333303722677]),
+        sample=[3.8466517294650844, 9.114652690445215, 5.417413794887844, 2.370861992073125])),
+]
+
+
+@pytest.mark.parametrize("law, want", POWER_LAW_ENDS, ids=["v_lo=0", "v_hi=inf"])
+def test_power_law_at_its_open_ends_is_pinned(law, want):
+    for name in ("cdf", "pdf"):
+        points, values = want[name]
+        assert [getattr(law, name)(v) for v in points] == values, name
+    for name in ("cdf_diff", "cdf_integral", "_mean_test"):
+        args, values = want[name]
+        assert [getattr(law, name)(*a) for a in args] == values, name
+    args, values = want["unbiased_mark"]
+    assert [unbiased_mark(law, f, d) for f, d in args] == values
+    assert law.sample(np.random.default_rng(7), 4).tolist() == want["sample"]
+
+
+@pytest.mark.parametrize("beta", [-1.5, -1.0, -0.5])
+def test_a_power_law_integrates_its_cdf_to_infinity(beta):
+    # I tends to 1, so its integral up to v = inf diverges, whether v^(beta+1)
+    # tends to 0 (beta < -1), is a logarithm (beta = -1) or diverges too
+    assert PowerLaw(beta, 1.0, math.inf).cdf_integral(2.0, math.inf) == math.inf
+
+
 def test_cdf_integral_matches_quadrature():
     dists = [
         PowerLaw(2.0, 0.0, 100.0),

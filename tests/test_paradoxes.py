@@ -112,6 +112,16 @@ def test_new_state_costs_an_incumbent_a_seat():
     assert rep.after.seats["added"] == 3
 
 
+def test_new_state_can_give_an_incumbent_a_seat():
+    # every change of seats is reported, a gain as well as a loss
+    incumbents = make_states((2.4, 5.3))
+    rep = check_new_states(incumbents, WEBSTER_FAMILY, 1.0, StateProfile("added", 2.3))
+    assert rep is not None
+    assert rep.affected_states == (("state1", 2, 3),)
+    assert rep.before.seats == {"state1": 2, "state2": 5}
+    assert rep.after.seats == {"state1": 3, "state2": 5, "added": 2}
+
+
 def test_state_mode_ignores_new_states():
     incumbents = make_states((2.6, 5.3))
     added = StateProfile("added", 2.7)
