@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import reprlib
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
@@ -186,12 +187,17 @@ def read_census_csv(path) -> tuple[StateProfile, ...]:
                 raise ValueError(f"{path}:{lineno}: duplicate state {name!r}")
             seen.add(name)
             pop_text = row[1].strip()
+            # int() refuses more than 4,300 digits, leading zeros included:
+            # 310 significant digits or more (sign and _ aside) are past the
+            # largest float, and a plain digit string is read without its zeros
+            digits = pop_text.lstrip("+-").replace("_", "")
+            if digits.isascii() and digits.isdigit() and len(digits.lstrip("0")) > 309:
+                raise ValueError(f"{path}:{lineno}: population is beyond the float range")
             try:
-                population = int(pop_text)
+                population = int(pop_text.lstrip("0") or "0" if pop_text.isdigit() else pop_text)
             except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: population must be an integer, got {pop_text!r}"
-                ) from None
+                raise ValueError(f"{path}:{lineno}: population must be an integer, "
+                                 f"got {reprlib.repr(pop_text)}") from None
             if population < 1:
                 raise ValueError(f"{path}:{lineno}: population must be >= 1")
             try:

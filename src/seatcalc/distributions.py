@@ -566,7 +566,6 @@ class Uniform(PopulationDistribution):
 # --- the unbiased-mark condition ---------------------------------------------
 
 _MARK_TOL = 1e-12
-_MARK_MAX_ITERS = 200
 _SIMPSON_MAX_DEPTH = 48
 
 
@@ -633,10 +632,8 @@ def unbiased_mark(dist: PopulationDistribution, f: int, divisor: float,
                                 1e-12 * divisor) / divisor
         excess = lambda v: dist.cdf_diff(a, v) / delta - rhs
     lo, hi = float(f), float(f + 1)
-    for _ in range(_MARK_MAX_ITERS):
-        if hi - lo <= _MARK_TOL:
-            break
-        mid = 0.5 * (lo + hi)
+    # to 1e-12, or until the floats between lo and hi run out (from f = 2^13)
+    while hi - lo > _MARK_TOL and lo < (mid := 0.5 * (lo + hi)) < hi:
         if excess(mid * divisor) >= 0.0:
             hi = mid
         else:

@@ -587,24 +587,31 @@ def _mark_times_d_crossing(value: float, f: int, rounding, d_lo: float, d_hi: fl
 
 
 def _mark_crossings(value: float, direct: _Direct, d_lo: float, d_hi: float) -> list[float]:
-    """All D in [d_lo, d_hi] where v/D (v = ``value``) meets a mark.
+    """All D in [d_lo, d_hi] where v/D (v = ``value``) meets a mark, and
+    under moving marks also where it is an integer.
 
     Only the marks of families floor(v/d_hi) .. floor(v/d_lo) are tested:
     fl(v/D) is monotone in D, so no rounding in the window reads another.
-    Constant marks come from the evaluator's table.
+    Constant marks come from the evaluator's table.  A rounding
+    S = floor(q) + [q >= r(floor(q))] with r(f) in [f, f + 1] steps only
+    where q meets a mark, and a mark on an integer (Adams' r(f) = f,
+    Jefferson's r(f) = f + 1) is met at v/k itself, so under constant
+    marks no integer crossing is listed.  For that, where v/d_hi is an
+    integer k, family k − 1 is tested too: its mark may sit on k and be
+    met at d_hi.  Under moving marks the integer crossings stay: they move
+    no seat either, but without them the sweep evaluates at points where
+    float decisions flip-flop (ROADMAP item 15).
     """
-    out = []
-    for f in range(math.floor(value / d_hi), math.floor(value / d_lo) + 1):
-        if direct.moving:
+    moving = direct.moving
+    out = _boundary_crossings(value, d_lo, d_hi) if moving else []
+    first = math.floor(value / d_hi) if moving else max(1, math.ceil(value / d_hi)) - 1
+    for f in range(first, math.floor(value / d_lo) + 1):
+        if moving:
             d = _mark_times_d_crossing(value, f, direct.rounding, d_lo, d_hi)
-            if d is not None and d_lo <= d <= d_hi:
-                out.append(d)
         else:
-            r = _table_mark(direct.marks, direct.rounding, f)
-            if r > 0:
-                d = value / r
-                if d_lo <= d <= d_hi:
-                    out.append(d)
+            d = value / r if (r := _table_mark(direct.marks, direct.rounding, f)) > 0 else None
+        if d is not None and d_lo <= d <= d_hi:
+            out.append(d)
     return out
 
 
@@ -628,12 +635,17 @@ def _crossing_events(direct: _Direct, d_lo: float, d_hi: float,
     """Every D in [d_lo, d_hi] where the apportionment could change.
 
     Returns ``(D, (state_ids, family_ids))`` in ascending D: the states
-    whose boundary or mark produced D, and in family mode the families
-    (by index f) whose volume crossed an integer or a mark there.  A
-    state is named by its input index in state mode, where seats are
-    stored in input order, and by its rank in (population, name) order
-    (its index in ``sorted_pops``) in family mode, where the sweep stores
-    floors in that order.  The window ends carry empty tags.
+    whose quota crossed a mark there (by state) or an integer (by family),
+    and in family mode the families (by index f) whose volume crossed a
+    mark there; under moving marks each volume's integer crossings are
+    listed too (``_mark_crossings``).  Each stored item needs one kind: a
+    state's seat its mark crossings, a member's floor its integer
+    crossings, and a family's seats, with its members fixed, its volume's
+    mark crossings.  A state is named by its input index in state mode,
+    where seats are stored in input order, and by its rank in
+    (population, name) order (its index in ``sorted_pops``) in family
+    mode, where the sweep stores floors in that order.  The window ends
+    carry empty tags.
 
     Family f is cut at the window ends and at v/f and v/(f+1) of each
     state whose floor(v/D) reaches f in the window; between two cuts its
@@ -642,8 +654,10 @@ def _crossing_events(direct: _Direct, d_lo: float, d_hi: float,
     *Limit.*  A volume v (a state's population, or a family's between two
     cuts) listed over [a, b] spans the families floor(v/b) .. floor(v/a),
     m = floor(v/a) − floor(v/b) + 1 of them, as fl(v/D) is monotone in D.
-    Its boundary crossings v/k have k in that range, and its mark
-    crossings one family each, so it adds at most 2m candidates, and in
+    Under moving marks its integer crossings v/k have k in that range and
+    its mark crossings are one family each; under constant marks only mark
+    crossings are listed, of at most m + 1 families (``_mark_crossings``).
+    So it adds at most 2m candidates, and in
     family mode m entries to the per-family population lists.  Before
     each volume's lists are built, m is added to a running total, an O(1)
     step; past ``_MAX_FAMILIES_SPANNED`` (2^18) the window is refused with
@@ -672,10 +686,10 @@ def _crossing_events(direct: _Direct, d_lo: float, d_hi: float,
     candidates: dict[int, list[float]] = {}  # family mode: f -> populations, rank order
     for i, v in enumerate(direct.sorted_pops if by_family else direct.pops):
         span(v, d_lo, d_hi)
-        tag(_boundary_crossings(v, d_lo, d_hi), 0, i)
         if not by_family:
             tag(_mark_crossings(v, direct, d_lo, d_hi), 0, i)
             continue
+        tag(_boundary_crossings(v, d_lo, d_hi), 0, i)  # the member changes families
         for f in range(math.floor(v / d_hi), math.floor(v / d_lo) + 1):
             candidates.setdefault(f, []).append(v)
     for f, pops in candidates.items():
@@ -686,7 +700,6 @@ def _crossing_events(direct: _Direct, d_lo: float, d_hi: float,
             vol = math.fsum(v for v in pops if math.floor(v / mid) == f)
             if vol:  # populations are positive, so the family has members
                 span(vol, a, b)
-                tag(_boundary_crossings(vol, a, b), 1, f)
                 tag(_mark_crossings(vol, direct, a, b), 1, f)
     return sorted(tags.items())
 
@@ -732,6 +745,10 @@ def _sweep(direct: _Direct, d_lo: float, d_hi: float) -> list[_Piece]:
       state's floor and seat are monotone in D.  With its members fixed, a
       family's quota fl(V_f/D) (V_f fixed, and ``family_quota``'s lift onto
       k·f monotone), its rounding and each member's positional seat are too.
+    - The events are what moves these items (``_crossing_events``): a
+      state's seat steps only at its mark crossings, a floor only at its
+      state's integer crossings, and a family's seats, with its members
+      fixed, only at its volume's mark crossings.
     - A stored floor is fresh at ``start`` and wherever its state is
       tagged.  At each later tag the fresh floor either equals it, and by
       monotonicity it held at every point between, or differs, and then it
@@ -821,8 +838,10 @@ def piecewise_apportionments(states: Iterable[StateProfile], method: MethodSpec,
     item 1).
 
     One sweep computes them.  It enumerates the candidate divisors, at
-    which a state's quota (or in family mode a family's) meets an
-    integer or a mark, each tagged with what crossed there: O(K log K)
+    which a state's quota (or in family mode a family's) meets a mark,
+    and in family mode a member's quota meets an integer (under moving
+    marks every quota's integer crossings are listed too), each tagged
+    with what crossed there: O(K log K)
     for K candidates.  It apportions once in full, then walks the
     candidates in ascending order and, at each candidate interval's
     midpoint, re-rounds only what the passed candidates tag: O(size of

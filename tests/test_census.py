@@ -248,6 +248,38 @@ def test_a_population_beyond_the_float_range_is_refused(tmp_path, capsys):
         assert err == f"seatcalc: {path}:3: population is beyond the float range\n"
 
 
+@pytest.mark.parametrize("text", ["1" * 5000, "+" + "1" * 5000, "-" + "1" * 5000, "1_" * 5000 + "1"],
+                         ids=["plain", "plus", "minus", "grouped"])
+def test_a_population_past_the_integer_digit_limit_is_refused_as_beyond_floats(tmp_path, capsys,
+                                                                              text):
+    # 5,000 digits are past int()'s 4,300-digit limit, which once made the
+    # refusal "must be an integer" and echoed every digit; int() reads a
+    # sign and _ between digits, and counts neither
+    path = write(tmp_path, f"state,population\nAlpha,100\nBeta,{text}\n")
+    with pytest.raises(ValueError, match=r"census\.csv:3: population is beyond the float range"):
+        read_census_csv(path)
+    assert main(["stats", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"seatcalc: {path}:3: population is beyond the float range\n"
+    assert len(err.encode()) < 200
+
+
+def test_a_long_refused_population_is_echoed_in_part(tmp_path, capsys):
+    path = write(tmp_path, "state,population\nAlpha,100\nBeta," + "1x" * 2500 + "\n")
+    with pytest.raises(ValueError, match=r"census\.csv:3: population must be an integer, got '1x1x"):
+        read_census_csv(path)
+    assert main(["stats", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("seatcalc: ")
+    assert len(err.encode()) < 200
+
+
+def test_leading_zeros_do_not_count_towards_a_population_s_digits(tmp_path):
+    path = write(tmp_path, "state,population\nAlpha," + "0" * 5000 + "7\nBeta,0012\n")
+    assert read_census_csv(path) == (StateProfile("Alpha", 7.0), StateProfile("Beta", 12.0))
+
+
 def test_read_census_rejects_structure_problems(tmp_path):
     with pytest.raises(ValueError, match="empty file"):
         read_census_csv(write(tmp_path, ""))

@@ -250,6 +250,71 @@ def test_mark_fraction_trend_along_qg5():
     assert fracs[20] < 0.5
 
 
+# f from 2^13 up, where adjacent floats near f are further apart than the
+# bisection's 1e-12 tolerance: (law, f, D, generic, the mark recorded when the
+# bisection still ran out its 200-step cap there)
+WIDE_FAMILY_MARKS = [
+    (LogNormal(math.log(1e5), 1.0), 8192, 1.0, False, 8192.500007612434),
+    (LogNormal(math.log(1e5), 1.0), 8192, 1.0, True, 8192.500007638846),
+    (LogNormal(math.log(1e5), 1.0), 8192, 0.37, False, 8192.50001269866),
+    (LogNormal(math.log(1e5), 1.0), 8192, 0.37, True, 8192.500012695575),
+    (LogNormal(math.log(1e5), 1.0), 100000, 1.0, False, 100000.50000298701),
+    (LogNormal(math.log(1e5), 1.0), 100000, 1.0, True, 100000.49999958332),
+    (LogNormal(math.log(1e5), 1.0), 100000, 0.37, False, 100000.50000223587),
+    (LogNormal(math.log(1e5), 1.0), 100000, 0.37, True, 100000.49999999767),
+    (LogNormal(math.log(1e5), 1.0), 1048576, 1.0, False, 1048576.4996255757),
+    (LogNormal(math.log(1e5), 1.0), 1048576, 0.37, False, 1048576.4999546446),
+    (LogNormal(math.log(3e5), 0.3), 8192, 1.0, False, 8192.500198333226),
+    (LogNormal(math.log(3e5), 0.3), 8192, 1.0, True, 8192.500198383943),
+    (LogNormal(math.log(3e5), 0.3), 8192, 0.37, False, 8192.500254620405),
+    (LogNormal(math.log(3e5), 0.3), 8192, 0.37, True, 8192.500254569677),
+    (LogNormal(math.log(3e5), 0.3), 100000, 1.0, False, 100000.5000045209),
+    (LogNormal(math.log(3e5), 0.3), 100000, 1.0, True, 100000.50000466942),
+    (LogNormal(math.log(3e5), 0.3), 100000, 0.37, False, 100000.50000916212),
+    (LogNormal(math.log(3e5), 0.3), 100000, 0.37, True, 100000.50000927242),
+    (LogNormal(math.log(3e5), 0.3), 1048576, 1.0, False, 1048576.5002083136),
+    (LogNormal(math.log(3e5), 0.3), 1048576, 0.37, False, 1048576.5000425112),
+    (PowerLaw(-1.5, 1e3, 5e6), 8192, 1.0, True, 8192.499987285119),
+    (PowerLaw(-1.5, 1e3, 5e6), 8192, 0.37, True, 8192.499987285119),
+    (PowerLaw(-1.5, 1e3, 5e6), 100000, 1.0, True, 100000.49999895834),
+    (PowerLaw(-1.5, 1e3, 5e6), 100000, 0.37, True, 100000.49999895834),
+    (Uniform(0.0, 3e6), 8192, 1.0, False, 8192.499999998046),
+    (Uniform(0.0, 3e6), 8192, 1.0, True, 8192.5),
+    (Uniform(0.0, 3e6), 8192, 0.37, False, 8192.499999999727),
+    (Uniform(0.0, 3e6), 8192, 0.37, True, 8192.5),
+    (Uniform(0.0, 3e6), 100000, 1.0, False, 100000.50000007832),
+    (Uniform(0.0, 3e6), 100000, 1.0, True, 100000.5),
+    (Uniform(0.0, 3e6), 100000, 0.37, False, 100000.50000095926),
+    (Uniform(0.0, 3e6), 100000, 0.37, True, 100000.5),
+    (Uniform(0.0, 3e6), 1048576, 1.0, False, 1048576.500004856),
+    (Uniform(0.0, 3e6), 1048576, 1.0, True, 1048576.5),
+    (Uniform(0.0, 3e6), 1048576, 0.37, False, 1048576.4999584896),
+    (Uniform(0.0, 3e6), 1048576, 0.37, True, 1048576.5),
+]
+
+
+def test_marks_of_wide_families_are_pinned():
+    for law, f, d, generic, mark in WIDE_FAMILY_MARKS:
+        assert unbiased_mark(law, f, d, generic=generic) == mark, (law, f, d, generic)
+
+
+def test_mark_bisection_stops_when_its_floats_run_out(monkeypatch):
+    # at f = 10^5 adjacent floats are 1.5e-11 apart, so 1e-12 is never
+    # reached: the bisection stops once its midpoint no longer splits the
+    # bracket, after about 36 mean tests (it once ran all 200)
+    tests, test_at = [], LogNormal._test_at
+
+    def counted(self, v, ref, mean):
+        tests.append(v)
+        return test_at(self, v, ref, mean)
+
+    monkeypatch.setattr(LogNormal, "_test_at", counted)
+    for f in (5, 10 ** 5):
+        tests.clear()
+        unbiased_mark(LogNormal(math.log(1e5), 1.0), f, 1.0)
+        assert len(tests) <= 64, (f, len(tests))
+
+
 # --- unbiased marks: power laws -------------------------------------------
 
 def test_power_law_marks_use_closed_form():

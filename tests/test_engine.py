@@ -855,10 +855,12 @@ def test_dropped_events_raise_no_untyped_error():
     # every 7th interior event of 1980 under Webster, Hill and Adams in both
     # modes, dropped one at a time (tests/drop_harness.py): the sweep raises
     # ApportionmentError, or returns pieces that hold at every point it
-    # evaluates, and nothing else
+    # evaluates, and nothing else; no event can be dropped with every
+    # answer still right, as each one moves a seat or a member
     outcomes = drop_harness.drop_outcomes(stride=7)
     assert not any(outcomes[fault] for fault in drop_harness.FAULTS), outcomes
-    assert sum(outcomes.values()) == 499 and outcomes["raised"] > 0, outcomes
+    assert sum(outcomes.values()) == 370 and outcomes["raised"] > 0, outcomes
+    assert outcomes["right"] == 0, outcomes
 
 
 def test_only_moving_marks_are_checked_piece_by_piece(monkeypatch):
@@ -1026,7 +1028,9 @@ class RecordingMarks(DistributionMarks):
 def test_mark_crossings_test_only_the_families_the_window_reads():
     # a rounding of v/D with D in [d_lo, d_hi] reads a family between
     # floor(v/d_hi) and floor(v/d_lo), so no other family's mark is tested,
-    # for moving marks and constant ones alike
+    # for moving marks and constant ones alike; under constant marks, where
+    # v/d_hi is an integer k, family k - 1's mark may sit on k and be met at
+    # d_hi, where no integer crossing is listed
     windows = [(0.5, 2.0), (0.79, 0.87), (2.0, 2.5), (3.0, 40.0), (0.2, 300.0)]
     for value in (1.0, 7.5, 10.0, 123.45):
         for d_lo, d_hi in windows:
@@ -1036,7 +1040,8 @@ def test_mark_crossings_test_only_the_families_the_window_reads():
                 marks.families, marks.divisor_dependent = [], moving
                 _mark_crossings(value, engine._Direct(states_of(value), MethodSpec(marks)),
                                 d_lo, d_hi)
-                read = range(math.floor(value / d_hi), math.floor(value / d_lo) + 1)
+                first = math.floor(value / d_hi) if moving else max(1, math.ceil(value / d_hi)) - 1
+                read = range(first, math.floor(value / d_lo) + 1)
                 assert marks.families and set(marks.families) <= set(read), \
                     (value, d_lo, d_hi, rounding, sorted(set(marks.families)))
 
@@ -1505,8 +1510,9 @@ def test_sweep_matches_oracle_on_random_instances():
 def per_span_family_events(states, method, d_lo, d_hi):
     """Family-mode candidates by the plain rule: at every span between
     state-boundary crossings, floor every state at the midpoint, sum the
-    family volumes with ``math.fsum`` and enumerate each family's crossings
-    within that span.  Returns {D: (state ids, family ids)}."""
+    family volumes with ``math.fsum`` and enumerate each family's mark
+    crossings (under moving marks with its integer crossings) within that
+    span.  Returns {D: (state ids, family ids)}."""
     direct = engine._Direct(states, method)
     tags = {d_lo: (set(), set()), d_hi: (set(), set())}
     for i, s in enumerate(states):
@@ -1520,8 +1526,7 @@ def per_span_family_events(states, method, d_lo, d_hi):
             members.setdefault(math.floor(s.population / mid), []).append(s.population)
         for f, pops in members.items():
             vol = math.fsum(pops)
-            for d in (_boundary_crossings(vol, a, b)
-                      + _mark_crossings(vol, direct, a, b)):
+            for d in _mark_crossings(vol, direct, a, b):
                 tags.setdefault(d, (set(), set()))[1].add(f)
     return tags
 
@@ -1562,6 +1567,24 @@ def test_family_events_match_per_span_rule_on_small_instances():
             method = MethodSpec(rule, BY_FAMILY)
             assert family_events(states, method, d_lo, d_hi) == per_span_family_events(
                 states, method, d_lo, d_hi), (rule, states)
+
+
+def test_state_events_under_constant_marks_are_mark_crossings():
+    # a state's seat steps only where its quota meets a mark, so by state
+    # every interior event is v_i/r(f) of each state i it tags: no integer
+    # crossing v_i/k is listed unless a mark sits on k
+    states = tuple(bundled_census(2020))
+    pops = [s.population for s in states]
+    v_t = math.fsum(pops)
+    for rule in SWEEP_RULES:
+        events = _crossing_events(engine._Direct(states, MethodSpec(rule)), v_t / 600, v_t / 300)
+        assert len(events) > 2
+        for d, (ids, fs) in events[1:-1]:
+            assert ids and not fs
+            for i in ids:
+                f = math.floor(pops[i] / d)
+                assert d in {pops[i] / rule.mark(g) for g in range(max(f - 2, 0), f + 2)
+                             if rule.mark(g) > 0}, (rule, d, states[i].name)
 
 
 def test_family_events_match_per_span_rule_with_lognormal_marks():
