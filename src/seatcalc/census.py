@@ -189,12 +189,15 @@ def read_census_csv(path) -> tuple[StateProfile, ...]:
             pop_text = row[1].strip()
             # int() refuses more than 4,300 digits, leading zeros included:
             # 310 significant digits or more (sign and _ aside) are past the
-            # largest float, and a plain digit string is read without its zeros
+            # largest float, and a digit string, plain or after one sign, is
+            # read without its leading zeros
             digits = pop_text.lstrip("+-").replace("_", "")
             if digits.isascii() and digits.isdigit() and len(digits.lstrip("0")) > 309:
                 raise ValueError(f"{path}:{lineno}: population is beyond the float range")
+            sign = pop_text[:1] if pop_text[:1] in ("+", "-") else ""
+            body = pop_text[len(sign):]
             try:
-                population = int(pop_text.lstrip("0") or "0" if pop_text.isdigit() else pop_text)
+                population = int(sign + (body.lstrip("0") or "0") if body.isdigit() else pop_text)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: population must be an integer, "
                                  f"got {reprlib.repr(pop_text)}") from None

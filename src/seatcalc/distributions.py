@@ -567,15 +567,29 @@ class Uniform(PopulationDistribution):
 
 _MARK_TOL = 1e-12
 _SIMPSON_MAX_DEPTH = 48
+# Evaluations of the integrand one quadrature may make.  The test suite's
+# quadratures make at most 7,885; on a lognormal's far tail the rounding
+# noise of J(v) never meets the tolerance, and every branch would recurse
+# to the full depth, past 10 million evaluations.
+_SIMPSON_MAX_EVALS = 2 ** 20
 
 
 def _adaptive_simpson(fun: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Adaptive Simpson quadrature to absolute tolerance ``tol``."""
+    """Adaptive Simpson quadrature to absolute tolerance ``tol``.
+
+    ``ValueError`` if it would take more than ``_SIMPSON_MAX_EVALS``
+    evaluations of ``fun``.
+    """
+    evals = 3
 
     def simpson(x0: float, x2: float, f0: float, f1: float, f2: float) -> float:
         return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
 
     def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
+        nonlocal evals
+        if (evals := evals + 2) > _SIMPSON_MAX_EVALS:
+            raise ValueError(f"quadrature over [{a!r}, {b!r}] does not reach {tol!r} "
+                             f"within {_SIMPSON_MAX_EVALS:,} evaluations")
         x1 = 0.5 * (x0 + x2)
         la, lb = 0.5 * (x0 + x1), 0.5 * (x1 + x2)
         fla, flb = fun(la), fun(lb)
@@ -610,9 +624,12 @@ def unbiased_mark(dist: PopulationDistribution, f: int, divisor: float,
     ``generic=True`` instead bisects on the interval-normalized CDF
     J(v) = (I(v) − I(fD)) / (I((f+1)D) − I(fD)) against its mean by
     adaptive Simpson quadrature, for any distribution; that is the
-    reference the closed forms are cross-checked against.  An interval
-    with no mass parks the mark at f + 1 (all mass below it), f (all
-    mass above it) or f + 1/2.
+    reference the closed forms are cross-checked against; a quadrature
+    that would take more than 2^20 CDF evaluations raises ``ValueError``
+    (on a far tail, where the ratio's rounding noise never meets the
+    tolerance).  No call in the test suite takes more than 7,885, so the
+    cap changes no mark it returns.  An interval with no mass parks the
+    mark at f + 1 (all mass below it), f (all mass above it) or f + 1/2.
     """
     _check_index(f)
     f = int(f)

@@ -273,44 +273,50 @@ def house_divisor(states: Iterable[StateProfile], target: int) -> float:
     return total_population(s.population for s in states) / target
 
 
-class _Direct:
-    """The one evaluator of an engine call: fixed states under one method.
+# Family ranges a window may span, summed over what it lists crossings for
+# (see ``_Evaluator.events``).
+_MAX_FAMILIES_SPANNED = 2 ** 18
 
-    Each public entry point builds one, which checks the states with the
-    checks and messages of ``compute_quotas``, and the window bounds, the
-    candidate enumeration, the sweep and the guard all read it.  It holds
-    what belongs to the (states, method) pair, on plain lists: names,
-    populations and their total v_T, in family mode the (population, name)
-    order, the table of constant marks r(f) (``marks``, each mark read from
-    the rule once per call) and ``decide``, the engine's one rounding
-    decision (``_decider``) on that table, or on ``rounds_up`` when marks
-    move.  A v_T beyond the float range is refused here, and
-    ``refuse_overflow`` refuses a divisor whose quotas would be.
 
-    ``seats_at(D)`` rounds with the float operations of ``compute_quotas``
-    and ``partition_families``: q = v/D per state, a family as a run of
-    equal floor(q) in (population, name) order with its quota
-    ``family_quota``'s fl(V_f/D), ``decide`` (a family of one on its
-    member's quota, which equals it), ``positional_split`` and the seat
-    floor.  Family seats are written straight to their input positions
-    through ``order``.  ``seats_at`` and ``check`` are stateless: they
-    never read the sweep state below, so each is a from-scratch
+class _Evaluator:
+    """What the two evaluators of an engine call share: fixed states under one method.
+
+    Each public entry point builds one (``_evaluator``), which checks the
+    states with the checks and messages of ``compute_quotas``, and the
+    window bounds, the candidate enumeration, the sweep and the guard all
+    read it.  ``_StateEvaluator`` rounds each state's quota on its own and
+    ``_FamilyEvaluator`` each family's volume, so after construction
+    nothing reads the mode.  Both hold what belongs to the (states, method)
+    pair, on plain lists: names, populations and their total v_T, the
+    seat floor, the table of constant marks r(f) (``marks``, each mark
+    read from the rule once per call) and ``decide``, the engine's one
+    rounding decision (``_decider``) on that table, or on ``rounds_up``
+    when marks move.  A v_T beyond the float range is refused here, and
+    ``refuse_overflow`` refuses a divisor whose quotas would be, reading
+    ``tops`` (the volumes whose quotas stay at or above 1 longest) and
+    ``room`` (the relative rounding their quotas may add), which the
+    family evaluator replaces.
+
+    Each mode provides ``seats_at(D)``, every state's seats in input order
+    with the seat floor applied, ``crossings`` (what ``events`` lists),
+    ``bounds(top)`` (the house-size window's seat bounds), ``least_seats``
+    and ``reround``; the family evaluator adds its stored floors to
+    ``start`` and ``verify``.  ``seats_at`` and ``check`` are stateless:
+    they never read the sweep state below, so each is a from-scratch
     evaluation.
 
     The sweep state: ``start(D)`` apportions once in full into ``seats``
     (input order, floor applied), the one record of the sweep; after that
     ``reround`` re-rounds only what a crossing event tags, with the same
     ``decide``, and writes each changed seat in place.  No total is kept:
-    a caller that needs a house size sums the seats.  In family mode
-    families are contiguous runs of (population, name) order, because
-    floor(v/D) is monotone in v: ``family[p]`` is the stored floor of the
-    state at rank p (its position in that order), events name states by
-    that rank, and a family's members are found by bisection (``split``).
-    ``prev`` is the last divisor evaluated.  Under constant marks
-    ``reround`` checks what it moves against a fresh decision at ``prev``
-    before writing it, and ``verify`` checks the whole state at ``prev``
-    once the sweep ends: the guard ``_sweep`` describes.
+    a caller that needs a house size sums the seats.  ``prev`` is the last
+    divisor evaluated.  Under constant marks ``reround`` checks what it
+    moves against a fresh decision at ``prev`` before writing it, and
+    ``verify`` checks the whole state at ``prev`` once the sweep ends: the
+    guard ``_sweep`` describes, on the items each mode names.
     """
+
+    room = 1.0
 
     def __init__(self, states: Iterable[StateProfile], method: MethodSpec):
         self.states = states = tuple(states)
@@ -324,147 +330,96 @@ class _Direct:
         self.marks = None if self.moving else {}
         self.decide = _decider(self.rounding, self.marks)
         self.floor = method.min_seat_floor or 0
-        self.by_family = method.mode == BY_FAMILY
-        if self.by_family:
-            self.order = sorted(range(len(states)), key=lambda i: (self.pops[i], self.names[i]))
-            self.sorted_pops = [self.pops[i] for i in self.order]
+        self.tops = self.pops
 
     def refuse_overflow(self, divisor: float) -> None:
-        """Raise ``ValueError`` unless max(v)/D (by state) or v_T/D·(1 + 2⁻⁵⁰)
-        (by family, covering the rounding of v_T and of each quota) is finite:
-        it bounds every quota, or every family quota's ``fsum``, at D >= ``divisor``."""
-        top = self.v_t / divisor * (1 + 2 ** -50) if self.by_family else max(self.pops) / divisor
-        if not math.isfinite(top):
+        """Raise ``ValueError`` unless max(``tops``)/D·``room`` is finite: it
+        bounds every quota, or every family quota's ``fsum``, at D >= ``divisor``."""
+        if not math.isfinite(max(self.tops) / divisor * self.room):
             raise ValueError(f"the quotas overflow a float at divisor {divisor!r}")
 
-    def runs(self, divisor: float) -> tuple[list[float], list[int]]:
-        """Family mode: the sorted quotas at ``divisor`` and where each family ends."""
-        quotas = [v / divisor for v in self.sorted_pops]
-        ends, lo, n = [], 0, len(quotas)
-        while lo < n:
-            lo = bisect_left(quotas, math.floor(quotas[lo]) + 1, lo + 1)
-            ends.append(lo)
-        return quotas, ends
+    def least_seats(self) -> int:
+        """The seats every state gets at every divisor."""
+        return self.floor
 
-    def seats_at(self, divisor: float) -> tuple[int, ...]:
-        """Every state's seats at ``divisor``, in input order, floor applied."""
-        decide = self.decide
-        if not self.by_family:
-            seats = [decide(v / divisor, divisor) for v in self.pops]
-        else:
-            quotas, ends = self.runs(divisor)
-            order, seats, lo = self.order, [0] * len(quotas), 0
-            for hi in ends:
-                if hi == lo + 1:  # a family of one rounds its own quota
-                    seats[order[lo]] = decide(quotas[lo], divisor)
-                else:
-                    f = math.floor(quotas[lo])
-                    quota = family_quota(f, self.sorted_pops[lo:hi], divisor)
-                    m_low, _ = positional_split(f, hi - lo, decide(quota, divisor))
-                    for i in order[lo:lo + m_low]:
-                        seats[i] = f
-                    for i in order[lo + m_low:hi]:
-                        seats[i] = f + 1
-                lo = hi
-        if self.floor:
-            return tuple(max(s, self.floor) for s in seats)
-        return tuple(seats)
+    def floored(self, seats: list[int]) -> tuple[int, ...]:
+        """``seats`` with the seat floor applied."""
+        return tuple(max(s, self.floor) for s in seats) if self.floor else tuple(seats)
 
     def start(self, divisor: float) -> None:
         """Apportion in full at ``divisor``: the sweep state ``reround`` updates."""
         self.seats = list(self.seats_at(divisor))  # min_seat_floor applied
         self.prev = divisor
-        if self.by_family:
-            self.family = [math.floor(v / divisor) for v in self.sorted_pops]
-
-    def split(self, f: int, divisor: float) -> tuple[int, int, int]:
-        """Family f's run [lo, hi) in ``family`` and m_low, how many of its
-        members get f seats at ``divisor`` (``seats_at``'s float operations).
-
-        Seats outside the members' range, which only a stale member left by
-        a missed crossing can cause, raise ``ApportionmentError``.
-        """
-        family = self.family
-        lo = bisect_left(family, f)
-        hi = bisect_right(family, f, lo)
-        if hi == lo + 1:  # a family of one rounds its own quota
-            quota = self.sorted_pops[lo] / divisor
-        elif lo < hi:
-            quota = family_quota(f, self.sorted_pops[lo:hi], divisor)
-        else:
-            return lo, hi, 0
-        try:
-            return lo, hi, positional_split(f, hi - lo, self.decide(quota, divisor))[0]
-        except ValueError as err:
-            raise _missed(divisor, str(err)) from None
-
-    def reround(self, divisor: float, state_ids, family_ids) -> bool:
-        """Re-round the given states and families at ``divisor``, in place.
-
-        Returns True if any seat moved (in family mode seats can swap at
-        an unchanged total).  States are named as ``_crossing_events``
-        names them.  In family mode a state is re-rounded through its old
-        and new family.  Under constant marks what moves is first
-        checked at the previous evaluation point ``prev``, before it is
-        written: a state whose seat (by family, whose floor) moves, a
-        family whose members change and a family whose seats move must
-        hold there what a fresh decision gives, or ``ApportionmentError``
-        is raised.  ``_sweep`` says why that is complete.
-        """
-        seats, floor = self.seats, self.floor
-        prev, self.prev = self.prev, divisor
-        check = not self.moving
-        if not self.by_family:
-            decide, pops = self.decide, self.pops
-            moves = [(i, s) for i in state_ids
-                     if (s := max(decide(pops[i] / divisor, divisor), floor)) != seats[i]]
-            if check and any(max(decide(pops[i] / prev, prev), floor) != seats[i]
-                             for i, _ in moves):  # all before any write: D may tag i twice
-                raise _missed(prev, "a state's stored seats differ from its rounding there")
-            for i, s in moves:
-                seats[i] = s
-            return bool(moves)
-        family, sorted_pops, order = self.family, self.sorted_pops, self.order
-        families, moves, changed = set(family_ids), [], set()
-        for p in state_ids:  # ranks
-            families.add(old := family[p])
-            if (f := math.floor(sorted_pops[p] / divisor)) != old:
-                moves.append((p, f))
-                changed.update((old, f))
-        if check and moves:
-            if any(family[p] != math.floor(sorted_pops[p] / prev) for p, _ in moves):
-                raise _missed(prev, "a state's stored family differs from its quota's there")
-            for f in changed:
-                self.check_family(f, prev)
-        for p, f in moves:
-            family[p] = f
-        moved = False
-        for f in families | changed:
-            lo, hi, m_low = self.split(f, divisor)
-            unchecked = check and f not in changed
-            for p, i in enumerate(order[lo:hi]):
-                if (s := max(f + (p >= m_low), floor)) != seats[i]:
-                    if unchecked:  # the family's seats move: check them before the first write
-                        self.check_family(f, prev)
-                        unchecked = False
-                    seats[i], moved = s, True
-        return moved
-
-    def check_family(self, f: int, prev: float) -> None:
-        """Raise unless family f's stored seats are its split at ``prev``."""
-        lo, hi, m_low = self.split(f, prev)
-        seats, floor = self.seats, self.floor
-        for p, i in enumerate(self.order[lo:hi]):
-            if seats[i] != max(f + (p >= m_low), floor):
-                raise _missed(prev, f"family {f}'s stored seats differ from its rounding there")
 
     def verify(self) -> None:
-        """Raise unless the sweep state is a full apportionment at ``prev``
-        (seats, and in family mode every stored floor)."""
-        prev = self.prev
-        if self.seats_at(prev) != tuple(self.seats) or self.by_family and (
-                self.family != [math.floor(v / prev) for v in self.sorted_pops]):
-            raise _missed(prev, "the sweep's seats or floors differ from direct ones there")
+        """Raise unless the stored seats are a full apportionment at ``prev``."""
+        if self.seats_at(self.prev) != tuple(self.seats):
+            raise _missed(self.prev, "the sweep's seats or floors differ from direct ones there")
+
+    def mark_crossings(self, value: float, d_lo: float, d_hi: float) -> list[float]:
+        """All D in [d_lo, d_hi] where v/D (v = ``value``) meets a mark, and
+        under moving marks also where it is an integer.
+
+        Only the marks of families floor(v/d_hi) .. floor(v/d_lo) are tested:
+        fl(v/D) is monotone in D, so no rounding in the window reads another.
+        Constant marks come from the table ``marks``.  A rounding
+        S = floor(q) + [q >= r(floor(q))] with r(f) in [f, f + 1] steps only
+        where q meets a mark, and a mark on an integer (Adams' r(f) = f,
+        Jefferson's r(f) = f + 1) is met at v/k itself, so under constant
+        marks no integer crossing is listed.  For that, where v/d_hi is an
+        integer k, family k − 1 is tested too: its mark may sit on k and be
+        met at d_hi.  Under moving marks the integer crossings stay: they move
+        no seat either, but without them the sweep evaluates at points where
+        float decisions flip-flop (ROADMAP item 15).
+        """
+        moving = self.moving
+        out = _boundary_crossings(value, d_lo, d_hi) if moving else []
+        first = math.floor(value / d_hi) if moving else max(1, math.ceil(value / d_hi)) - 1
+        for f in range(first, math.floor(value / d_lo) + 1):
+            if moving:
+                d = _mark_times_d_crossing(value, f, self.rounding, d_lo, d_hi)
+            else:
+                d = value / r if (r := _table_mark(self.marks, self.rounding, f)) > 0 else None
+            if d is not None and d_lo <= d <= d_hi:
+                out.append(d)
+        return out
+
+    def events(self, d_lo: float, d_hi: float) -> list[tuple[float, tuple[list[int], list[int]]]]:
+        """Every D in [d_lo, d_hi] where the apportionment could change.
+
+        Returns ``(D, (state_ids, family_ids))`` in ascending D: the states
+        and the families (by index f) whose crossings ``crossings`` lists
+        there, each mode naming states in the order its sweep stores them.
+        Each stored item needs one kind of crossing, which its mode lists.
+        The window ends carry empty tags.
+
+        *Limit.*  A volume v (a state's population, or a family's between two
+        cuts) listed over [a, b] spans the families floor(v/b) .. floor(v/a),
+        m = floor(v/a) − floor(v/b) + 1 of them, as fl(v/D) is monotone in D.
+        Under moving marks its integer crossings v/k have k in that range and
+        its mark crossings are one family each; under constant marks only mark
+        crossings are listed, of at most m + 1 families (``mark_crossings``).
+        So it adds at most 2m candidates, and in
+        family mode m entries to the per-family population lists.  Before
+        each volume's lists are built, m is added to a running total, an O(1)
+        step (``crossings`` yields each volume before it builds its lists);
+        past ``_MAX_FAMILIES_SPANNED`` (2^18) the window is refused with
+        ``ValueError``.  So no call lists more than 2^19 candidates, under
+        200 MB of event table at the ~360 bytes each that tracemalloc measures
+        (a float key, its tag tuple and lists, and the sorted item), nor
+        root-finds more than 2^18 moving-mark crossings.  The census windows
+        in the tests and the benchmark span at most 1,997.
+        """
+        tags: dict[float, tuple[list[int], list[int]]] = {d_lo: ([], []), d_hi: ([], [])}
+        spanned = 0
+        for v, a, b, listed, kind, ident in self.crossings(d_lo, d_hi):
+            spanned += math.floor(v / a) - math.floor(v / b) + 1
+            if spanned > _MAX_FAMILIES_SPANNED:
+                raise ValueError(f"the divisor window [{d_lo!r}, {d_hi!r}] spans more than "
+                                 f"{_MAX_FAMILIES_SPANNED:,} families of the quotas; narrow it")
+            for d in listed(v, a, b):
+                tags.setdefault(d, ([], []))[kind].append(ident)
+        return sorted(tags.items())
 
     def check(self, piece: _Piece) -> None:
         """Raise unless the piece's seats are the direct ones at its divisor.
@@ -485,6 +440,311 @@ class _Direct:
                              QuotaTable._lazy(self.states, piece.divisor), d_interval)
 
 
+class _StateEvaluator(_Evaluator):
+    """State mode: each state's quota q = v/D, the float ``compute_quotas``
+    takes, is rounded on its own by ``decide``.
+
+    Events name a state by its input index, the order seats are stored in.
+    It keeps the base's ``tops`` and ``room``: above its own population a
+    state's quota is below 1, and each quota is one division.
+
+    *The guard's items* (``_sweep``) are the states' seats.  fl(v/D),
+    floor and the test q >= r(f) are each monotone, so a state's seat is
+    monotone in D, and it steps only at its quota's mark crossings, the
+    events that tag it (``crossings``).  ``reround`` checks a seat at
+    ``prev`` before it moves it, and ``verify`` checks every seat.
+    """
+
+    def least_seats(self) -> int:
+        """The seat floor, and one seat under constant marks with r(0) = 0,
+        which give every positive quota a seat."""
+        forced = not self.moving and _table_mark(self.marks, self.rounding, 0) == 0.0
+        return max(self.floor, 1) if forced else self.floor
+
+    def seats_at(self, divisor: float) -> tuple[int, ...]:
+        """Every state's seats at ``divisor``, in input order, floor applied."""
+        decide = self.decide
+        return self.floored([decide(v / divisor, divisor) for v in self.pops])
+
+    def reround(self, divisor: float, state_ids, family_ids) -> bool:
+        """Re-round the given states at ``divisor``, in place; True if any
+        seat moved.
+
+        Under constant marks a state whose seat moves must first hold at
+        the previous evaluation point ``prev`` what a fresh decision gives,
+        or ``ApportionmentError`` is raised.  ``_sweep`` says why that is
+        complete.
+        """
+        seats, floor, decide, pops = self.seats, self.floor, self.decide, self.pops
+        prev, self.prev = self.prev, divisor
+        moves = [(i, s) for i in state_ids
+                 if (s := max(decide(pops[i] / divisor, divisor), floor)) != seats[i]]
+        if not self.moving and any(max(decide(pops[i] / prev, prev), floor) != seats[i]
+                                   for i, _ in moves):  # all before any write: D may tag i twice
+            raise _missed(prev, "a state's stored seats differ from its rounding there")
+        for i, s in moves:
+            seats[i] = s
+        return bool(moves)
+
+    def crossings(self, d_lo: float, d_hi: float):
+        """``(v, a, b, listed, kind, ident)`` for ``events``: each state's
+        population, its quota's mark crossings listed over the window and
+        tagged with its input index."""
+        for i, v in enumerate(self.pops):
+            yield v, d_lo, d_hi, self.mark_crossings, 0, i
+
+    def bounds(self, top: float):
+        """``bounds(d) -> (L, U)``: L(d) <= total(D) at every D in
+        [v_T/``top``, d] and U(d) >= total(D) at every D >= d >= v_T/``top``
+        (see ``_search_window``)."""
+        if not self.moving:
+            def exact(d: float) -> tuple[int, int]:
+                total = sum(self.seats_at(d))
+                return total, total
+            return exact
+        margin = self.rounding.margin
+        margin_error = getattr(self.rounding, "margin_error", None)
+        d_min, pops, floor_seats = self.v_t / top, self.pops, self.floor
+        # what a margin must clear to decide: twice each state's margin error
+        # bound over D >= d_min, inf where none is declared
+        bars = [2 * margin_error(v, d_min) if margin_error else math.inf for v in pops]
+
+        def per_state(d: float) -> tuple[int, int]:
+            lower = upper = 0
+            for v, bar in zip(pops, bars):
+                f = math.floor(q := v / d)
+                lo = hi = f
+                if bar == math.inf:  # undecided, with no margin evaluated
+                    hi += 1
+                elif q != f:
+                    m = margin(q, f, d)
+                    lo += m >= bar
+                    hi += m >= -bar
+                lower += max(lo, floor_seats)
+                upper += max(hi, floor_seats)
+            return lower, upper
+        return per_state
+
+
+class _FamilyEvaluator(_Evaluator):
+    """Family mode: each family's volume is rounded as one, then split.
+
+    ``seats_at(D)`` rounds with the float operations of ``compute_quotas``
+    and ``partition_families``: q = v/D per state, a family as a run of
+    equal floor(q) in (population, name) order (``order``, with
+    ``sorted_pops``) with its quota ``family_quota``'s fl(V_f/D),
+    ``decide`` (a family of one on its member's quota, which equals it),
+    ``positional_split`` and the seat floor.  Family seats are written
+    straight to their input positions through ``order``.
+
+    Families are contiguous runs of (population, name) order, because
+    floor(v/D) is monotone in v: the sweep state adds ``family``, where
+    ``family[p]`` is the stored floor of the state at rank p (its position
+    in that order), events name states by that rank, and a family's
+    members are found by bisection (``split``).  Above v_T every quota is
+    below 1, one family of volume v_T (``tops``), and ``room`` covers the
+    rounding of v_T and of each quota in a family's ``fsum``.
+
+    *The guard's items* (``_sweep``) are each state's floor(v/D) and each
+    family's seats.
+
+    - fl(v/D) and floor are monotone, so a state's floor is monotone in D,
+      and it steps only at its state's integer crossings, the events that
+      tag the state (``crossings``).  ``reround`` checks a floor at
+      ``prev`` before it moves it, and ``verify`` checks every floor.  So
+      by ``_sweep``'s argument every stored floor is exact at every
+      evaluated point, and the runs of ``family`` are the families there.
+    - With its members fixed, a family's quota fl(V_f/D) (V_f fixed, and
+      ``family_quota``'s lift onto k·f monotone), its rounding and each
+      member's positional seat are monotone in D too, and the family's
+      seats step only at its volume's mark crossings, the events that tag
+      the family.
+    - Members change only where a tagged state's floor moves, which touches
+      both families involved, and ``reround`` checks both before it writes
+      the floor.  Between two touches a family's members are fixed, and
+      its seats follow the argument for a floor: fresh at one touch, then
+      equal to the fresh split at the next, or checked at the point before
+      it, or checked by ``verify``.
+    """
+
+    room = 1 + 2 ** -50
+
+    def __init__(self, states: Iterable[StateProfile], method: MethodSpec):
+        super().__init__(states, method)
+        self.order = sorted(range(len(self.pops)), key=lambda i: (self.pops[i], self.names[i]))
+        self.sorted_pops = [self.pops[i] for i in self.order]
+        self.tops = [self.v_t]
+
+    def runs(self, divisor: float) -> tuple[list[float], list[int]]:
+        """The sorted quotas at ``divisor`` and where each family ends."""
+        quotas = [v / divisor for v in self.sorted_pops]
+        ends, lo, n = [], 0, len(quotas)
+        while lo < n:
+            lo = bisect_left(quotas, math.floor(quotas[lo]) + 1, lo + 1)
+            ends.append(lo)
+        return quotas, ends
+
+    def seats_at(self, divisor: float) -> tuple[int, ...]:
+        """Every state's seats at ``divisor``, in input order, floor applied."""
+        decide = self.decide
+        quotas, ends = self.runs(divisor)
+        order, seats, lo = self.order, [0] * len(quotas), 0
+        for hi in ends:
+            if hi == lo + 1:  # a family of one rounds its own quota
+                seats[order[lo]] = decide(quotas[lo], divisor)
+            else:
+                f = math.floor(quotas[lo])
+                quota = family_quota(f, self.sorted_pops[lo:hi], divisor)
+                m_low, _ = positional_split(f, hi - lo, decide(quota, divisor))
+                for p, i in enumerate(order[lo:hi]):
+                    seats[i] = f + (p >= m_low)
+            lo = hi
+        return self.floored(seats)
+
+    def start(self, divisor: float) -> None:
+        """Apportion in full at ``divisor``, and store every state's floor."""
+        super().start(divisor)
+        self.family = [math.floor(v / divisor) for v in self.sorted_pops]
+
+    def split(self, f: int, divisor: float) -> tuple[int, int, int]:
+        """Family f's run [lo, hi) in ``family`` and m_low, how many of its
+        members get f seats at ``divisor`` (``seats_at``'s float operations).
+
+        Seats outside the members' range, which only a stale member left by
+        a missed crossing can cause, raise ``ApportionmentError``.
+        """
+        lo = bisect_left(self.family, f)
+        hi = bisect_right(self.family, f, lo)
+        if hi == lo + 1:  # a family of one rounds its own quota
+            quota = self.sorted_pops[lo] / divisor
+        elif lo < hi:
+            quota = family_quota(f, self.sorted_pops[lo:hi], divisor)
+        else:
+            return lo, hi, 0
+        try:
+            return lo, hi, positional_split(f, hi - lo, self.decide(quota, divisor))[0]
+        except ValueError as err:
+            raise _missed(divisor, str(err)) from None
+
+    def reround(self, divisor: float, state_ids, family_ids) -> bool:
+        """Re-round the given states and families at ``divisor``, in place.
+
+        Returns True if any seat moved (seats can swap at an unchanged
+        total).  States are named by rank; a state is re-rounded through
+        its old and new family.  Under constant marks what moves is first
+        checked at the previous evaluation point ``prev``, before it is
+        written: a state whose floor moves, a family whose members change
+        and a family whose seats move must hold there what a fresh decision
+        gives, or ``ApportionmentError`` is raised.  ``_sweep`` says why
+        that is complete.
+        """
+        seats, floor = self.seats, self.floor
+        prev, self.prev = self.prev, divisor
+        family, sorted_pops, order = self.family, self.sorted_pops, self.order
+        families, moves, changed = set(family_ids), [], set()
+        for p in state_ids:  # ranks
+            families.add(old := family[p])
+            if (f := math.floor(sorted_pops[p] / divisor)) != old:
+                moves.append((p, f))
+                changed.update((old, f))
+        if moves and not self.moving:
+            if any(family[p] != math.floor(sorted_pops[p] / prev) for p, _ in moves):
+                raise _missed(prev, "a state's stored family differs from its quota's there")
+            for f in changed:
+                self.check_family(f, prev)
+        for p, f in moves:
+            family[p] = f
+        moved = False
+        for f in families | changed:
+            lo, hi, m_low = self.split(f, divisor)
+            unchecked = not self.moving and f not in changed
+            for p, i in enumerate(order[lo:hi]):
+                if (s := max(f + (p >= m_low), floor)) != seats[i]:
+                    if unchecked:  # the family's seats move: check them before the first write
+                        self.check_family(f, prev)
+                        unchecked = False
+                    seats[i], moved = s, True
+        return moved
+
+    def check_family(self, f: int, prev: float) -> None:
+        """Raise unless family f's stored seats are its split at ``prev``."""
+        lo, hi, m_low = self.split(f, prev)
+        seats, floor = self.seats, self.floor
+        for p, i in enumerate(self.order[lo:hi]):
+            if seats[i] != max(f + (p >= m_low), floor):
+                raise _missed(prev, f"family {f}'s stored seats differ from its rounding there")
+
+    def verify(self) -> None:
+        """Raise unless the sweep state is a full apportionment at ``prev``:
+        its seats, and every stored floor."""
+        if self.family != [math.floor(v / self.prev) for v in self.sorted_pops]:
+            raise _missed(self.prev, "the sweep's seats or floors differ from direct ones there")
+        super().verify()
+
+    def crossings(self, d_lo: float, d_hi: float):
+        """``(v, a, b, listed, kind, ident)`` for ``events``: each state's
+        population, its quota's integer crossings (where it changes
+        families) listed over the window and tagged with its rank, and each
+        family f's volume between two cuts, its mark crossings listed there
+        and tagged with f.
+
+        Family f is cut at the window ends and at v/f and v/(f+1) of each
+        state whose floor(v/D) reaches f in the window; between two cuts its
+        members and volume are fixed, so the volume's crossings are listed once.
+        """
+        candidates: dict[int, list[float]] = {}  # f -> populations, rank order
+        for p, v in enumerate(self.sorted_pops):
+            yield v, d_lo, d_hi, _boundary_crossings, 0, p
+            for f in range(math.floor(v / d_hi), math.floor(v / d_lo) + 1):
+                candidates.setdefault(f, []).append(v)
+        for f, pops in candidates.items():
+            bounds = [v / k for v in pops for k in (f, f + 1) if k]
+            cuts = sorted({d_lo, d_hi, *(d for d in bounds if d_lo < d < d_hi)})
+            for a, b in zip(cuts, cuts[1:]):
+                mid = 0.5 * (a + b)
+                vol = math.fsum(v for v in pops if math.floor(v / mid) == f)
+                if vol:  # populations are positive, so the family has members
+                    yield vol, a, b, self.mark_crossings, 1, f
+
+    def bounds(self, top: float):
+        """``bounds(d) -> (L, U)``: with volume = v_T·``room``, L(d) <=
+        total(D) at every D in [volume/``top``, d] and U(d) >= total(D) at
+        every D >= d >= volume/``top`` (see ``_search_window``).
+
+        Family f's offsets (c_U, c_L) are read once per index into one
+        table: the rule's ``mark_offsets(f, top, volume)``, else (0, 1).
+        """
+        floor_seats = self.floor
+        eta = 2.0 ** -50 * top  # 8u·top, u = 2⁻⁵³: x's error and that of x ∓ η, with room
+        offsets = None if floor_seats else getattr(self.rounding, "mark_offsets", None)
+        volume = self.v_t * self.room  # bounds x·D for every family quota x
+        cs = {}  # (c_U, c_L) by family index: the rule's offsets, else (0, 1)
+
+        def per_family(d: float) -> tuple[int, int]:
+            quotas, ends = self.runs(d)
+            lower = upper = 0
+            for lo, hi in zip([0, *ends], ends):
+                f, k = math.floor(quotas[lo]), hi - lo
+                c_u, c_l = cs.get(f) or cs.setdefault(
+                    f, offsets and offsets(f, top, volume) or (0.0, 1.0))
+                x = family_quota(f, self.sorted_pops[lo:hi], d)
+                # R_c(y) = g + [y > g and y − g >= c], exact on a float
+                g = math.floor(y := x - eta)
+                low = g + (y > g and y - g >= c_l)
+                g = math.floor(y := x + eta)
+                high = g + (y > g and y - g >= c_u)
+                lower += max(low, k * max(f, floor_seats))  # a seat floor m lifts f < m to m·k
+                upper += max(min(high, k * (f + 1)), k * floor_seats)
+            return lower, upper
+        return per_family
+
+
+def _evaluator(states: Iterable[StateProfile], method: MethodSpec) -> _Evaluator:
+    """The evaluator of ``method``'s mode over ``states``: past ``MethodSpec``,
+    the one place the engine reads the mode."""
+    return (_FamilyEvaluator if method.mode == BY_FAMILY else _StateEvaluator)(states, method)
+
+
 def _missed(divisor: float, why: str) -> ApportionmentError:
     return ApportionmentError(f"divisor sweep missed a crossing below D = {divisor!r}: {why}")
 
@@ -497,17 +757,15 @@ def apportion_at_divisor(states: Iterable[StateProfile], divisor: float,
     piece of a divisor sweep; the quota table is computed when first read.
     """
     if method.is_hamilton:
-        raise ApportionmentError(
-            "Hamilton's method needs a target house size, not a divisor"
-        )
+        raise ApportionmentError("Hamilton's method needs a target house size, not a divisor")
     states = tuple(states)
     quotas = compute_quotas(states, divisor)
-    direct = _Direct(states, method)
+    direct = _evaluator(states, method)
     direct.refuse_overflow(divisor)
     return Apportionment(divisor, dict(zip(direct.names, direct.seats_at(divisor))), quotas)
 
 
-def _hamilton(direct: _Direct, target: int) -> Apportionment:
+def _hamilton(direct: _Evaluator, target: int) -> Apportionment:
     divisor = direct.v_t / target
     quotas = compute_quotas(direct.states, divisor)
     base = {e.state.name: int(math.floor(e.quota)) for e in quotas}
@@ -586,35 +844,6 @@ def _mark_times_d_crossing(value: float, f: int, rounding, d_lo: float, d_hi: fl
     return mid
 
 
-def _mark_crossings(value: float, direct: _Direct, d_lo: float, d_hi: float) -> list[float]:
-    """All D in [d_lo, d_hi] where v/D (v = ``value``) meets a mark, and
-    under moving marks also where it is an integer.
-
-    Only the marks of families floor(v/d_hi) .. floor(v/d_lo) are tested:
-    fl(v/D) is monotone in D, so no rounding in the window reads another.
-    Constant marks come from the evaluator's table.  A rounding
-    S = floor(q) + [q >= r(floor(q))] with r(f) in [f, f + 1] steps only
-    where q meets a mark, and a mark on an integer (Adams' r(f) = f,
-    Jefferson's r(f) = f + 1) is met at v/k itself, so under constant
-    marks no integer crossing is listed.  For that, where v/d_hi is an
-    integer k, family k − 1 is tested too: its mark may sit on k and be
-    met at d_hi.  Under moving marks the integer crossings stay: they move
-    no seat either, but without them the sweep evaluates at points where
-    float decisions flip-flop (ROADMAP item 15).
-    """
-    moving = direct.moving
-    out = _boundary_crossings(value, d_lo, d_hi) if moving else []
-    first = math.floor(value / d_hi) if moving else max(1, math.ceil(value / d_hi)) - 1
-    for f in range(first, math.floor(value / d_lo) + 1):
-        if moving:
-            d = _mark_times_d_crossing(value, f, direct.rounding, d_lo, d_hi)
-        else:
-            d = value / r if (r := _table_mark(direct.marks, direct.rounding, f)) > 0 else None
-        if d is not None and d_lo <= d <= d_hi:
-            out.append(d)
-    return out
-
-
 def _boundary_crossings(value: float, d_lo: float, d_hi: float) -> list[float]:
     """All D in [d_lo, d_hi] where v/D (v = ``value``) is an integer."""
     out = []
@@ -623,85 +852,6 @@ def _boundary_crossings(value: float, d_lo: float, d_hi: float) -> list[float]:
         if d_lo <= d <= d_hi:
             out.append(d)
     return out
-
-
-# Family ranges a window may span, summed over what it lists crossings for
-# (see ``_crossing_events``).
-_MAX_FAMILIES_SPANNED = 2 ** 18
-
-
-def _crossing_events(direct: _Direct, d_lo: float, d_hi: float,
-                     ) -> list[tuple[float, tuple[list[int], list[int]]]]:
-    """Every D in [d_lo, d_hi] where the apportionment could change.
-
-    Returns ``(D, (state_ids, family_ids))`` in ascending D: the states
-    whose quota crossed a mark there (by state) or an integer (by family),
-    and in family mode the families (by index f) whose volume crossed a
-    mark there; under moving marks each volume's integer crossings are
-    listed too (``_mark_crossings``).  Each stored item needs one kind: a
-    state's seat its mark crossings, a member's floor its integer
-    crossings, and a family's seats, with its members fixed, its volume's
-    mark crossings.  A state is named by its input index in state mode,
-    where seats are stored in input order, and by its rank in
-    (population, name) order (its index in ``sorted_pops``) in family
-    mode, where the sweep stores floors in that order.  The window ends
-    carry empty tags.
-
-    Family f is cut at the window ends and at v/f and v/(f+1) of each
-    state whose floor(v/D) reaches f in the window; between two cuts its
-    members and volume are fixed, so the volume's crossings are listed once.
-
-    *Limit.*  A volume v (a state's population, or a family's between two
-    cuts) listed over [a, b] spans the families floor(v/b) .. floor(v/a),
-    m = floor(v/a) − floor(v/b) + 1 of them, as fl(v/D) is monotone in D.
-    Under moving marks its integer crossings v/k have k in that range and
-    its mark crossings are one family each; under constant marks only mark
-    crossings are listed, of at most m + 1 families (``_mark_crossings``).
-    So it adds at most 2m candidates, and in
-    family mode m entries to the per-family population lists.  Before
-    each volume's lists are built, m is added to a running total, an O(1)
-    step; past ``_MAX_FAMILIES_SPANNED`` (2^18) the window is refused with
-    ``ValueError``.  So no call lists more than 2^19 candidates, under
-    200 MB of event table at the ~360 bytes each that tracemalloc measures
-    (a float key, its tag tuple and lists, and the sorted item), nor
-    root-finds more than 2^18 moving-mark crossings.  The census windows
-    in the tests and the benchmark span at most 1,997.
-    """
-    tags: dict[float, tuple[list[int], list[int]]] = {d_lo: ([], []), d_hi: ([], [])}
-    spanned = 0
-
-    def tag(ds: Iterable[float], kind: int, ident: int) -> None:
-        for d in ds:
-            tags.setdefault(d, ([], []))[kind].append(ident)
-
-    def span(v: float, a: float, b: float) -> None:
-        nonlocal spanned
-        spanned += math.floor(v / a) - math.floor(v / b) + 1
-        if spanned > _MAX_FAMILIES_SPANNED:
-            raise ValueError(
-                f"the divisor window [{d_lo!r}, {d_hi!r}] spans more than "
-                f"{_MAX_FAMILIES_SPANNED:,} families of the quotas; narrow it")
-
-    by_family = direct.by_family
-    candidates: dict[int, list[float]] = {}  # family mode: f -> populations, rank order
-    for i, v in enumerate(direct.sorted_pops if by_family else direct.pops):
-        span(v, d_lo, d_hi)
-        if not by_family:
-            tag(_mark_crossings(v, direct, d_lo, d_hi), 0, i)
-            continue
-        tag(_boundary_crossings(v, d_lo, d_hi), 0, i)  # the member changes families
-        for f in range(math.floor(v / d_hi), math.floor(v / d_lo) + 1):
-            candidates.setdefault(f, []).append(v)
-    for f, pops in candidates.items():
-        bounds = [v / k for v in pops for k in (f, f + 1) if k]
-        cuts = sorted({d_lo, d_hi, *(d for d in bounds if d_lo < d < d_hi)})
-        for a, b in zip(cuts, cuts[1:]):
-            mid = 0.5 * (a + b)
-            vol = math.fsum(v for v in pops if math.floor(v / mid) == f)
-            if vol:  # populations are positive, so the family has members
-                span(vol, a, b)
-                tag(_mark_crossings(vol, direct, a, b), 1, f)
-    return sorted(tags.items())
 
 
 class _Piece(NamedTuple):
@@ -722,57 +872,43 @@ class _Piece(NamedTuple):
 _EVENT_BAND = 1e-9
 
 
-def _sweep(direct: _Direct, d_lo: float, d_hi: float) -> list[_Piece]:
+def _sweep(direct: _Evaluator, d_lo: float, d_hi: float) -> list[_Piece]:
     """Constant-seat pieces over [d_lo, d_hi] by one ascending event sweep.
 
     It apportions in full at the first candidate interval's midpoint, then
     at each later one re-rounds what the events near it tag
-    (``_Direct.reround``).  The sweep keeps seats only: a piece is the
-    stored seat vector at its first evaluated point, and no seat moves at
-    the later points in it.
+    (``reround``).  The sweep keeps seats only: a piece is the stored seat
+    vector at its first evaluated point, and no seat moves at the later
+    points in it.
 
     *The guard under constant marks*, O(events + n) in all.  Each item
-    is checked where the sweep moves it.  The items are each state's seat
-    in state mode, and each state's floor(v/D) and each family's seats in
-    family mode.  Before ``reround`` writes a new value over a stored one,
-    the stored one must be the fresh decision at the previous evaluated
-    point.  After the last one, ``verify`` requires one ``seats_at`` equal
-    to the stored seats and, in family mode, every stored floor equal to
-    the fresh one (``ApportionmentError`` otherwise).  That proves each
-    returned piece's seats at every point the sweep evaluates inside it:
-
-    - fl(v/D), floor and the test q >= r(f) are each monotone, so a
-      state's floor and seat are monotone in D.  With its members fixed, a
-      family's quota fl(V_f/D) (V_f fixed, and ``family_quota``'s lift onto
-      k·f monotone), its rounding and each member's positional seat are too.
-    - The events are what moves these items (``_crossing_events``): a
-      state's seat steps only at its mark crossings, a floor only at its
-      state's integer crossings, and a family's seats, with its members
-      fixed, only at its volume's mark crossings.
-    - A stored floor is fresh at ``start`` and wherever its state is
-      tagged.  At each later tag the fresh floor either equals it, and by
-      monotonicity it held at every point between, or differs, and then it
-      is checked at the point before; after the last tag ``verify`` checks
-      it.  So every stored floor is exact at every evaluated point, and
-      the runs of ``family`` are the families there.
-    - Members change only where a tagged state's floor moves, which touches
-      both families involved, and both are checked before it is written.
-      Between two touches a family's members are fixed, and its seats
-      follow the argument for a floor: fresh at one touch, then equal to
-      the fresh split at the next, or checked at the point before it, or
-      checked by ``verify``.  A state's seat in state mode does the same.
+    is checked where the sweep moves it.  Each evaluator names its items
+    (each state's seat in ``_StateEvaluator``; each state's floor(v/D) and
+    each family's seats in ``_FamilyEvaluator``), shows each monotone in D
+    and moved only by the events that tag it, and checks it.  Before
+    ``reround`` writes a new value over a stored one, the stored one must
+    be the fresh decision at the previous evaluated point.  After the last
+    one, ``verify`` requires one ``seats_at`` equal to the stored seats
+    and every other stored item equal to the fresh one
+    (``ApportionmentError`` otherwise).  That proves each returned piece's
+    seats at every point the sweep evaluates inside it.  A stored item is
+    fresh at ``start`` and wherever it is tagged.  At each later tag the
+    fresh value either equals it, and by monotonicity it held at every
+    point between, or differs, and then it is checked at the point before;
+    after the last tag ``verify`` checks it.  So every stored item is
+    exact at every evaluated point.
 
     What the guard does not prove is a piece's extent between two
     evaluated points: a crossing missed there merges two pieces, each
     right where it was evaluated (``tests/drop_harness.py`` counts these).
     Under moving marks monotonicity is only the law's contract, and floats
-    break it near a support edge, so these checks are off and
-    ``_Direct.check`` reads each piece at its divisor instead.
+    break it near a support edge, so these checks are off and ``check``
+    reads each piece at its divisor instead.
     """
     if not (0 < d_lo < d_hi) or not math.isfinite(d_hi):
         raise ValueError(f"need 0 < d_lo < d_hi, got [{d_lo!r}, {d_hi!r}]")
     direct.refuse_overflow(d_lo)
-    events = _crossing_events(direct, d_lo, d_hi)
+    events = direct.events(d_lo, d_hi)
     pieces: list[_Piece] = []
     first = last = 0  # events[first:last] lie within the band of the midpoint
     for (a, _), (b, _) in zip(events, events[1:]):
@@ -808,13 +944,13 @@ def _sweep(direct: _Direct, d_lo: float, d_hi: float) -> list[_Piece]:
 
 
 def _checked_sweep(states: Iterable[StateProfile], method: MethodSpec,
-                   d_lo: float, d_hi: float) -> tuple[_Direct, list[_Piece]]:
+                   d_lo: float, d_hi: float) -> tuple[_Evaluator, list[_Piece]]:
     """The sweep's pieces over [d_lo, d_hi], checked (see ``_sweep``; under
     moving marks by direct apportionment at each piece's divisor), and the
     evaluator that swept and checked them."""
     if method.is_hamilton:
         raise ApportionmentError("Hamilton's method has no divisor sweep")
-    direct = _Direct(states, method)
+    direct = _evaluator(states, method)
     pieces = _sweep(direct, d_lo, d_hi)
     if direct.moving:
         for piece in pieces:
@@ -876,86 +1012,24 @@ def breakpoints(states: Iterable[StateProfile], method: MethodSpec,
     return [p.hi for p in pieces[:-1]]
 
 
-def _seat_bounds(direct: _Direct, top: float):
-    """``bounds(d) -> (L, U)``: with volume = v_T·(1 + 2⁻⁵⁰), L(d) <= total(D)
-    at every D in [volume/``top``, d] and U(d) >= total(D) at every D >= d
-    >= volume/``top`` (see ``_search_window``).
-
-    In family mode family f's offsets (c_U, c_L) are read once per index
-    into one table: the rule's ``mark_offsets(f, top, volume)``, else (0, 1).
-    """
-    floor_seats = direct.floor
-    if not direct.by_family and not direct.moving:
-        def exact(d: float) -> tuple[int, int]:
-            total = sum(direct.seats_at(d))
-            return total, total
-        return exact
-    if not direct.by_family:
-        margin = direct.rounding.margin
-        margin_error = getattr(direct.rounding, "margin_error", None)
-        d_min, pops = direct.v_t / top, direct.pops
-        # what a margin must clear to decide: twice each state's margin error
-        # bound over D >= d_min, inf where none is declared
-        bars = [2 * margin_error(v, d_min) if margin_error else math.inf for v in pops]
-
-        def per_state(d: float) -> tuple[int, int]:
-            lower = upper = 0
-            for v, bar in zip(pops, bars):
-                f = math.floor(q := v / d)
-                lo = hi = f
-                if bar == math.inf:  # undecided, with no margin evaluated
-                    hi += 1
-                elif q != f:
-                    m = margin(q, f, d)
-                    lo += m >= bar
-                    hi += m >= -bar
-                lower += max(lo, floor_seats)
-                upper += max(hi, floor_seats)
-            return lower, upper
-        return per_state
-    eta = 2.0 ** -50 * top  # 8u·top, u = 2⁻⁵³: x's error and that of x ∓ η, with room
-    offsets = None if floor_seats else getattr(direct.rounding, "mark_offsets", None)
-    volume = direct.v_t * (1 + 2 ** -50)  # bounds x·D for every family quota x
-    cs = {}  # (c_U, c_L) by family index: the rule's offsets, else (0, 1)
-
-    def per_family(d: float) -> tuple[int, int]:
-        quotas, ends = direct.runs(d)
-        lower = upper = 0
-        for lo, hi in zip([0, *ends], ends):
-            f, k = math.floor(quotas[lo]), hi - lo
-            c_u, c_l = cs.get(f) or cs.setdefault(
-                f, offsets and offsets(f, top, volume) or (0.0, 1.0))
-            x = family_quota(f, direct.sorted_pops[lo:hi], d)
-            g = math.floor(y := x - eta)  # R_c(y) = g + [y > g and y − g >= c], exact on a float
-            low = g + (y > g and y - g >= c_l)
-            g = math.floor(y := x + eta)
-            high = g + (y > g and y - g >= c_u)
-            lower += max(low, k * max(f, floor_seats))  # a seat floor m lifts f < m to m·k
-            upper += max(min(high, k * (f + 1)), k * floor_seats)
-        return lower, upper
-    return per_family
-
-
 # The far end of the bracket on which the freeze divisor's mark crossing is
 # solved: finite, inside the crossing solver's range, beyond any population.
 _FAR = 1e300
 
 
-def _freeze_divisor(direct: _Direct, d_lo: float) -> float:
+def _freeze_divisor(direct: _Evaluator, d_lo: float) -> float:
     """A divisor just above the last one where seats change (small targets).
 
-    Above v (each state's population in state mode, v_T in family mode)
-    its quota is below 1, so only the mark r(0, D) is left to cross.  Every
+    Above v (each of the evaluator's ``tops``: every state's population
+    by state, v_T by family) its quota is below 1, so only the mark r(0, D) is left to cross.  Every
     state counts: under a bounded law a state above the support keeps its
     seat for good, while a smaller one may lose its seat further out.
     """
-    ends = []
-    for v in [direct.v_t] if direct.by_family else direct.pops:
-        ends += [v, *_mark_crossings(v, direct, v, _FAR)]
+    ends = [d for v in direct.tops for d in (v, *direct.mark_crossings(v, v, _FAR))]
     return max(max(ends) * (1 + 1e-9), d_lo * 2)
 
 
-def _search_window(direct: _Direct, target: int) -> tuple[list[_Piece], list[int], bool]:
+def _search_window(direct: _Evaluator, target: int) -> tuple[list[_Piece], list[int], bool]:
     """Sweep of a divisor window provably holding every D with total == target.
 
     Returns ``(pieces, totals, frozen_above)``: totals[i] is
@@ -968,7 +1042,7 @@ def _search_window(direct: _Direct, target: int) -> tuple[list[_Piece], list[int
     min_seat_floor:
 
     - state mode with constant marks: L = U = the exact total, that of
-      ``_Direct.seats_at(D)``.  fl(v/D) is monotone in D, and floor and
+      ``_StateEvaluator.seats_at(D)``.  fl(v/D) is monotone in D, and floor and
       the test q >= r(f) are monotone in q, so the total is too;
     - state mode with divisor-dependent marks: L = sum max(l_i, m) and U =
       sum max(u_i, m), where with q = v/D and f = floor(q) a state whose
@@ -1060,7 +1134,7 @@ def _search_window(direct: _Direct, target: int) -> tuple[list[_Piece], list[int
     if not 0 < cap_lo < cap_hi:
         raise InfeasibleTarget(f"target {target} is beyond float precision: its divisor "
                                f"window [{cap_lo!r}, {cap_hi!r}] is one float or starts at 0")
-    bounds = _seat_bounds(direct, target + slack + 2)
+    bounds = direct.bounds(target + slack + 2)
     l_0, u_0 = bounds(v_t / target)
 
     def lower_end() -> float:
@@ -1113,7 +1187,7 @@ def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,
     target beyond the float range.
     """
     _refuse_target(target_total)
-    direct = _Direct(states, method)
+    direct = _evaluator(states, method)
     n, floor_seats = len(direct.pops), direct.floor
     if method.is_hamilton:
         if target_total < n * floor_seats:
@@ -1126,10 +1200,7 @@ def apportion_for_house_size(states: Iterable[StateProfile], target_total: int,
                 raise InfeasibleTarget(
                     "min_seat_floor is incompatible with Hamilton's fixed total")
         return [app]
-    # state-mode constant marks with r(0) = 0 give every positive quota a seat
-    forces_one = (not direct.by_family and not direct.moving
-                  and _table_mark(direct.marks, direct.rounding, 0) == 0.0)
-    forced_min = n * (max(floor_seats, 1) if forces_one else floor_seats)
+    forced_min = n * direct.least_seats()
     if target_total < forced_min:
         raise InfeasibleTarget(
             f"target {target_total} infeasible: method forces at least "

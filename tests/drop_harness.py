@@ -1,7 +1,7 @@
 """Drop one candidate event at a time from a census sweep, as a missed crossing would.
 
 Each run sweeps 1980 over [v_T/600, v_T/300] under Webster, Hill and Adams in
-both modes, with one interior event of ``_crossing_events`` left out, and sorts
+both modes, with one interior event of the evaluator's ``events`` left out, and sorts
 the outcome:
 
 - ``raised``: ``ApportionmentError``, the typed refusal;
@@ -55,8 +55,9 @@ def evaluated_midpoints(events):
 
 def outcome(states, method, d_lo, d_hi, events, truth) -> str:
     """How the sweep fares on ``events`` in place of its own candidate list."""
-    enumerate_events = engine._crossing_events
-    engine._crossing_events = lambda *args: events
+    evaluator = type(direct := engine._evaluator(states, method))
+    enumerate_events = evaluator.events
+    evaluator.events = lambda self, d_lo, d_hi: events
     try:
         got = pieces(states, method, d_lo, d_hi)
     except ApportionmentError:
@@ -65,10 +66,10 @@ def outcome(states, method, d_lo, d_hi, events, truth) -> str:
         traceback.print_exc()
         return "untyped error"
     finally:
-        engine._crossing_events = enumerate_events
+        evaluator.events = enumerate_events
     if got == truth:
         return "right"
-    direct, mids = engine._Direct(states, method), evaluated_midpoints(events)
+    mids = evaluated_midpoints(events)
     for lo, hi, seats in got:
         if any(direct.seats_at(mid) != seats
                for mid in mids[bisect_right(mids, lo):bisect_left(mids, hi)]):
@@ -86,7 +87,7 @@ def drop_outcomes(stride: int = 1) -> Counter:
         for mode in (BY_STATE, BY_FAMILY):
             method = MethodSpec(rule, mode)
             truth = pieces(states, method, d_lo, d_hi)
-            full = engine._crossing_events(engine._Direct(states, method), d_lo, d_hi)
+            full = engine._evaluator(states, method).events(d_lo, d_hi)
             for k in range(1, len(full) - 1, stride):
                 counts[outcome(states, method, d_lo, d_hi, full[:k] + full[k + 1:], truth)] += 1
     return counts

@@ -280,6 +280,16 @@ def test_leading_zeros_do_not_count_towards_a_population_s_digits(tmp_path):
     assert read_census_csv(path) == (StateProfile("Alpha", 7.0), StateProfile("Beta", 12.0))
 
 
+def test_leading_zeros_after_a_sign_do_not_count_towards_a_population_s_digits(tmp_path):
+    # '+', 5,000 zeros and 7 is the integer 7, past int()'s 4,300-digit limit
+    # only with its zeros; with '-' it is -7, refused as below one
+    path = write(tmp_path, "state,population\nAlpha,+" + "0" * 5000 + "7\nBeta,+0012\n")
+    assert read_census_csv(path) == (StateProfile("Alpha", 7.0), StateProfile("Beta", 12.0))
+    path = write(tmp_path, "state,population\nAlpha,100\nBeta,-" + "0" * 5000 + "7\n")
+    with pytest.raises(ValueError, match=r"census\.csv:3: population must be >= 1$"):
+        read_census_csv(path)
+
+
 def test_read_census_rejects_structure_problems(tmp_path):
     with pytest.raises(ValueError, match="empty file"):
         read_census_csv(write(tmp_path, ""))

@@ -597,9 +597,9 @@ def test_unbounded_candidate_window_is_refused():
 def test_a_failed_sweep_check_exits_4(capsys, monkeypatch, argv, k):
     # the k-th crossing event of 1980 under Webster by family left out, as a
     # missed crossing would be: the sweep's guard raises ApportionmentError
-    events = engine._crossing_events
-    monkeypatch.setattr(engine, "_crossing_events",
-                        lambda *args: [e for j, e in enumerate(events(*args)) if j != k])
+    for evaluator in (engine._StateEvaluator, engine._FamilyEvaluator):
+        monkeypatch.setattr(evaluator, "events", lambda self, *window, events=evaluator.events:
+                            [e for j, e in enumerate(events(self, *window)) if j != k])
     code, out, err = run(capsys, *argv, "--input", str(bundled_census_path(1980)))
     assert (code, out) == (4, "")
     assert err.startswith("seatcalc: divisor sweep missed a crossing below D = ")

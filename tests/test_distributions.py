@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 import tracemalloc
 
 import mpmath
@@ -376,6 +377,16 @@ def test_webster_marks_from_any_power_law_support():
         for d in (0.5, 2.0):
             generic = unbiased_mark(dist, f, d, generic=True)
             assert generic == pytest.approx(f + 0.5, abs=1e-9)
+
+
+def test_a_generic_mark_whose_quadrature_cannot_converge_raises():
+    # f = 10^6 at D = 1 lies 2.3 log units, 2.3 σ, above the median: J(v)'s
+    # rounding noise, about 4e-9, never meets the 1e-12 tolerance, and
+    # without a cap the quadrature ran past 10 million CDF evaluations
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="within 1,048,576 evaluations"):
+        unbiased_mark(LogNormal(math.log(1e5), 1.0), 10 ** 6, 1.0, generic=True)
+    assert time.perf_counter() - started < 5.0
 
 
 # --- the defining equation residual ---------------------------------------

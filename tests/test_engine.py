@@ -41,8 +41,6 @@ from seatcalc.engine import (
     TargetUnachievable,
     _EVENT_BAND,
     _boundary_crossings,
-    _crossing_events,
-    _mark_crossings,
     _mark_times_d_crossing,
     _sweep,
     apportion_at_divisor,
@@ -700,7 +698,7 @@ def assert_sweep_matches_oracle(states, method, d_lo, d_hi):
     pieces = piecewise_apportionments(states, method, d_lo, d_hi)
     for (_, _, below), (_, _, above) in zip(pieces, pieces[1:]):
         assert below.seats != above.seats
-    cands = [d for d, _ in _crossing_events(engine._Direct(states, method), d_lo, d_hi)]
+    cands = [d for d, _ in engine._evaluator(states, method).events(d_lo, d_hi)]
     k = 0
     for a, b in zip(cands, cands[1:]):
         mid = 0.5 * (a + b)
@@ -758,17 +756,20 @@ def test_sweep_raises_rather_than_return_stale_seats():
 def test_reround_agrees_with_a_full_evaluation_at_every_interval(monkeypatch):
     # the piece guard evaluates only each piece's first candidate interval;
     # here every reround is checked against seats_at at its own midpoint
-    reround, calls = engine._Direct.reround, []
+    calls = []
 
-    def checked(self, divisor, state_ids, family_ids):
-        before = list(self.seats)
-        moved = reround(self, divisor, state_ids, family_ids)
-        assert tuple(self.seats) == self.seats_at(divisor), (self.method, divisor)
-        assert moved == (self.seats != before), (self.method, divisor)
-        calls.append(moved)
-        return moved
+    def checking(reround):
+        def checked(self, divisor, state_ids, family_ids):
+            before = list(self.seats)
+            moved = reround(self, divisor, state_ids, family_ids)
+            assert tuple(self.seats) == self.seats_at(divisor), (self.method, divisor)
+            assert moved == (self.seats != before), (self.method, divisor)
+            calls.append(moved)
+            return moved
+        return checked
 
-    monkeypatch.setattr(engine._Direct, "reround", checked)
+    for evaluator in (engine._StateEvaluator, engine._FamilyEvaluator):
+        monkeypatch.setattr(evaluator, "reround", checking(evaluator.reround))
     states = bundled_census(2020)
     v_t = math.fsum(s.population for s in states)
     for mode in (BY_STATE, BY_FAMILY):
@@ -814,10 +815,10 @@ def test_every_entry_point_raises_rather_than_return_stale_seats():
 
 
 def dropping_event(monkeypatch, k):
-    """Make ``_crossing_events`` lose its k-th event, as a missed crossing would."""
-    events = engine._crossing_events
-    monkeypatch.setattr(engine, "_crossing_events",
-                        lambda *args: [e for j, e in enumerate(events(*args)) if j != k])
+    """Make every evaluator's ``events`` lose its k-th event, as a missed crossing would."""
+    for evaluator in (engine._StateEvaluator, engine._FamilyEvaluator):
+        monkeypatch.setattr(evaluator, "events", lambda self, *window, events=evaluator.events:
+                            [e for j, e in enumerate(events(self, *window)) if j != k])
 
 
 def dropped_event_window(year):
@@ -842,7 +843,7 @@ def test_a_stale_family_array_puts_seats_out_of_range_in_reround():
     # the first state (quota 1.0) listed in family 2 with the other two: the
     # family's quota sum 5.3 rounds to 5 seats, below its 3 members' 6, and
     # reround raises that rather than split it
-    direct = engine._Direct(states_of(1.0, 2.1, 2.2), MethodSpec(WEBSTER, BY_FAMILY))
+    direct = engine._FamilyEvaluator(states_of(1.0, 2.1, 2.2), MethodSpec(WEBSTER, BY_FAMILY))
     direct.start(1.0)
     assert direct.family == [1, 2, 2]
     direct.family[0] = 2
@@ -867,13 +868,16 @@ def test_only_moving_marks_are_checked_piece_by_piece(monkeypatch):
     # under constant marks the sweep checks each item where it moves, so no
     # range operation or house-size search reads a piece at its divisor;
     # under moving marks every piece and each solution's neighbours still are
-    check, checked = engine._Direct.check, []
+    checked = []
 
-    def counted(self, piece):
-        checked.append(piece)
-        check(self, piece)
+    def counting(check):
+        def counted(self, piece):
+            checked.append(piece)
+            check(self, piece)
+        return counted
 
-    monkeypatch.setattr(engine._Direct, "check", counted)
+    for evaluator in (engine._StateEvaluator, engine._FamilyEvaluator):
+        monkeypatch.setattr(evaluator, "check", counting(evaluator.check))
     states = bundled_census(2020)
     v_t = math.fsum(s.population for s in states)
     for mode in (BY_STATE, BY_FAMILY):
@@ -1038,8 +1042,8 @@ def test_mark_crossings_test_only_the_families_the_window_reads():
                                      (LogNormal(0.0, 1.0), False)):
                 marks = RecordingMarks(rounding, None if moving else lambda f, d: f + 0.5)
                 marks.families, marks.divisor_dependent = [], moving
-                _mark_crossings(value, engine._Direct(states_of(value), MethodSpec(marks)),
-                                d_lo, d_hi)
+                engine._StateEvaluator(states_of(value), MethodSpec(marks)).mark_crossings(
+                    value, d_lo, d_hi)
                 first = math.floor(value / d_hi) if moving else max(1, math.ceil(value / d_hi)) - 1
                 read = range(first, math.floor(value / d_lo) + 1)
                 assert marks.families and set(marks.families) <= set(read), \
@@ -1513,7 +1517,7 @@ def per_span_family_events(states, method, d_lo, d_hi):
     family volumes with ``math.fsum`` and enumerate each family's mark
     crossings (under moving marks with its integer crossings) within that
     span.  Returns {D: (state ids, family ids)}."""
-    direct = engine._Direct(states, method)
+    direct = engine._FamilyEvaluator(states, method)
     tags = {d_lo: (set(), set()), d_hi: (set(), set())}
     for i, s in enumerate(states):
         for d in _boundary_crossings(s.population, d_lo, d_hi):
@@ -1526,7 +1530,7 @@ def per_span_family_events(states, method, d_lo, d_hi):
             members.setdefault(math.floor(s.population / mid), []).append(s.population)
         for f, pops in members.items():
             vol = math.fsum(pops)
-            for d in _mark_crossings(vol, direct, a, b):
+            for d in direct.mark_crossings(vol, a, b):
                 tags.setdefault(d, (set(), set()))[1].add(f)
     return tags
 
@@ -1534,8 +1538,8 @@ def per_span_family_events(states, method, d_lo, d_hi):
 def family_events(states, method, d_lo, d_hi):
     """The engine's family-mode events, each state id (a rank in the
     (population, name) order) mapped back to its input index."""
-    direct = engine._Direct(states, method)
-    events = _crossing_events(direct, d_lo, d_hi)
+    direct = engine._FamilyEvaluator(states, method)
+    events = direct.events(d_lo, d_hi)
     return {d: ({direct.order[p] for p in ids}, set(fs)) for d, (ids, fs) in events}
 
 
@@ -1577,7 +1581,7 @@ def test_state_events_under_constant_marks_are_mark_crossings():
     pops = [s.population for s in states]
     v_t = math.fsum(pops)
     for rule in SWEEP_RULES:
-        events = _crossing_events(engine._Direct(states, MethodSpec(rule)), v_t / 600, v_t / 300)
+        events = engine._StateEvaluator(states, MethodSpec(rule)).events(v_t / 600, v_t / 300)
         assert len(events) > 2
         for d, (ids, fs) in events[1:-1]:
             assert ids and not fs
@@ -1585,6 +1589,31 @@ def test_state_events_under_constant_marks_are_mark_crossings():
                 f = math.floor(pops[i] / d)
                 assert d in {pops[i] / rule.mark(g) for g in range(max(f - 2, 0), f + 2)
                              if rule.mark(g) > 0}, (rule, d, states[i].name)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 21")
+def test_an_event_that_moves_no_seat_leaves_every_apportionment_equal(monkeypatch):
+    # each state's integer crossings, listed as well, move no seat under
+    # constant marks; but a piece's divisor is the midpoint of its first
+    # candidate interval, so it moves with them
+    states = tuple(bundled_census(2020))
+    v_t = math.fsum(s.population for s in states)
+    method, window = MethodSpec(WEBSTER), (v_t / 600, v_t / 300)
+    before = piecewise_apportionments(states, method, *window)
+    events = engine._StateEvaluator.events
+
+    def with_integer_crossings(self, d_lo, d_hi):
+        tags = dict(events(self, d_lo, d_hi))
+        for i, v in enumerate(self.pops):
+            for d in _boundary_crossings(v, d_lo, d_hi):
+                tags.setdefault(d, ([], []))[0].append(i)
+        return sorted(tags.items())
+
+    monkeypatch.setattr(engine._StateEvaluator, "events", with_integer_crossings)
+    after = piecewise_apportionments(states, method, *window)
+    assert [(lo, hi, app.seats) for lo, hi, app in after] == \
+        [(lo, hi, app.seats) for lo, hi, app in before]
+    assert after == before
 
 
 def test_family_events_match_per_span_rule_with_lognormal_marks():
@@ -1636,10 +1665,10 @@ def fixed_slack_solutions(states, target, method):
     if not frozen:
         hi = v_t / (target - slack)
     elif method.divisor_dependent:  # the engine's own, checked by the small-target tests
-        hi = engine._freeze_divisor(engine._Direct(states, method), lo)
+        hi = engine._freeze_divisor(engine._evaluator(states, method), lo)
     else:
         hi = frozen_upper_end(states, method, lo)
-    pieces = _sweep(engine._Direct(states, method), lo, hi)
+    pieces = _sweep(engine._evaluator(states, method), lo, hi)
     solutions, seen = [], set()
     for idx, p in reversed(list(enumerate(pieces))):
         if sum(p.seats) == target and p.seats not in seen:
@@ -1883,8 +1912,8 @@ def assert_family_bounds_bracket(states, d_min, rule, floor, extra):
                    if d >= d_min} | {d_min, *(d_min + x * 2 * v_t for x in extra)})
     top = v_t / d_min + 2
     _, eta_left = family_etas(top)
-    direct = engine._Direct(states, method)
-    bounds = engine._seat_bounds(direct, top)
+    direct = engine._FamilyEvaluator(states, method)
+    bounds = direct.bounds(top)
     m = floor or 0
     last = None
     for d in grid:
@@ -1908,9 +1937,9 @@ def test_family_seat_bounds_allow_for_the_error_of_sum():
     method = MethodSpec(JEFFERSON, BY_FAMILY)
     quotas = [s.population for s in states]
     assert math.fsum(quotas) == 13.0
-    total = sum(engine._Direct(states, method).seats_at(1.0))
+    total = sum(engine._FamilyEvaluator(states, method).seats_at(1.0))
     assert total == 13
-    lower, upper = engine._seat_bounds(engine._Direct(states, method), 15.0)(1.0)
+    lower, upper = engine._FamilyEvaluator(states, method).bounds(15.0)(1.0)
     assert lower <= total <= upper
 
 
@@ -1931,8 +1960,8 @@ def test_family_seat_bounds_are_exact_just_below_an_integer():
     assert sum(map(Fraction, quotas)) == 13 - Fraction(2) ** -48 == x
     assert (x - eta, x + eta) == (13 - 5 * 2.0 ** -48, 13 + 3 * 2.0 ** -48)
     for rule, bounds in ((ADAMS, (13, 14)), (JEFFERSON, (12, 13))):
-        direct = engine._Direct(states, MethodSpec(rule, BY_FAMILY))
-        lower, upper = engine._seat_bounds(direct, 15.0)(1.0)
+        direct = engine._FamilyEvaluator(states, MethodSpec(rule, BY_FAMILY))
+        lower, upper = direct.bounds(15.0)(1.0)
         assert (lower, upper) == bounds
         assert lower <= sum(direct.seats_at(1.0)) <= upper
 
@@ -1944,12 +1973,12 @@ def test_family_lower_bound_may_exceed_its_exact_formula_but_not_the_total():
     # engine floors fl(x − η) = 13 to 13: tighter, and still the total,
     # which rounds x down to 13.  At η′ the formula gives 13 as well
     states = states_of(6.5 + 7 * 2.0 ** -50, 6.5 + 8 * 2.0 ** -50)
-    direct = engine._Direct(states, MethodSpec(JEFFERSON, BY_FAMILY))
+    direct = engine._FamilyEvaluator(states, MethodSpec(JEFFERSON, BY_FAMILY))
     eta, eta_left = family_etas(16.0)
     assert eta == Fraction(2) ** -46
     assert math.fsum(s.population for s in states) == 13 + 2.0 ** -46
     assert exact_family_bounds(direct, 1.0, 16.0, eta) == (12, 13)
-    assert engine._seat_bounds(direct, 16.0)(1.0) == (13, 13)
+    assert direct.bounds(16.0)(1.0) == (13, 13)
     assert sum(direct.seats_at(1.0)) == 13
     assert exact_family_bounds(direct, 1.0, 16.0, eta_left) == (13, 13)
 
@@ -1986,13 +2015,13 @@ def test_family_seat_bounds_hold_at_ulp_close_family_sums(instance):
     states, rule, target, top = instance
     x = sum(Fraction(s.population) for s in states)
     assert abs(x - Fraction(target)) <= 16 * Fraction(math.ulp(target + 1))
-    direct = engine._Direct(states, MethodSpec(rule, BY_FAMILY))
+    direct = engine._FamilyEvaluator(states, MethodSpec(rule, BY_FAMILY))
     below, above = [1.0], [1.0]
     for _ in range(4):
         below.append(math.nextafter(below[-1], 0.0))
         above.append(math.nextafter(above[-1], math.inf))
     assert direct.v_t / below[-1] + 2 <= top
-    lower, upper = engine._seat_bounds(direct, top)(1.0)
+    lower, upper = direct.bounds(top)(1.0)
     low, high = exact_family_bounds(direct, 1.0, top, family_etas(top)[1])
     assert lower <= low <= min(sum(direct.seats_at(d)) for d in below), (lower, low)
     assert upper >= high >= max(sum(direct.seats_at(d)) for d in above), (upper, high)
@@ -2129,13 +2158,13 @@ def test_decided_state_seat_bounds_hold_over_the_swept_pieces():
     # the far right tail, where margins of 1e-17 to 4e-13 do not clear
     # bounds of about 3e-12
     for states, method, target in decided_bound_cases():
-        direct = engine._Direct(states, method)
+        direct = engine._StateEvaluator(states, method)
         slack = len(states) * (1 + (method.min_seat_floor or 0)) + 1
         lo = direct.v_t / (target + slack)
         hi = (direct.v_t / (target - slack) if target - slack >= 1
               else engine._freeze_divisor(direct, lo))
         pieces = _sweep(direct, lo, hi)
-        bounds = engine._seat_bounds(direct, target + slack + 2)
+        bounds = direct.bounds(target + slack + 2)
         for d in sorted({x for p in pieces for x in (p.lo, p.divisor, p.hi)}):
             lower, upper = bounds(d)
             assert lower <= min((sum(p.seats) for p in pieces if p.lo < d), default=math.inf), \
@@ -2158,8 +2187,8 @@ def test_roundings_without_a_margin_error_bound_keep_floor_and_ceiling_bounds(di
     states = states_of(0.7, 2.5, 3.0, 6.25, 11.0)
     for floor in (None, 1):
         method = MethodSpec(CountingMarks(dist, marks), min_seat_floor=floor)
-        direct = engine._Direct(states, method)
-        bounds = engine._seat_bounds(direct, 40.0)
+        direct = engine._StateEvaluator(states, method)
+        bounds = direct.bounds(40.0)
         for d in (0.5, 0.9, 1.0, 1.7, 4.0, 12.5):
             floors = [math.floor(s.population / d) for s in states]
             m = floor or 0
@@ -2202,7 +2231,7 @@ def test_house_window_probes_stay_inside_the_fixed_slack_caps(monkeypatch):
         with pytest.raises(TargetUnachievable) as err:
             apportion_for_house_size(states, 1, MethodSpec(rounding))
         assert (err.value.nearest_below, err.value.nearest_above) == (None, 3)
-    direct = engine._Direct(states, MethodSpec(marks))
+    direct = engine._StateEvaluator(states, MethodSpec(marks))
     cap_lo = direct.v_t / (1 + len(states) + 1)
     cap_hi = engine._freeze_divisor(direct, cap_lo)
     assert cap_hi < direct.v_t
@@ -2223,7 +2252,7 @@ def test_freeze_divisor_of_constant_marks_is_the_closed_form():
                     slack = len(states) * (1 + (floor or 0)) + 1
                     for target in range(1, slack):
                         lo = v_t / (target + slack)
-                        assert engine._freeze_divisor(engine._Direct(states, method), lo) == \
+                        assert engine._freeze_divisor(engine._evaluator(states, method), lo) == \
                             frozen_upper_end(states, method, lo), (rule, mode, states)
 
 
